@@ -11,19 +11,23 @@ pytest-benchmark (single round — these are experiments, not micro-benchmarks).
 
 Machine-readable trajectory
 ---------------------------
-Alongside the human-readable report, the session writes ``BENCH_<id>.json``
-(``id`` from ``REPRO_BENCH_ID``, default the current PR series) to the
-repository root: one entry per benchmark with its wall clock, plus any
-richer entries (case counts, measured speedups, baselines) benchmarks
-record through the :func:`bench_record` fixture.  The file carries git
-metadata so a checked-in copy *is* the committed perf baseline — CI's
-bench job re-measures and fails when the paper-scale grid wall-clock
-regresses past the allowed factor (``benchmarks/check_regression.py``).
+Alongside the human-readable report, a session run with
+``REPRO_BENCH_JSON`` set writes the perf trajectory to that path
+(conventionally ``BENCH_<id>.json`` at the repository root): one entry per
+benchmark with its wall clock, plus any richer entries (case counts,
+measured speedups, baselines) benchmarks record through the
+:func:`bench_record` fixture.  Without it nothing is written, so a plain
+test run leaves the tracked files alone.  The file carries git metadata
+so a checked-in copy *is* the committed perf baseline — CI's bench job
+sets ``REPRO_BENCH_JSON=BENCH_9.json``, re-measures and fails when the
+paper-scale grid wall-clock regresses past the allowed factor
+(``benchmarks/check_regression.py``).
 
 Environment knobs:
 
-* ``REPRO_BENCH_ID`` — series id in the output filename (default ``9``);
-* ``REPRO_BENCH_JSON`` — full override of the output path;
+* ``REPRO_BENCH_JSON`` — path of the trajectory file to write (merged
+  with an existing one); unset, no file is written;
+* ``REPRO_BENCH_ID`` — series id recorded in the file (default ``9``);
 * ``REPRO_BENCH_QUICK`` / ``REPRO_BENCH_FULL`` — workload tiers, honoured
   per benchmark module (entries record the tier they measured).
 """
@@ -39,7 +43,7 @@ from typing import Dict, List, Optional
 
 import pytest
 
-#: Series id of the perf-trajectory file this session writes.
+#: Series id recorded in the perf-trajectory file.
 BENCH_SERIES = os.environ.get("REPRO_BENCH_ID", "9")
 
 
@@ -112,16 +116,13 @@ class BenchTrajectory:
         self.record_count += 1
 
     # ------------------------------------------------------------------
-    def output_path(self, rootdir: Path) -> Path:
-        override = os.environ.get("REPRO_BENCH_JSON")
-        if override:
-            return Path(override)
-        return rootdir / f"BENCH_{BENCH_SERIES}.json"
-
-    def write(self, rootdir: Path) -> Optional[Path]:
-        if not self.entries:
+    def write(self) -> Optional[Path]:
+        """Merge this session's entries into ``REPRO_BENCH_JSON``;
+        returns the path, or ``None`` when nothing is written."""
+        target = os.environ.get("REPRO_BENCH_JSON")
+        if not target or not self.entries:
             return None
-        path = self.output_path(rootdir)
+        path = Path(target)
         # Merge with an existing trajectory: workloads not re-measured
         # this session (e.g. the full paper-scale tier while running the
         # quick tier) keep their recorded entry, so the file accumulates
@@ -197,8 +198,7 @@ def _auto_record(request):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write the session's perf trajectory next to the repository root."""
-    rootdir = Path(str(session.config.rootpath))
-    path = _TRAJECTORY.write(rootdir)
+    """Write the session's perf trajectory when ``REPRO_BENCH_JSON`` asks."""
+    path = _TRAJECTORY.write()
     if path is not None:
         print(f"\n[bench] perf trajectory written to {path}")

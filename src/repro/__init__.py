@@ -132,8 +132,8 @@ _LAZY_ENGINE_EXPORTS = (
     "VectorizedFaultCampaign",
     "UnsupportedFaultCampaign",
     "VectorizedPowerCampaign",
-    # kernel-tier helpers (numpy loads on first use, numba/cupy never
-    # before a compiled tier is actually requested)
+    # kernel-tier helpers (numpy loads on first use, numba never before
+    # the compiled tier is actually requested)
     "KERNELS",
     "default_kernel",
     "available_kernels",

@@ -61,7 +61,7 @@ class BistResult:
     #: execution engine that measured the run ("reference"/"vectorized").
     backend: str = "reference"
     #: concrete kernel tier of the vectorized campaign ("flat" /
-    #: "segmented" / "jit" / "gpu"); "" on the reference engine.
+    #: "segmented" / "jit"); "" on the reference engine.
     kernel: str = ""
 
     def describe(self) -> str:
@@ -219,10 +219,11 @@ class BistController:
         cache — including the compiled segment structure, the dominant
         cold cost at large geometries — and warms the resolved kernel
         tier (loading numba's on-disk cache for ``kernel="jit"``), so the
-        first :meth:`run` measures instead of compiling.  The sweep
-        orchestrator's worker initializer calls this for every algorithm
-        a worker may be handed.  A no-op on the reference backend (which
-        walks fresh each run) and when the engine is unavailable.
+        first :meth:`run` measures instead of compiling.  Callers that
+        want the first measurement warm call this up front; the sweep
+        orchestrator does not — its workers compile each trace on first
+        use.  A no-op on the reference backend (which walks fresh each
+        run) and when the engine is unavailable.
         """
         algorithm.validate()
         if self.backend == "reference":

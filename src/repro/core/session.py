@@ -80,7 +80,7 @@ class TestRunResult:
     floating_column_cycles: int = 0
     bank_transitions: int = 0
     #: Concrete kernel tier that measured this run on the vectorized
-    #: backend ("flat" / "segmented" / "jit" / "gpu"); "" on the
+    #: backend ("flat" / "segmented" / "jit"); "" on the
     #: reference backend, which has no kernel seam.
     kernel: str = ""
 

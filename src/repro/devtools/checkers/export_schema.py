@@ -3,7 +3,7 @@
 Sweep records travel through four representations: dataclass fields,
 ``as_dict`` payloads, exporter columns, and journal lines.  Drift between
 them is silent until an old journal refuses to load (the PR 8
-entry-less-journal incident was exactly a schema-evolution gap).  Four
+entry-less-journal incident was exactly a schema-evolution gap).  Three
 statically-checkable agreements:
 
 * a dataclass ``as_dict`` building a *dict literal* must export every
@@ -12,21 +12,18 @@ statically-checkable agreements:
   (``dataclasses.asdict`` is trivially consistent);
 * a class with ``to_line``/``from_line`` must only *read* keys it also
   *writes* — a key parsed but never serialised can never round-trip;
-* sibling ``*_KINDS`` registries in one module must agree on their key
-  sets (a record kind without a case kind is unreachable);
 * ``from_dict`` must not splat the raw mapping into the constructor
   (``cls(**data)``) — that crashes on any journal written before a field
-  was added; route through the defaults-tolerant ``_record_from_dict``
-  or ``dataclasses.fields`` instead.
+  was added; route through a defaults-tolerant ``*record_from_dict``
+  helper or ``dataclasses.fields`` instead.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
 from ..findings import Finding
-from ..importgraph import iter_eager_statements
 from ..project import LintModule, Project
 from .common import call_name, decorator_names
 
@@ -121,7 +118,6 @@ class ExportSchemaChecker:
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            yield from self._check_kind_registries(module)
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.ClassDef):
                     yield from self._check_class(node, module)
@@ -199,39 +195,6 @@ class ExportSchemaChecker:
                 message=(f"'{cls.name}.from_line' reads key(s) "
                          f"{', '.join(orphaned)} that '{cls.name}.to_line' "
                          f"never writes; the round-trip cannot succeed"))
-
-    def _check_kind_registries(self,
-                               module: LintModule) -> Iterator[Finding]:
-        registries: Dict[str, Set[str]] = {}
-        lines: Dict[str, int] = {}
-        for node in iter_eager_statements(module.tree.body):
-            if not isinstance(node, ast.Assign) \
-                    or not isinstance(node.value, ast.Dict):
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name) \
-                        and target.id.endswith("_KINDS"):
-                    keys = _literal_str_keys(node.value)
-                    if keys is not None:
-                        registries[target.id] = keys
-                        lines[target.id] = node.lineno
-        if len(registries) < 2:
-            return
-        names = sorted(registries)
-        reference = names[0]
-        for name in names[1:]:
-            if registries[name] != registries[reference]:
-                missing = sorted(registries[reference] - registries[name])
-                extra = sorted(registries[name] - registries[reference])
-                detail = "; ".join(part for part in (
-                    f"missing: {', '.join(missing)}" if missing else "",
-                    f"extra: {', '.join(extra)}" if extra else "") if part)
-                yield Finding(
-                    path=module.display_path, line=lines[name],
-                    rule=self.rule_id,
-                    message=(f"kind registry '{name}' disagrees with "
-                             f"'{reference}' ({detail}); every record kind "
-                             f"needs a matching case kind"))
 
 
 def _called_names(function: ast.FunctionDef) -> Set[str]:

@@ -1,7 +1,7 @@
 """RPR005 — warn-once registry usage for backend/kernel fallback.
 
-Fallback warnings ("kernel tier 'gpu' unavailable, falling back to
-'jit'") fire on hot paths: without deduplication a long sweep emits
+Fallback warnings ("kernel tier 'jit' unavailable, falling back to
+'flat'") fire on hot paths: without deduplication a long sweep emits
 thousands of identical lines, and with naive module-level deduplication
 the seen-set is the RPR002 bug all over again.  The repo's answer is the
 lock-guarded warn-once registry (``_claim_fallback_warning`` in

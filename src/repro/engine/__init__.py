@@ -18,12 +18,11 @@
   activity, comparator outcomes and all five Section 5 power sources in
   closed vector form, for both pre-charge planners (the measured Table 1
   workload).
-* :mod:`repro.engine.compiled` / :mod:`repro.engine.gpu` — optional
-  compiled kernel tiers (``kernel="jit"``: a Numba port of the flat
-  kernel's per-slot reductions; ``kernel="gpu"``: the same array program
-  on CuPy).  Imported lazily on first use and never required: when the
-  dependency is absent the engine falls back to the ``"flat"`` numpy
-  kernel with a single warning, and every result records the tier that
+* :mod:`repro.engine.compiled` — the optional compiled kernel tier
+  (``kernel="jit"``: a Numba port of the flat kernel's per-slot
+  reductions).  Imported lazily on first use and never required: when
+  numba is absent the engine falls back to the ``"flat"`` numpy kernel
+  with a single warning, and every result records the tier that
   actually ran.
 * :mod:`repro.engine.grid` — the grid-batched evaluation layer:
   per-geometry groups of sweep scenarios (all algorithms, orders and both
@@ -54,7 +53,7 @@ _EXPORTS = {
     "VectorizedEngine": ".vectorized",
     "CellStressTotals": ".vectorized",
     "UnsupportedConfiguration": ".vectorized",
-    # kernel-tier surface (the "jit"/"gpu" compiled tiers and their
+    # kernel-tier surface (the "jit" compiled tier and its
     # availability/fallback helpers) lives on the vectorized module.
     "KERNELS": ".vectorized",
     "default_kernel": ".vectorized",

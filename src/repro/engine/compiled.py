@@ -92,8 +92,8 @@ def reduce_tile(slots, m, first, last, carry, chained, delta_seg, x,
     """The flat kernel's per-tile slot reductions, compiled.
 
     Same signature and return contract as the numpy tier
-    (:func:`repro.engine.vectorized._reduce_tile_arrays` with
-    ``xp=numpy``): five per-slot accumulator arrays of length
+    (:func:`repro.engine.vectorized._reduce_tile_arrays`): five per-slot
+    accumulator arrays of length
     ``total_slots``.  Inputs are normalised to contiguous canonical
     dtypes so the cached compilation is hit regardless of how the caller
     sliced its segment arrays.

@@ -44,12 +44,12 @@ class EngineError(Exception):
 BACKEND_CHOICES: Tuple[str, ...] = ("reference", "vectorized", "auto")
 
 #: The kernel-tier switch shared by every vectorized engine: the two
-#: numpy tiers (``"flat"``, ``"segmented"``), the optional compiled tiers
-#: (``"jit"`` via numba, ``"gpu"`` via cupy — both fall back to ``"flat"``
-#: when the dependency is absent), and ``"auto"`` (best available compiled
-#: tier, else ``"flat"``).  Defined here — NumPy-free — so the sweep CLI
+#: numpy tiers (``"flat"``, ``"segmented"``), the optional compiled tier
+#: (``"jit"`` via numba — it falls back to ``"flat"`` when numba is
+#: absent), and ``"auto"`` (the compiled tier when available, else
+#: ``"flat"``).  Defined here — NumPy-free — so the sweep CLI
 #: can enumerate the axis without loading any engine module.
-KERNEL_CHOICES: Tuple[str, ...] = ("flat", "segmented", "jit", "gpu", "auto")
+KERNEL_CHOICES: Tuple[str, ...] = ("flat", "segmented", "jit", "auto")
 
 #: Facade families registered through :func:`register_backend_family`.
 #: Guarded by ``_REGISTRY_LOCK``: facade modules register at import time,

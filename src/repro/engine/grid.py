@@ -57,9 +57,8 @@ def _require_numpy() -> None:
 class BatchedGridEngine:
     """Evaluate a sweep grid with per-geometry stacked kernel passes.
 
-    ``cases`` is any mix of :class:`~repro.sweep.runner.SweepCase`,
-    :class:`~repro.sweep.runner.PrrCase` and
-    :class:`~repro.sweep.runner.CoverageCase` scenarios.
+    ``cases`` is any mix of the sweep case kinds
+    (:data:`repro.sweep.runner.CASE_TYPES`).
     :meth:`completions` yields ``(position, record)`` pairs — ``position``
     indexes ``cases`` — as each scenario's record materialises, which is
     what the runner's streaming journal/progress loop consumes.
@@ -73,7 +72,7 @@ class BatchedGridEngine:
 
         self._runner = sweep_runner
         self.cases = list(cases)
-        #: Optional pre-warmed :class:`repro.sweep.runner._WorkerState` to
+        #: Optional :class:`repro.sweep.runner._WorkerState` to
         #: evaluate under.  Long-lived callers (the campaign service runs
         #: one batch per request wave on a pool thread) pass their thread's
         #: persistent state so compiled traces and facades stay warm across
@@ -103,10 +102,10 @@ class BatchedGridEngine:
     def completions(self) -> Iterator[Tuple[int, object]]:
         """Yield every case's ``(position, record)``, stacked where possible.
 
-        A process-local worker state (the same construct the per-case
-        strategy pre-warms in its pool workers) is installed for the
-        duration, so the fallback per-case executions share the batch's
-        memoised orders, facades and compiled traces.
+        A process-local worker state (the same construct each per-case
+        pool worker keeps) is installed for the duration, so the fallback
+        per-case executions share the batch's memoised orders, facades
+        and compiled traces.
         """
         runner = self._runner
         state = self._worker_state if self._worker_state is not None \
@@ -114,62 +113,42 @@ class BatchedGridEngine:
         previous = runner._get_worker_state()
         runner._set_worker_state(state)
         try:
-            prr_groups, power_groups, percase = self._plan()
+            stacked_passes = {"power": self._run_power_group,
+                              "prr": self._run_prr_group}
             # Records emit in input order (matching the per-case
             # sequential journal order); each stacked group evaluates
             # lazily, when its first member is reached.
             evaluators = {}
-            for members in prr_groups.values():
-                runner_fn = self._run_prr_group
+            for (kind, _), members in self._plan().items():
                 for position, _ in members:
-                    evaluators[position] = (runner_fn, state, members)
-            for members in power_groups.values():
-                runner_fn = self._run_power_group
-                for position, _ in members:
-                    evaluators[position] = (runner_fn, state, members)
+                    evaluators[position] = (stacked_passes[kind], members)
             ready = {}
-            percase_cases = dict(percase)
-            for position in range(len(self.cases)):
-                if position in percase_cases:
-                    yield position, runner.execute_case(
-                        percase_cases[position])
+            for position, case in enumerate(self.cases):
+                if position not in evaluators:
+                    yield position, runner.execute_case(case)
                     continue
                 if position not in ready:
-                    runner_fn, group_state, members = evaluators[position]
-                    ready.update(runner_fn(group_state, members))
+                    stacked_pass, members = evaluators[position]
+                    ready.update(stacked_pass(state, members))
                 yield position, ready.pop(position)
         finally:
             runner._set_worker_state(previous)
 
     # ------------------------------------------------------------------
-    def _plan(self):
-        """Split the grid into stackable groups and per-case leftovers.
+    def _plan(self) -> Dict[Tuple, List[Tuple[int, object]]]:
+        """Group the stackable cases by ``(kind, stack_key)``.
 
-        PRR campaigns group per BIST-controller configuration, power
-        sweeps per (geometry, direction, kernel) — different algorithms,
-        address orders and requested backends stack together; only the
-        reference backend (which has no bulk kernel) and coverage
-        campaigns (a different engine family) stay per-case.
+        Each case says whether and under which key it stacks
+        (:meth:`repro.sweep.runner.SweepCase.stack_key`); cases whose key
+        is ``None`` are left out and run per case.
         """
-        runner = self._runner
-        prr_groups: Dict[Tuple, List[Tuple[int, object]]] = {}
-        power_groups: Dict[Tuple, List[Tuple[int, object]]] = {}
-        percase: List[Tuple[int, object]] = []
+        groups: Dict[Tuple, List[Tuple[int, object]]] = {}
         for position, case in enumerate(self.cases):
-            if isinstance(case, runner.PrrCase) and case.backend != "reference":
-                key = (case.rows, case.columns, case.bits_per_word,
-                       case.backend, case.banks, case.bank_interleave,
-                       case.kernel)
-                prr_groups.setdefault(key, []).append((position, case))
-            elif isinstance(case, runner.SweepCase) \
-                    and case.backend != "reference":
-                key = (case.rows, case.columns, case.bits_per_word,
-                       case.any_direction, case.banks, case.bank_interleave,
-                       case.kernel)
-                power_groups.setdefault(key, []).append((position, case))
-            else:
-                percase.append((position, case))
-        return prr_groups, power_groups, percase
+            key = case.stack_key()
+            if key is not None:
+                groups.setdefault((case.kind, key), []).append(
+                    (position, case))
+        return groups
 
     # ------------------------------------------------------------------
     def _run_prr_group(self, state, members):

@@ -92,16 +92,14 @@ def _require_numpy() -> None:
 #: with closed-form decay sums — no per-row/per-segment Python loop on the
 #: hot path.  ``"segmented"`` is the original one-row-segment-at-a-time
 #: evaluation, retained as the differential oracle for the flat kernel and
-#: as the measured baseline of the grid benchmarks.  ``"jit"`` and
-#: ``"gpu"`` are *compiled tiers*: the same per-(unit, element) slot
-#: reductions executed by a numba ``@njit(parallel=True, cache=True)``
-#: kernel (:mod:`repro.engine.compiled`) or a cupy re-run of the identical
-#: array program (:mod:`repro.engine.gpu`).  ``"auto"`` resolves to the
-#: best available compiled tier (currently ``"jit"``), else ``"flat"``.
-#: Compiled tiers are optional: when the dependency is absent a requested
-#: tier falls back to ``"flat"`` with a single :class:`RuntimeWarning`
-#: (see :func:`resolve_kernel`), and importing :mod:`repro` (or this
-#: module) never loads numba/cupy.
+#: as the measured baseline of the grid benchmarks.  ``"jit"`` is the
+#: *compiled tier*: the same per-(unit, element) slot reductions executed
+#: by a numba ``@njit(parallel=True, cache=True)`` kernel
+#: (:mod:`repro.engine.compiled`).  ``"auto"`` resolves to ``"jit"`` when
+#: it is available, else ``"flat"``.  The compiled tier is optional: when
+#: numba is absent a ``"jit"`` request falls back to ``"flat"`` with a
+#: single :class:`RuntimeWarning` (see :func:`resolve_kernel`), and
+#: importing :mod:`repro` (or this module) never loads numba.
 KERNELS = KERNEL_CHOICES
 
 #: Process-wide default kernel; see :func:`default_kernel`.  Rebinding it
@@ -113,7 +111,7 @@ _KERNEL_STATE_LOCK = threading.Lock()
 
 #: Optional compiled-tier implementation modules, imported lazily on first
 #: resolution (never at ``import repro`` time — the PEP 562 contract).
-_TIER_MODULES: Dict[str, str] = {"jit": ".compiled", "gpu": ".gpu"}
+_TIER_MODULES: Dict[str, str] = {"jit": ".compiled"}
 
 #: Lazily-imported tier modules: name -> module, or ``None`` when the
 #: import failed (dependency absent).  :func:`reset_kernel_state` clears it.
@@ -140,9 +138,9 @@ def _claim_fallback_warning(tier: str) -> bool:
 def kernel_module(tier: str):
     """The implementation module of a compiled tier, or ``None``.
 
-    Imports :mod:`repro.engine.compiled` / :mod:`repro.engine.gpu` on
-    first request and memoises the outcome — including the *failed*
-    outcome, so an absent dependency is probed exactly once per process.
+    Imports :mod:`repro.engine.compiled` on first request and memoises
+    the outcome — including the *failed* outcome, so an absent
+    dependency is probed exactly once per process.
     Returns ``None`` for the built-in numpy tiers (they live here).
     """
     if tier not in _TIER_MODULES:
@@ -197,9 +195,8 @@ def resolve_kernel(kernel: str, warn: bool = True) -> str:
         return "flat"
     if kernel in _TIER_MODULES and not kernel_available(kernel):
         if warn and _claim_fallback_warning(kernel):
-            dependency = "numba" if kernel == "jit" else "cupy"
             warnings.warn(
-                f"kernel {kernel!r} is unavailable ({dependency} is not "
+                f"kernel {kernel!r} is unavailable (numba is not "
                 "importable); falling back to the 'flat' numpy kernel",
                 RuntimeWarning, stacklevel=3)
         return "flat"
@@ -217,7 +214,7 @@ def note_kernel_fallback(requested: Optional[str], used: Optional[str],
     exactly once no matter which seam notices it first.  Returns ``True``
     when a warning was emitted.
     """
-    if requested not in ("jit", "gpu", "auto"):
+    if requested not in ("jit", "auto"):
         return False
     if used != "flat" or not _claim_fallback_warning(requested):
         return False
@@ -282,67 +279,65 @@ class default_kernel:
 DEFAULT_SEGMENT_CHUNK = 1 << 19
 
 
-def _reduce_tile_arrays(xp, slots, m, first, last, carry, chained,
+def _reduce_tile_arrays(slots, m, first, last, carry, chained,
                         delta_seg, x, n_words, bits, coeff, boundary_gain,
                         total_slots):
     """One tile of per-segment slot reductions as an array program.
 
     The decay-sum and bincount core of the flat kernel, factored out of
     :meth:`VectorizedEngine._low_power_flat` as a pure function of the
-    segment arrays so every kernel tier executes the *same program*:
-    ``xp`` is :mod:`numpy` on the flat tier and :mod:`cupy` on the gpu
-    tier, and :mod:`repro.engine.compiled` re-derives the identical
+    segment arrays; :mod:`repro.engine.compiled` re-derives the identical
     scalar recurrence under numba.  Returns the five per-slot accumulator
     tiles ``(wl_count, enabled_sum, prc, recharge, restore)`` — integer
     counts exact, energies subject only to summation order.
     """
     out_word = last + delta_seg
-    valid_out = ((out_word >= 0) & (out_word < n_words)).astype(xp.int64)
+    valid_out = ((out_word >= 0) & (out_word < n_words)).astype(np.int64)
     first_neighbour = first + delta_seg
     valid_first = ((first_neighbour >= 0)
-                   & (first_neighbour < n_words)).astype(xp.int64)
+                   & (first_neighbour < n_words)).astype(np.int64)
     enabled = (m - 1) + valid_out
 
-    wl_count = xp.bincount(slots, weights=(~carry).astype(xp.float64),
-                           minlength=total_slots).astype(xp.int64)
-    enabled_sum = xp.bincount(slots, weights=enabled.astype(xp.float64),
-                              minlength=total_slots).astype(xp.int64)
+    wl_count = np.bincount(slots, weights=(~carry).astype(np.float64),
+                           minlength=total_slots).astype(np.int64)
+    enabled_sum = np.bincount(slots, weights=enabled.astype(np.float64),
+                              minlength=total_slots).astype(np.int64)
 
-    prc = xp.zeros(total_slots, dtype=xp.int64)
-    recharge = xp.zeros(total_slots, dtype=xp.float64)
-    restore = xp.zeros(total_slots, dtype=xp.float64)
+    prc = np.zeros(total_slots, dtype=np.int64)
+    recharge = np.zeros(total_slots, dtype=np.float64)
+    restore = np.zeros(total_slots, dtype=np.float64)
     # State-dependent closed forms apply to chain-free segments only
     # (they start from the all-attached state and restore).
     free = ~chained
-    if bool(xp.any(free)):
+    if bool(np.any(free)):
         slots_f = slots[free]
         m_f = m[free]
         x_f = x[free]
         n_newly = n_words - 1 - valid_first[free]
-        prc = xp.bincount(
+        prc = np.bincount(
             slots_f,
-            weights=((n_newly + (m_f - 1)) * bits).astype(xp.float64),
-            minlength=total_slots).astype(xp.int64)
+            weights=((n_newly + (m_f - 1)) * bits).astype(np.float64),
+            minlength=total_slots).astype(np.int64)
 
         # Within-segment neighbour recharges: the neighbour of visit j
         # (j >= 1) floated at the segment's first cycle, so the decay
         # sum over j = 1..J is a geometric series in q = exp(-ops*T/tau).
-        decay_unit = -xp.expm1(-x_f)          # 1 - q, per segment
-        series_j = xp.where(m_f >= 2, m_f - 2 + valid_out[free], 0)
+        decay_unit = -np.expm1(-x_f)          # 1 - q, per segment
+        series_j = np.where(m_f >= 2, m_f - 2 + valid_out[free], 0)
         series = (series_j
-                  - xp.exp(-x_f) * -xp.expm1(-series_j * x_f) / decay_unit)
-        recharge = xp.bincount(slots_f, weights=coeff * series,
+                  - np.exp(-x_f) * -np.expm1(-series_j * x_f) / decay_unit)
+        recharge = np.bincount(slots_f, weights=coeff * series,
                                minlength=total_slots)
 
         # End-of-row restoration: visited words refloated one visit
         # after their own selection (elapsed t*ops - 1 for t=1..m-1)
         # plus the never-visited words floating since the first cycle.
         visited = ((m_f - 1)
-                   - boundary_gain * xp.exp(-x_f)
-                   * -xp.expm1(-(m_f - 1) * x_f) / decay_unit)
+                   - boundary_gain * np.exp(-x_f)
+                   * -np.expm1(-(m_f - 1) * x_f) / decay_unit)
         untouched = ((n_words - m_f - valid_out[free])
-                     * -(boundary_gain * xp.exp(-m_f * x_f) - 1.0))
-        restore = xp.bincount(slots_f, weights=coeff * (visited + untouched),
+                     * -(boundary_gain * np.exp(-m_f * x_f) - 1.0))
+        restore = np.bincount(slots_f, weights=coeff * (visited + untouched),
                               minlength=total_slots)
     return wl_count, enabled_sum, prc, recharge, restore
 
@@ -399,8 +394,7 @@ class VectorizedEngine:
                  any_direction: AddressingDirection = AddressingDirection.UP,
                  detailed: Optional[bool] = None,
                  trace_cache: Optional[TraceCache] = None,
-                 kernel: Optional[str] = None,
-                 segment_chunk: Optional[int] = None) -> None:
+                 kernel: Optional[str] = None) -> None:
         _require_numpy()
         if kernel is not None and kernel not in KERNELS:
             raise EngineError(
@@ -415,8 +409,6 @@ class VectorizedEngine:
         #: execution kernel; ``None`` follows the process default
         #: (see :class:`default_kernel`).
         self.kernel = kernel
-        #: flat-kernel tile size (segments per tile, unit-local).
-        self.segment_chunk = segment_chunk or DEFAULT_SEGMENT_CHUNK
         #: compiled traces of this engine's own runs (shared when the
         #: caller passes one, e.g. the batched grid engine or a facade
         #: that already owns a cache) — the walks and segment structure a
@@ -457,7 +449,7 @@ class VectorizedEngine:
     @property
     def last_kernel_used(self) -> Optional[str]:
         """Concrete kernel tier of the calling thread's most recent run
-        (``"flat"``, ``"segmented"``, ``"jit"`` or ``"gpu"`` — never
+        (``"flat"``, ``"segmented"`` or ``"jit"`` — never
         ``"auto"``): the tier that actually executed, after availability
         fallback."""
         return getattr(self._run_state, "kernel_used", None)
@@ -598,10 +590,10 @@ class VectorizedEngine:
 
         Two warm-up layers: the resolved kernel tier's compiled artefacts
         (numba's ``cache=True`` on-disk cache is loaded — or the kernel
-        compiled — by a tiny dummy reduction; the gpu tier initialises its
-        device context), and, when ``algorithm`` is given, this engine's
-        memoised trace plus its compiled segment structure (the dominant
-        cold cost at large geometries).  Idempotent and cheap when already
+        compiled — by a tiny dummy reduction), and, when ``algorithm`` is
+        given, this engine's memoised trace plus its compiled segment
+        structure (the dominant cold cost at large geometries).
+        Idempotent and cheap when already
         warm; reached facade-first through
         :meth:`repro.engine.dispatch.BackendDispatcher.warm`.
         """
@@ -684,9 +676,9 @@ class VectorizedEngine:
         ``kernel`` overrides the engine's kernel for this batch.  The
         batch path *is* the flat orchestration, so ``"segmented"`` maps
         to the ``"flat"`` tier here (matching the pre-tier behaviour of
-        this method); the compiled tiers (``"jit"``, ``"gpu"``) swap in
-        their own implementation of the per-segment slot reductions and
-        are availability-checked through :func:`resolve_kernel` first.
+        this method); the compiled tier (``"jit"``) swaps in its own
+        implementation of the per-segment slot reductions and is
+        availability-checked through :func:`resolve_kernel` first.
         """
         tier = resolve_kernel(self.resolved_kernel(kernel))
         if tier == "segmented":
@@ -1190,13 +1182,14 @@ class VectorizedEngine:
         ``np.bincount``, whose per-bin sums run sequentially over that
         slot's own segments: a unit's result is bit-identical whether it
         is evaluated alone or stacked with an entire grid, and tiles
-        (:attr:`segment_chunk`) are unit-local so chunking preserves the
-        same property on degenerate segment-per-access orders.
+        (:data:`DEFAULT_SEGMENT_CHUNK` segments) are unit-local so
+        chunking preserves the same property on degenerate
+        segment-per-access orders.
 
         ``tier`` selects who executes the per-tile slot reductions: the
         in-module numpy array program (:func:`_reduce_tile_arrays`, the
         ``"flat"`` tier) or a compiled tier module's ``reduce_tile`` (the
-        same program under numba / cupy).  Everything around the tile —
+        same program under numba).  Everything around the tile —
         support checks, chain walks, per-unit assembly — is tier-invariant
         by construction.
         """
@@ -1264,12 +1257,8 @@ class VectorizedEngine:
         restore_energy = np.zeros(total_slots, dtype=np.float64)
 
         module = kernel_module(tier)
-        if module is not None:
-            def reduce_tile(*args):
-                return module.reduce_tile(*args)
-        else:
-            def reduce_tile(*args):
-                return _reduce_tile_arrays(np, *args)
+        reduce_tile = module.reduce_tile if module is not None \
+            else _reduce_tile_arrays
 
         def reduce_piece(unit, lo, hi):
             """Accumulate one unit-local tile of segments into the slots."""
@@ -1292,7 +1281,7 @@ class VectorizedEngine:
             recharge[:] += rec
             restore_energy[:] += rst
 
-        chunk = max(1, int(self.segment_chunk))
+        chunk = DEFAULT_SEGMENT_CHUNK
         for unit in active:
             total = unit["segwalk"].segment_count
             for lo in range(0, total, chunk):

@@ -55,10 +55,8 @@ from ..sweep.runner import (
     case_fingerprint,
     case_from_dict,
     case_kind,
-    execute_case,
     fingerprint_digest,
 )
-from ..sweep import runner as sweep_runner
 from .cache import ResultCache
 from .trace import WorkloadTrace
 
@@ -97,8 +95,8 @@ class CampaignService:
     enough for a client burst to land in one stacked pass, short enough
     to be invisible next to engine work.  ``workers`` bounds the
     executor pool (default: ``min(4, cpu)``); each pool thread keeps a
-    persistent pre-warmed :class:`~repro.sweep.runner._WorkerState`, so
-    compiled traces and facades stay warm across waves.
+    persistent :class:`~repro.sweep.runner._WorkerState`, so compiled
+    traces and facades stay warm across waves.
     """
 
     def __init__(self, cache_dir: Union[str, Path],
@@ -409,19 +407,14 @@ class CampaignService:
         except Exception:
             # The stacked pass died mid-wave (one poisoned case must not
             # starve its neighbours): rescue the unanswered cases one at
-            # a time, capturing failures per case.
-            previous = sweep_runner._get_worker_state()
-            sweep_runner._set_worker_state(state)
-            try:
-                for index, case in enumerate(cases):
-                    if records[index] is not None:
-                        continue
-                    try:
-                        records[index] = execute_case(case)
-                    except Exception as exc:  # noqa: BLE001 - per-case verdict
-                        records[index] = exc
-            finally:
-                sweep_runner._set_worker_state(previous)
+            # a time on the thread's state, capturing failures per case.
+            for index, case in enumerate(cases):
+                if records[index] is not None:
+                    continue
+                try:
+                    records[index] = case.execute(state)
+                except Exception as exc:  # noqa: BLE001 - per-case verdict
+                    records[index] = exc
         outcomes: List[object] = []
         for pending, record in zip(batch, records):
             if isinstance(record, Exception) or record is None:

@@ -1,9 +1,9 @@
 """Paper-scale sweep runner: batch grids of measurement scenarios.
 
 * :mod:`repro.sweep.runner` — :class:`SweepRunner` and friends: grid
-  construction (test-power scenarios *and* fault-coverage campaigns),
-  streaming multiprocessing fan-out with pre-warmed workers, deterministic
-  sharding, JSON/CSV export;
+  construction (test-power scenarios, fault-coverage and PRR campaigns),
+  streaming multiprocessing fan-out over workers that memoise orders,
+  facades and compiled traces, deterministic sharding, JSON/CSV export;
 * :mod:`repro.sweep.journal` — the append-only JSONL run journal that
   makes long campaigns durable and resumable;
 * :mod:`repro.sweep.__main__` — the ``python -m repro.sweep`` command line.

@@ -92,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution engine (default: auto)")
     parser.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
                         help="vectorized-engine kernel tier: 'flat' (the "
-                             "stacked numpy kernel), 'segmented' (the "
-                             "chunked low-memory path), 'jit' (the numba-"
-                             "compiled tier), 'gpu' (the CuPy tier), or "
-                             "'auto' (jit when numba is importable, else "
-                             "flat); compiled tiers fall back to flat with "
-                             "a warning when their dependency is absent, "
-                             "and records carry the tier that actually ran "
-                             "(default: the process-wide engine default)")
+                             "chunked, stacked numpy kernel), 'segmented' "
+                             "(the per-segment differential oracle), 'jit' "
+                             "(the numba-compiled tier), or 'auto' (jit "
+                             "when numba is importable, else flat); jit "
+                             "falls back to flat with a warning when numba "
+                             "is absent, and records carry the tier that "
+                             "actually ran (default: the process-wide "
+                             "engine default)")
     parser.add_argument("--banks", type=int, action="append", default=None,
                         metavar="N",
                         help="sub-array bank count, repeatable — each value "

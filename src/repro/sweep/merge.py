@@ -51,7 +51,7 @@ from .journal import (
     JournalError,
     RunJournal,
 )
-from .runner import _RECORD_KINDS, SweepError, fingerprint_digest
+from .runner import SweepError, _record_class, fingerprint_digest
 
 __all__ = [
     "MergeError",
@@ -196,12 +196,9 @@ def merge_journals(output: Union[str, Path],
         journal = RunJournal(source)
         mapping = _header_mapping(journal)
         for entry in journal.load():
-            record_cls = _RECORD_KINDS.get(entry.kind)
-            if record_cls is None:
-                raise MergeError(
-                    f"{source} contains unknown record kind "
-                    f"{entry.kind!r}")
-            record_cls.from_dict(entry.record)  # validate the schema
+            # validate the schema
+            _record_class(entry.kind, source, MergeError).from_dict(
+                entry.record)
             digest = fingerprint_digest(entry.case)
             index = _global_index(entry, mapping, source)
             if grid_digests is not None:

@@ -1,8 +1,8 @@
 """Batch execution of scenario grids (the paper-scale sweeps).
 
 A sweep batch-executes a grid of scenarios with optional multiprocessing
-fan-out across scenarios and JSON/CSV export of the results.  Two scenario
-kinds exist, both plain picklable descriptions:
+fan-out across scenarios and JSON/CSV export of the results.  Three
+scenario kinds exist, all plain picklable descriptions:
 
 * :class:`SweepCase` — one *(geometry x algorithm x address-order x
   backend)* test-power measurement: a full functional-vs-low-power-test-
@@ -26,17 +26,21 @@ Design notes:
 
 * cases carry only names and numbers (no live objects), so they travel
   cheaply to worker processes and round-trip through JSON;
-* :func:`run_case` / :func:`run_coverage_case` are module-level functions —
-  :func:`execute_case` dispatches on the case type and is the unit of work
-  a ``multiprocessing.Pool`` maps over;
+* each case class is the one place that knows its kind: its ``kind`` tag,
+  its ``record_class``, its per-case executor (:meth:`SweepCase.execute`)
+  and whether it stacks in a batched pass (:meth:`SweepCase.stack_key`).
+  :data:`CASE_TYPES` is the only registry; every kind lookup — journal,
+  merge, JSON/CSV import, rendering, strategy choice, the batched grid
+  engine — derives from it.  :func:`execute_case` runs any case and is the
+  unit of work a ``multiprocessing.Pool`` maps over;
 * execution **streams**: the runner consumes ``imap_unordered``, so each
   completed case is journaled and reported live while the rest of the grid
   is still running, and the final :class:`SweepResult` restores the stable
   input order;
 * every worker process owns one :class:`_WorkerState` — memoised address
-  orders, facades and a shared :class:`~repro.march.execution.TraceCache`,
-  pre-warmed by the pool initializer — so the same algorithm x order trace
-  is compiled once per worker instead of once per case;
+  orders, facades and a shared :class:`~repro.march.execution.TraceCache`
+  — so the same algorithm x order trace is compiled at most once per
+  worker instead of once per case;
 * a campaign is durable: ``journal=path`` appends one fsync'd JSONL line
   per completed case (:mod:`repro.sweep.journal`), ``run(resume=True)``
   reloads it and re-executes only the missing cases, and
@@ -55,11 +59,11 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import (
     Callable,
+    ClassVar,
     Dict,
     Iterable,
     Iterator,
@@ -133,6 +137,96 @@ def parse_geometry(spec: GeometryLike) -> ArrayGeometry:
     return ArrayGeometry(*spec)
 
 
+class _Record:
+    """The flat JSON/CSV row behaviour every record dataclass shares."""
+
+    def as_dict(self) -> Dict[str, object]:
+        """Flat dictionary view (the JSON/CSV row)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]):
+        """Rebuild a record from :meth:`as_dict` output (JSON/CSV import).
+
+        CSV's stringly-typed fields are coerced back to their declared
+        types.  Fields with a dataclass default (e.g. ``banks``) may be
+        absent — exports written before the field existed import with the
+        default.
+        """
+        kwargs = {}
+        for spec in fields(cls):
+            if spec.name not in data:
+                if spec.default is not MISSING:
+                    kwargs[spec.name] = spec.default
+                    continue
+                raise SweepError(f"sweep record is missing field {spec.name!r}")
+            value = data[spec.name]
+            if spec.type in ("int", int):
+                value = int(value)  # CSV round-trip delivers strings
+            elif spec.type in ("float", float):
+                value = float(value)
+            elif spec.type in ("bool", bool) and isinstance(value, str):
+                value = value == "True"
+            kwargs[spec.name] = value
+        return cls(**kwargs)
+
+
+@dataclass
+class SweepRecord(_Record):
+    """The measurements of one executed :class:`SweepCase`."""
+
+    rows: int
+    columns: int
+    bits_per_word: int
+    algorithm: str
+    order: str
+    any_direction: str
+    backend: str            # requested backend
+    backend_used: str       # engine(s) that actually ran: "vectorized",
+                            # "reference", or "reference+vectorized" when
+                            # "auto" fell back for only one of the two modes
+    cycles_per_mode: int
+    functional_power_w: float
+    low_power_power_w: float
+    measured_prr: float
+    analytical_prr: float   # the paper's Section 5 equation
+    analytical_prr_recharge: float  # + the next-column recharge term
+    passed: bool            # no read mismatch in either mode
+    elapsed_s: float
+    banks: int = 1
+    bank_interleave: str = "blocked"
+    kernel: str = "default"  # requested kernel tier ("default" = follow
+                             # the process default)
+    kernel_used: str = ""    # concrete tier(s) that measured the modes
+                             # ("flat"/"segmented"/"jit", joined
+                             # with "+" if they differed; "" = reference
+                             # engine only, which has no kernel seam)
+
+    def table_row(self) -> Dict[str, object]:
+        """One row of the sweep report table."""
+        geometry = _geometry_label(self.rows, self.columns,
+                                   self.bits_per_word, self.banks)
+        return {
+            "Algorithm": self.algorithm,
+            "Geometry": geometry,
+            "Order": self.order,
+            "Backend": self.backend_used,
+            "PRR measured": f"{100.0 * self.measured_prr:.1f} %",
+            "PRR analytical": f"{100.0 * self.analytical_prr:.1f} %",
+            "PRR analytical (+recharge)": f"{100.0 * self.analytical_prr_recharge:.1f} %",
+            "P_F (mW)": f"{self.functional_power_w * 1e3:.3f}",
+            "P_LPT (mW)": f"{self.low_power_power_w * 1e3:.3f}",
+            "Cycles/mode": self.cycles_per_mode,
+            "Runtime (s)": f"{self.elapsed_s:.2f}",
+        }
+
+    def progress_line(self) -> str:
+        """One-line status printed per completed scenario."""
+        return (f"{self.algorithm} @ {self.rows}x{self.columns} [{self.order}]: "
+                f"PRR {100.0 * self.measured_prr:.1f} % "
+                f"({self.elapsed_s:.2f} s, {self.backend_used})")
+
+
 @dataclass(frozen=True)
 class SweepCase:
     """One scenario of a sweep grid (picklable, JSON-friendly).
@@ -142,6 +236,11 @@ class SweepCase:
     :func:`repro.march.get_algorithm`, the order through
     :func:`repro.march.ordering.make_order`.
     """
+
+    #: JSON ``kind`` tag of this scenario kind and of its records (power
+    #: sweeps predate the tag and stay the default for untagged data).
+    kind: ClassVar[str] = "power"
+    record_class: ClassVar[type] = SweepRecord
 
     rows: int
     columns: int
@@ -187,101 +286,50 @@ class SweepCase:
                                    self.bits_per_word, self.banks)
         return f"{self.algorithm} @ {geometry} [{self.order}, {self.backend}]"
 
+    def stack_key(self) -> Optional[Tuple]:
+        """The batched-pass group this scenario stacks into (``None``: it
+        runs per case).
 
-@dataclass
-class SweepRecord:
-    """The measurements of one executed :class:`SweepCase`."""
+        Power scenarios on one (geometry, direction, kernel) stack across
+        algorithms, address orders and requested backends; the reference
+        backend has no bulk kernel and runs per case.
+        """
+        if self.backend == "reference":
+            return None
+        return (self.rows, self.columns, self.bits_per_word,
+                self.any_direction, self.banks, self.bank_interleave,
+                self.kernel)
 
-    rows: int
-    columns: int
-    bits_per_word: int
-    algorithm: str
-    order: str
-    any_direction: str
-    backend: str            # requested backend
-    backend_used: str       # engine(s) that actually ran: "vectorized",
-                            # "reference", or "reference+vectorized" when
-                            # "auto" fell back for only one of the two modes
-    cycles_per_mode: int
-    functional_power_w: float
-    low_power_power_w: float
-    measured_prr: float
-    analytical_prr: float   # the paper's Section 5 equation
-    analytical_prr_recharge: float  # + the next-column recharge term
-    passed: bool            # no read mismatch in either mode
-    elapsed_s: float
-    banks: int = 1
-    bank_interleave: str = "blocked"
-    kernel: str = "default"  # requested kernel tier ("default" = follow
-                             # the process default)
-    kernel_used: str = ""    # concrete tier(s) that measured the modes
-                             # ("flat"/"segmented"/"jit"/"gpu", joined
-                             # with "+" if they differed; "" = reference
-                             # engine only, which has no kernel seam)
+    def execute(self, state: "_WorkerState") -> SweepRecord:
+        """Measure both modes through ``state``'s memoised session.
 
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary view (the JSON/CSV row)."""
-        return asdict(self)
+        Backend selection and fallback are the session facade's own (the
+        shared :class:`repro.engine.dispatch.BackendDispatcher` contract):
+        a requested ``"vectorized"`` backend surfaces engine errors,
+        ``"auto"`` falls back to the reference engine per run, and the
+        record's ``backend_used`` reports which engine(s) actually
+        measured the comparison.
+        """
+        algorithm = get_algorithm(self.algorithm)
+        session = state.session_for(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SweepRecord":
-        """Rebuild a record from :meth:`as_dict` output (JSON/CSV import)."""
-        return _record_from_dict(cls, data)
-
-    def table_row(self) -> Dict[str, object]:
-        """One row of the sweep report table."""
-        geometry = _geometry_label(self.rows, self.columns,
-                                   self.bits_per_word, self.banks)
-        return {
-            "Algorithm": self.algorithm,
-            "Geometry": geometry,
-            "Order": self.order,
-            "Backend": self.backend_used,
-            "PRR measured": f"{100.0 * self.measured_prr:.1f} %",
-            "PRR analytical": f"{100.0 * self.analytical_prr:.1f} %",
-            "PRR analytical (+recharge)": f"{100.0 * self.analytical_prr_recharge:.1f} %",
-            "P_F (mW)": f"{self.functional_power_w * 1e3:.3f}",
-            "P_LPT (mW)": f"{self.low_power_power_w * 1e3:.3f}",
-            "Cycles/mode": self.cycles_per_mode,
-            "Runtime (s)": f"{self.elapsed_s:.2f}",
-        }
-
-    def progress_line(self) -> str:
-        """One-line status printed per completed scenario."""
-        return (f"{self.algorithm} @ {self.rows}x{self.columns} [{self.order}]: "
-                f"PRR {100.0 * self.measured_prr:.1f} % "
-                f"({self.elapsed_s:.2f} s, {self.backend_used})")
-
-
-def run_case(case: SweepCase) -> SweepRecord:
-    """Execute one scenario: both modes, measured and analytical PRR.
-
-    This is the multiprocessing work unit.  Backend selection and fallback
-    are the session facade's own (the shared
-    :class:`repro.engine.dispatch.BackendDispatcher` contract): a requested
-    ``"vectorized"`` backend surfaces engine errors, ``"auto"`` falls back
-    to the reference engine per run, and the record's ``backend_used``
-    reports which engine(s) actually measured the comparison.
-    """
-    algorithm = get_algorithm(case.algorithm)
-    session = _session_for_case(case)
-
-    started = time.perf_counter()
-    functional = session.run(algorithm, OperatingMode.FUNCTIONAL)
-    backends_used = {session.last_backend_used}
-    low_power = session.run(algorithm, OperatingMode.LOW_POWER_TEST)
-    backends_used.add(session.last_backend_used)
-    elapsed = time.perf_counter() - started
-    backend_used = "+".join(sorted(backend for backend in backends_used
-                                   if backend is not None))
-    return power_record(case, functional, low_power, backend_used, elapsed)
+        started = time.perf_counter()
+        functional = session.run(algorithm, OperatingMode.FUNCTIONAL)
+        backends_used = {session.last_backend_used}
+        low_power = session.run(algorithm, OperatingMode.LOW_POWER_TEST)
+        backends_used.add(session.last_backend_used)
+        elapsed = time.perf_counter() - started
+        backend_used = "+".join(sorted(backend for backend in backends_used
+                                       if backend is not None))
+        return power_record(self, functional, low_power, backend_used,
+                            elapsed)
 
 
 def power_record(case: SweepCase, functional, low_power, backend_used: str,
                  elapsed: float) -> SweepRecord:
     """Assemble the :class:`SweepRecord` of one measured power scenario.
 
-    Shared by :func:`run_case` and the batched grid engine
+    Shared by :meth:`SweepCase.execute` and the batched grid engine
     (:class:`repro.engine.grid.BatchedGridEngine`), so the two execution
     strategies derive records from raw mode measurements identically —
     the field-for-field equivalence the batched strategy guarantees.
@@ -345,6 +393,56 @@ INVARIANCE_ORDERS: Tuple[str, ...] = ("row-major", "column-major", "pseudo-rando
 DEFAULT_SAMPLE = 6
 
 
+@dataclass
+class CoverageRecord(_Record):
+    """The measurements of one executed :class:`CoverageCase`.
+
+    ``seed`` and ``sample`` are recorded so the exported JSON/CSV alone
+    reproduces the exact victim set of the campaign; ``orders`` is the
+    ``"+"``-joined order list (flat for CSV).
+    """
+
+    rows: int
+    columns: int
+    algorithm: str
+    orders: str
+    any_direction: str
+    backend: str            # requested backend
+    backend_used: str       # engine that actually ran ("vectorized"/"reference")
+    seed: int
+    sample: int
+    locations: int          # victim locations in the campaign
+    total_faults: int
+    detected_faults: int    # under the first order
+    coverage: float
+    invariant: bool         # per-fault detection identical across orders
+    disagreements: int
+    elapsed_s: float
+
+    def table_row(self) -> Dict[str, object]:
+        """One row of the sweep report table."""
+        return {
+            "Algorithm": self.algorithm,
+            "Geometry": f"{self.rows}x{self.columns}",
+            "Orders": self.orders,
+            "Backend": self.backend_used,
+            "Faults": self.total_faults,
+            "Coverage": f"{100.0 * self.coverage:.1f} %",
+            "DOF-1 invariant": "yes" if self.invariant else
+                               f"NO ({self.disagreements})",
+            "Seed": self.seed,
+            "Runtime (s)": f"{self.elapsed_s:.2f}",
+        }
+
+    def progress_line(self) -> str:
+        """One-line status printed per completed scenario."""
+        status = "invariant" if self.invariant else \
+            f"{self.disagreements} DISAGREEMENTS"
+        return (f"{self.algorithm} coverage @ {self.rows}x{self.columns}: "
+                f"{100.0 * self.coverage:.1f} % of {self.total_faults} faults, "
+                f"DOF-1 {status} ({self.elapsed_s:.2f} s, {self.backend_used})")
+
+
 @dataclass(frozen=True)
 class CoverageCase:
     """One fault-coverage campaign scenario (picklable, JSON-friendly).
@@ -356,6 +454,9 @@ class CoverageCase:
     (the paper's Section 3 DOF-1 invariance).  ``backend`` selects the
     fault-simulation engine (:data:`repro.faults.FAULT_BACKENDS`).
     """
+
+    kind: ClassVar[str] = "coverage"
+    record_class: ClassVar[type] = CoverageRecord
 
     rows: int
     columns: int
@@ -393,110 +494,54 @@ class CoverageCase:
         return (f"{self.algorithm} coverage @ {self.rows}x{self.columns} "
                 f"[{len(self.orders)} orders, {self.backend}]")
 
+    def stack_key(self) -> Optional[Tuple]:
+        """Always ``None``: fault campaigns belong to a different engine
+        family than the stacked power kernel and run per case."""
+        return None
 
-@dataclass
-class CoverageRecord:
-    """The measurements of one executed :class:`CoverageCase`.
+    def execute(self, state: "_WorkerState") -> CoverageRecord:
+        """Simulate the fault list under every order, checking invariance.
 
-    ``seed`` and ``sample`` are recorded so the exported JSON/CSV alone
-    reproduces the exact victim set of the campaign; ``orders`` is the
-    ``"+"``-joined order list (flat for CSV).
-    """
+        The fault list is simulated once per order through ``state``'s
+        memoised :class:`repro.faults.FaultSimulator`; coverage is
+        reported under the first order and the invariance verdict compares
+        every order pair-wise against it.
+        """
+        geometry = self.geometry()
+        algorithm = get_algorithm(self.algorithm)
+        orders = [state.order_for(name, geometry) for name in self.orders]
+        locations = default_fault_locations(geometry, sample=self.sample,
+                                            seed=self.seed)
+        injections = build_fault_list(geometry, locations=locations,
+                                      include_single=self.include_single,
+                                      include_coupling=self.include_coupling)
+        simulator = state.simulator_for(self)
 
-    rows: int
-    columns: int
-    algorithm: str
-    orders: str
-    any_direction: str
-    backend: str            # requested backend
-    backend_used: str       # engine that actually ran ("vectorized"/"reference")
-    seed: int
-    sample: int
-    locations: int          # victim locations in the campaign
-    total_faults: int
-    detected_faults: int    # under the first order
-    coverage: float
-    invariant: bool         # per-fault detection identical across orders
-    disagreements: int
-    elapsed_s: float
+        started = time.perf_counter()
+        campaign = run_campaign(algorithm, orders, geometry, injections,
+                                simulator=simulator)
+        elapsed = time.perf_counter() - started
 
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary view (the JSON/CSV row)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CoverageRecord":
-        """Rebuild a record from :meth:`as_dict` output (JSON/CSV import)."""
-        return _record_from_dict(cls, data)
-
-    def table_row(self) -> Dict[str, object]:
-        """One row of the sweep report table."""
-        return {
-            "Algorithm": self.algorithm,
-            "Geometry": f"{self.rows}x{self.columns}",
-            "Orders": self.orders,
-            "Backend": self.backend_used,
-            "Faults": self.total_faults,
-            "Coverage": f"{100.0 * self.coverage:.1f} %",
-            "DOF-1 invariant": "yes" if self.invariant else
-                               f"NO ({self.disagreements})",
-            "Seed": self.seed,
-            "Runtime (s)": f"{self.elapsed_s:.2f}",
-        }
-
-    def progress_line(self) -> str:
-        """One-line status printed per completed scenario."""
-        status = "invariant" if self.invariant else \
-            f"{self.disagreements} DISAGREEMENTS"
-        return (f"{self.algorithm} coverage @ {self.rows}x{self.columns}: "
-                f"{100.0 * self.coverage:.1f} % of {self.total_faults} faults, "
-                f"DOF-1 {status} ({self.elapsed_s:.2f} s, {self.backend_used})")
-
-
-def run_coverage_case(case: CoverageCase) -> CoverageRecord:
-    """Execute one coverage campaign: all orders, per-fault invariance.
-
-    The multiprocessing work unit for coverage scenarios.  The fault list
-    is simulated once per order through the backend-pluggable
-    :class:`repro.faults.FaultSimulator`; coverage is reported under the
-    first order and the invariance verdict compares every order pair-wise
-    against it.
-    """
-    geometry = case.geometry()
-    algorithm = get_algorithm(case.algorithm)
-    orders = [_order_for(name, geometry) for name in case.orders]
-    locations = default_fault_locations(geometry, sample=case.sample,
-                                        seed=case.seed)
-    injections = build_fault_list(geometry, locations=locations,
-                                  include_single=case.include_single,
-                                  include_coupling=case.include_coupling)
-    simulator = _simulator_for_case(case)
-
-    started = time.perf_counter()
-    campaign = run_campaign(algorithm, orders, geometry, injections,
-                            simulator=simulator)
-    elapsed = time.perf_counter() - started
-
-    coverage = campaign.coverage_report()
-    invariance = campaign.invariance_report()
-    return CoverageRecord(
-        rows=case.rows,
-        columns=case.columns,
-        algorithm=algorithm.name,
-        orders="+".join(case.orders),
-        any_direction=case.any_direction,
-        backend=case.backend,
-        backend_used=campaign.backend_used,
-        seed=case.seed,
-        sample=case.sample,
-        locations=len(locations),
-        total_faults=coverage.total_faults,
-        detected_faults=coverage.detected_faults,
-        coverage=coverage.coverage,
-        invariant=invariance.invariant,
-        disagreements=len(invariance.disagreements),
-        elapsed_s=elapsed,
-    )
+        coverage = campaign.coverage_report()
+        invariance = campaign.invariance_report()
+        return CoverageRecord(
+            rows=self.rows,
+            columns=self.columns,
+            algorithm=algorithm.name,
+            orders="+".join(self.orders),
+            any_direction=self.any_direction,
+            backend=self.backend,
+            backend_used=campaign.backend_used,
+            seed=self.seed,
+            sample=self.sample,
+            locations=len(locations),
+            total_faults=coverage.total_faults,
+            detected_faults=coverage.detected_faults,
+            coverage=coverage.coverage,
+            invariant=invariance.invariant,
+            disagreements=len(invariance.disagreements),
+            elapsed_s=elapsed,
+        )
 
 
 def coverage_grid(geometries: Iterable[GeometryLike],
@@ -552,6 +597,73 @@ def paper_coverage_cases(backend: str = "auto",
 PRR_BRACKET_SLACK = 0.002
 
 
+@dataclass
+class PrrRecord(_Record):
+    """The measurements of one executed :class:`PrrCase`.
+
+    Carries the raw energy totals of both modes (the quantities the golden
+    Table 1 regression pins), the measured PRR, and the analytical
+    prediction band: ``analytical_prr`` is the paper's Section 5 equation,
+    ``analytical_prr_bracket`` the extended variant (secondary overheads +
+    next-column recharge) that bounds the measurement from below.
+    ``backend`` / ``backend_used`` / ``seed`` make the exported JSON/CSV
+    self-describing about how the numbers were produced.
+    """
+
+    rows: int
+    columns: int
+    bits_per_word: int
+    algorithm: str
+    backend: str            # requested backend
+    backend_used: str       # engine that actually ran ("vectorized"/"reference")
+    seed: int
+    cycles_per_mode: int
+    functional_energy_j: float
+    low_power_energy_j: float
+    functional_power_w: float
+    low_power_power_w: float
+    measured_prr: float
+    analytical_prr: float           # the paper's Section 5 equation
+    analytical_prr_bracket: float   # + secondary overheads + recharge term
+    within_bracket: bool    # bracket-slack test of the measured PRR
+    functional_planner: str
+    low_power_planner: str
+    passed: bool            # no comparator failure in either mode
+    elapsed_s: float
+    banks: int = 1
+    bank_interleave: str = "blocked"
+    kernel: str = "default"   # requested tier ("default" = process default)
+    kernel_used: str = ""     # "+"-joined tiers that ran ("" = reference only)
+
+    def table_row(self) -> Dict[str, object]:
+        """One row of the sweep report table (the Table 1 layout)."""
+        algorithm = get_algorithm(self.algorithm)
+        geometry = _geometry_label(self.rows, self.columns,
+                                   self.bits_per_word, self.banks)
+        return {
+            "Algorithm": self.algorithm,
+            "Geometry": geometry,
+            "# elm": algorithm.element_count,
+            "# oper": algorithm.operation_count,
+            "PRR measured": f"{100.0 * self.measured_prr:.1f} %",
+            "PRR analytical": f"{100.0 * self.analytical_prr:.1f} %",
+            "PRR bracket": f"{100.0 * self.analytical_prr_bracket:.1f} %",
+            "In bracket": "yes" if self.within_bracket else "NO",
+            "P_F (mW)": f"{self.functional_power_w * 1e3:.3f}",
+            "P_LPT (mW)": f"{self.low_power_power_w * 1e3:.3f}",
+            "Backend": self.backend_used,
+            "Runtime (s)": f"{self.elapsed_s:.2f}",
+        }
+
+    def progress_line(self) -> str:
+        """One-line status printed per completed scenario."""
+        bracket = "in bracket" if self.within_bracket else "OUT OF BRACKET"
+        return (f"{self.algorithm} PRR @ {self.rows}x{self.columns}: "
+                f"measured {100.0 * self.measured_prr:.1f} % vs analytical "
+                f"{100.0 * self.analytical_prr:.1f} % ({bracket}, "
+                f"{self.elapsed_s:.2f} s, {self.backend_used})")
+
+
 @dataclass(frozen=True)
 class PrrCase:
     """One BIST power-campaign scenario (picklable, JSON-friendly).
@@ -566,6 +678,9 @@ class PrrCase:
     the exports for provenance uniformity with the campaign records (the
     PRR measurement itself is deterministic).
     """
+
+    kind: ClassVar[str] = "prr"
+    record_class: ClassVar[type] = PrrRecord
 
     rows: int
     columns: int
@@ -605,106 +720,42 @@ class PrrCase:
                                    self.bits_per_word, self.banks)
         return f"{self.algorithm} PRR @ {geometry} [{self.backend}]"
 
+    def stack_key(self) -> Optional[Tuple]:
+        """The batched-pass group this scenario stacks into (``None``: it
+        runs per case).
 
-@dataclass
-class PrrRecord:
-    """The measurements of one executed :class:`PrrCase`.
+        PRR campaigns stack per BIST-controller configuration — every
+        algorithm and both planners in one pass; the reference backend
+        has no bulk kernel and runs per case.
+        """
+        if self.backend == "reference":
+            return None
+        return (self.rows, self.columns, self.bits_per_word, self.backend,
+                self.banks, self.bank_interleave, self.kernel)
 
-    Carries the raw energy totals of both modes (the quantities the golden
-    Table 1 regression pins), the measured PRR, and the analytical
-    prediction band: ``analytical_prr`` is the paper's Section 5 equation,
-    ``analytical_prr_bracket`` the extended variant (secondary overheads +
-    next-column recharge) that bounds the measurement from below.
-    ``backend`` / ``backend_used`` / ``seed`` make the exported JSON/CSV
-    self-describing about how the numbers were produced.
-    """
+    def execute(self, state: "_WorkerState") -> PrrRecord:
+        """Run both modes through ``state``'s memoised BIST controller.
 
-    rows: int
-    columns: int
-    bits_per_word: int
-    algorithm: str
-    backend: str            # requested backend
-    backend_used: str       # engine that actually ran ("vectorized"/"reference")
-    seed: int
-    cycles_per_mode: int
-    functional_energy_j: float
-    low_power_energy_j: float
-    functional_power_w: float
-    low_power_power_w: float
-    measured_prr: float
-    analytical_prr: float           # the paper's Section 5 equation
-    analytical_prr_bracket: float   # + secondary overheads + recharge term
-    within_bracket: bool    # bracket-slack test of the measured PRR
-    functional_planner: str
-    low_power_planner: str
-    passed: bool            # no comparator failure in either mode
-    elapsed_s: float
-    banks: int = 1
-    bank_interleave: str = "blocked"
-    kernel: str = "default"   # requested tier ("default" = process default)
-    kernel_used: str = ""     # "+"-joined tiers that ran ("" = reference only)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary view (the JSON/CSV row)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PrrRecord":
-        """Rebuild a record from :meth:`as_dict` output (JSON/CSV import)."""
-        return _record_from_dict(cls, data)
-
-    def table_row(self) -> Dict[str, object]:
-        """One row of the sweep report table (the Table 1 layout)."""
+        One :class:`repro.bist.BistController` measures both modes (so
+        the vectorized campaign's compiled trace is shared between them)
+        and the record keeps the raw energy totals alongside the measured
+        and predicted PRR.
+        """
         algorithm = get_algorithm(self.algorithm)
-        geometry = _geometry_label(self.rows, self.columns,
-                                   self.bits_per_word, self.banks)
-        return {
-            "Algorithm": self.algorithm,
-            "Geometry": geometry,
-            "# elm": algorithm.element_count,
-            "# oper": algorithm.operation_count,
-            "PRR measured": f"{100.0 * self.measured_prr:.1f} %",
-            "PRR analytical": f"{100.0 * self.analytical_prr:.1f} %",
-            "PRR bracket": f"{100.0 * self.analytical_prr_bracket:.1f} %",
-            "In bracket": "yes" if self.within_bracket else "NO",
-            "P_F (mW)": f"{self.functional_power_w * 1e3:.3f}",
-            "P_LPT (mW)": f"{self.low_power_power_w * 1e3:.3f}",
-            "Backend": self.backend_used,
-            "Runtime (s)": f"{self.elapsed_s:.2f}",
-        }
+        controller = state.controller_for(self)
 
-    def progress_line(self) -> str:
-        """One-line status printed per completed scenario."""
-        bracket = "in bracket" if self.within_bracket else "OUT OF BRACKET"
-        return (f"{self.algorithm} PRR @ {self.rows}x{self.columns}: "
-                f"measured {100.0 * self.measured_prr:.1f} % vs analytical "
-                f"{100.0 * self.analytical_prr:.1f} % ({bracket}, "
-                f"{self.elapsed_s:.2f} s, {self.backend_used})")
-
-
-def run_prr_case(case: PrrCase) -> PrrRecord:
-    """Execute one BIST power campaign: both modes, measured + analytical.
-
-    The multiprocessing work unit for PRR scenarios.  Both modes run
-    through one :class:`repro.bist.BistController` (so the vectorized
-    campaign's compiled trace is shared between them) and the record keeps
-    the raw energy totals alongside the measured and predicted PRR.
-    """
-    algorithm = get_algorithm(case.algorithm)
-    controller = _controller_for_case(case)
-
-    started = time.perf_counter()
-    functional = controller.run(algorithm, low_power=False)
-    low_power = controller.run(algorithm, low_power=True)
-    elapsed = time.perf_counter() - started
-    return prr_record(case, functional, low_power, elapsed)
+        started = time.perf_counter()
+        functional = controller.run(algorithm, low_power=False)
+        low_power = controller.run(algorithm, low_power=True)
+        elapsed = time.perf_counter() - started
+        return prr_record(self, functional, low_power, elapsed)
 
 
 def prr_record(case: PrrCase, functional, low_power,
                elapsed: float) -> PrrRecord:
     """Assemble the :class:`PrrRecord` of one measured BIST campaign.
 
-    Shared by :func:`run_prr_case` and the batched grid engine, so both
+    Shared by :meth:`PrrCase.execute` and the batched grid engine, so both
     execution strategies derive records from the two
     :class:`~repro.bist.controller.BistResult` measurements identically.
     """
@@ -783,36 +834,27 @@ def paper_prr_cases(backend: str = "vectorized", seed: int = 0,
                     backend=backend, seed=seed, kernel=kernel)
 
 
+#: Every scenario kind a sweep can hold — the one registry.  Each class
+#: carries its ``kind`` tag, its ``record_class``, its executor and its
+#: batched-pass key; every kind lookup (JSON/CSV import, journal restore,
+#: merge, rendering, strategy choice, the batched grid engine) derives
+#: from this tuple.
+CASE_TYPES: Tuple[type, ...] = (SweepCase, CoverageCase, PrrCase)
 #: Any scenario kind a sweep can hold.
 AnyCase = Union[SweepCase, CoverageCase, PrrCase]
 #: Any record kind a sweep result can hold.
-AnyRecord = Union[SweepRecord, "CoverageRecord", "PrrRecord"]
+AnyRecord = Union[SweepRecord, CoverageRecord, PrrRecord]
 
-#: JSON ``kind`` tags per record class (power sweeps predate the tag and
-#: stay the default for version-1 documents).
-_RECORD_KINDS: Dict[str, type] = {"power": SweepRecord, "coverage": CoverageRecord,
-                                  "prr": PrrRecord}
-
-
-#: JSON ``kind`` tags per case class (matching the record tags).
-_CASE_KINDS: Dict[str, type] = {"power": SweepCase, "coverage": CoverageCase,
-                                "prr": PrrCase}
-
-
-def _record_kind(record: AnyRecord) -> str:
-    """The JSON ``kind`` tag of a record instance."""
-    for kind, cls in _RECORD_KINDS.items():
-        if isinstance(record, cls):
-            return kind
-    raise SweepError(f"unknown sweep record type {type(record).__name__}")
+_CASE_TYPE_OF_KIND: Dict[str, type] = {cls.kind: cls for cls in CASE_TYPES}
+_KIND_OF_RECORD: Dict[type, str] = {cls.record_class: cls.kind
+                                    for cls in CASE_TYPES}
 
 
 def case_kind(case: AnyCase) -> str:
     """The ``kind`` tag of a case instance (``"power"/"coverage"/"prr"``)."""
-    for kind, cls in _CASE_KINDS.items():
-        if isinstance(case, cls):
-            return kind
-    raise SweepError(f"unknown sweep case type {type(case).__name__}")
+    if type(case) not in CASE_TYPES:
+        raise SweepError(f"unknown sweep case type {type(case).__name__}")
+    return case.kind
 
 
 def case_fingerprint(case: AnyCase) -> Dict[str, object]:
@@ -856,11 +898,11 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
             f"{type(data).__name__}")
     payload = dict(data)
     kind = payload.pop("kind", "power")
-    cls = _CASE_KINDS.get(kind)
+    cls = _CASE_TYPE_OF_KIND.get(kind)
     if cls is None:
         raise SweepError(
             f"unknown case kind {kind!r}; expected one of "
-            f"{sorted(_CASE_KINDS)}")
+            f"{sorted(_CASE_TYPE_OF_KIND)}")
     allowed = {spec.name for spec in fields(cls)}
     unknown = sorted(set(payload) - allowed)
     if unknown:
@@ -873,41 +915,30 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
         raise SweepError(f"invalid {kind!r} case: {exc}") from exc
 
 
-def _record_from_dict(cls, data: Dict[str, object]):
-    """Rebuild a record dataclass, coercing CSV's stringly-typed fields.
-
-    Fields with a dataclass default (e.g. ``banks``) may be absent —
-    exports written before the field existed import with the default.
-    """
-    from dataclasses import MISSING
-
-    kwargs = {}
-    for spec in fields(cls):
-        if spec.name not in data:
-            if spec.default is not MISSING:
-                kwargs[spec.name] = spec.default
-                continue
-            raise SweepError(f"sweep record is missing field {spec.name!r}")
-        value = data[spec.name]
-        if spec.type in ("int", int):
-            value = int(value)  # CSV round-trip delivers strings
-        elif spec.type in ("float", float):
-            value = float(value)
-        elif spec.type in ("bool", bool) and isinstance(value, str):
-            value = value == "True"
-        kwargs[spec.name] = value
-    return cls(**kwargs)
+def _record_class(kind: str, source: object,
+                  error: type = SweepError) -> type:
+    """The record class tagged ``kind``; an unknown tag raises ``error``
+    naming ``source``, the document that carried it."""
+    cls = _CASE_TYPE_OF_KIND.get(kind)
+    if cls is None:
+        raise error(f"{source} contains unknown record kind {kind!r}")
+    return cls.record_class
 
 
 def execute_case(case: AnyCase) -> AnyRecord:
-    """Run one scenario of any kind (the multiprocessing work unit)."""
-    if isinstance(case, CoverageCase):
-        return run_coverage_case(case)
-    if isinstance(case, PrrCase):
-        return run_prr_case(case)
-    if isinstance(case, SweepCase):
-        return run_case(case)
-    raise SweepError(f"unknown sweep case type {type(case).__name__}")
+    """Run one scenario of any kind (the multiprocessing work unit).
+
+    The case runs its own executor on the calling thread's installed
+    :class:`_WorkerState` — a sweep, a pool worker or a serving thread
+    installs one — or else on a throwaway one.
+    """
+    case_kind(case)  # a non-case fails with SweepError, not AttributeError
+    state = _get_worker_state()
+    return case.execute(state if state is not None else _WorkerState())
+
+
+#: Kind-named spellings of :func:`execute_case`.
+run_case = run_coverage_case = run_prr_case = execute_case
 
 
 def _execute_indexed(item: Tuple[int, AnyCase]) -> Tuple[int, AnyRecord]:
@@ -927,142 +958,74 @@ class _WorkerState:
     case — in particular it recompiles the same algorithm x order
     :class:`~repro.march.execution.OperationTrace` over and over, because
     the trace caches inside the facades key on *object identity* and each
-    case used to construct fresh orders and facades.  The worker state
-    fixes both halves: address orders are memoised by (name, geometry), and
-    facades (:class:`TestSession` / :class:`FaultSimulator` /
+    case used to construct fresh orders and facades.  The worker state is
+    the only builder of both: address orders are memoised by (name,
+    shape), and facades (:class:`TestSession` / :class:`FaultSimulator` /
     :class:`BistController`) are memoised by their configuration axes with
-    one shared :class:`~repro.march.execution.TraceCache` threaded through,
-    so identities are stable and every compile happens once per worker.
-
-    :meth:`warm` is the pool initializer's pre-warming pass: it memoises
-    the grid's orders and facades and compiles the traces that several
-    pending cases *share* (e.g. a seed sweep repeating one
-    algorithm x order) before the first case arrives.  Traces only one
-    case needs are left to compile lazily on first use — pre-building
-    them in every worker would multiply the compile work by the worker
-    count for zero extra cache hits.  Warming is best-effort: a scenario
-    the engine rejects warms nothing and surfaces its real error during
-    execution.
+    one shared :class:`~repro.march.execution.TraceCache` threaded
+    through, so identities are stable and each trace compiles at most
+    once per worker, on first use.
     """
 
     def __init__(self) -> None:
         #: compiled traces shared by every facade of this worker.
         self.traces = TraceCache()
-        self._orders: Dict[Tuple[str, int, int, int], object] = {}
-        self._sessions: Dict[Tuple, TestSession] = {}
-        self._simulators: Dict[Tuple, FaultSimulator] = {}
-        self._controllers: Dict[Tuple, BistController] = {}
+        self._memo: Dict[Tuple, object] = {}
 
-    # ------------------------------------------------------------------
+    def _memoised(self, key: Tuple, build: Callable[[], object]):
+        """The object memoised under ``key``, built on first request."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
     def order_for(self, name: str, geometry: ArrayGeometry):
-        """The memoised :class:`AddressOrder` for ``name`` on ``geometry``."""
-        key = (name, geometry.rows, geometry.columns, geometry.bits_per_word)
-        order = self._orders.get(key)
-        if order is None:
-            order = make_order(name, geometry)
-            self._orders[key] = order
-        return order
+        """The memoised :class:`AddressOrder` for ``name`` on ``geometry``.
 
-    def session_for(self, case: "SweepCase") -> TestSession:
+        Keyed by — and built on — the bank-free
+        ``ArrayGeometry(rows, columns, bits_per_word)``: orders never read
+        the bank map (engines take banks from their own geometry), so
+        banked and monolithic cases of one shape share one order and its
+        compiled traces, and a fault campaign, whose geometry is
+        bank-free, accepts it.
+        """
+        shape = ArrayGeometry(geometry.rows, geometry.columns,
+                              geometry.bits_per_word)
+        return self._memoised(("order", name, shape),
+                              lambda: make_order(name, shape))
+
+    def session_for(self, case: SweepCase) -> TestSession:
         """The memoised power-measurement session for ``case``'s axes."""
-        key = (case.rows, case.columns, case.bits_per_word, case.order,
-               case.any_direction, case.backend, case.banks,
-               case.bank_interleave, case.kernel)
-        session = self._sessions.get(key)
-        if session is None:
+        def build() -> TestSession:
             geometry = case.geometry()
-            session = TestSession(
+            return TestSession(
                 geometry, order=self.order_for(case.order, geometry),
                 any_direction=AddressingDirection(case.any_direction),
                 detailed=False, backend=case.backend, kernel=case.kernel)
-            self._sessions[key] = session
-        return session
 
-    def simulator_for(self, case: "CoverageCase") -> FaultSimulator:
+        return self._memoised(
+            ("session", case.rows, case.columns, case.bits_per_word,
+             case.order, case.any_direction, case.backend, case.banks,
+             case.bank_interleave, case.kernel), build)
+
+    def simulator_for(self, case: CoverageCase) -> FaultSimulator:
         """The memoised fault simulator for ``case``'s axes."""
-        key = (case.rows, case.columns, case.any_direction, case.backend)
-        simulator = self._simulators.get(key)
-        if simulator is None:
-            simulator = FaultSimulator(
+        return self._memoised(
+            ("simulator", case.rows, case.columns, case.any_direction,
+             case.backend),
+            lambda: FaultSimulator(
                 case.geometry(),
                 any_direction=AddressingDirection(case.any_direction),
-                backend=case.backend, trace_cache=self.traces)
-            self._simulators[key] = simulator
-        return simulator
+                backend=case.backend, trace_cache=self.traces))
 
-    def controller_for(self, case: "PrrCase") -> BistController:
+    def controller_for(self, case: PrrCase) -> BistController:
         """The memoised BIST controller for ``case``'s axes."""
-        key = (case.rows, case.columns, case.bits_per_word, case.backend,
-               case.banks, case.bank_interleave, case.kernel)
-        controller = self._controllers.get(key)
-        if controller is None:
-            controller = BistController(case.geometry(), backend=case.backend,
-                                        trace_cache=self.traces,
-                                        kernel=case.kernel)
-            self._controllers[key] = controller
-        return controller
-
-    # ------------------------------------------------------------------
-    def warm_case(self, case: AnyCase,
-                  shared: Optional[frozenset] = None) -> None:
-        """Memoise one scenario's facade and compile its (shared) traces.
-
-        With ``shared`` given (the initializer's pass), only traces whose
-        spec appears in it — i.e. traces several pending cases reuse —
-        are compiled eagerly; the rest compile lazily on first use.
-        Without it (a direct call), every trace the case needs is built.
-        """
-        algorithm = get_algorithm(case.algorithm)
-        specs = _trace_warm_specs(case)
-        wanted = specs if shared is None else \
-            [spec for spec in specs if spec in shared]
-        if isinstance(case, CoverageCase):
-            simulator = self.simulator_for(case)
-            for spec, name in zip(specs, case.orders):
-                if spec in wanted:
-                    simulator.trace_for(algorithm,
-                                        self.order_for(name, case.geometry()))
-        elif isinstance(case, PrrCase):
-            controller = self.controller_for(case)
-            if wanted:
-                controller.warm(algorithm)
-        elif isinstance(case, SweepCase):
-            self.session_for(case)  # the engine itself builds lazily
-
-    def warm(self, cases: Sequence[AnyCase]) -> None:
-        """Best-effort pre-warm for a grid: facades for every scenario,
-        eager trace compiles only for specs shared by multiple cases."""
-        counts = Counter(spec for case in cases
-                         for spec in _trace_warm_specs(case))
-        shared = frozenset(spec for spec, count in counts.items()
-                           if count > 1)
-        for case in cases:
-            try:
-                self.warm_case(case, shared)
-            except Exception:
-                # Warming must never kill a worker; a genuinely broken
-                # scenario reports its error when it executes.
-                continue
-
-
-def _trace_warm_specs(case: AnyCase) -> List[Tuple]:
-    """Hashable descriptions of the compiled traces a case will need.
-
-    Two cases with a common spec replay the same
-    :class:`~repro.march.execution.OperationTrace`; the worker pre-warm
-    compiles exactly the specs with multiplicity > 1.  Power cases compile
-    no trace (the vectorized test engine works from the order's coordinate
-    arrays directly), so they contribute none.
-    """
-    if isinstance(case, CoverageCase):
-        return [("coverage", case.algorithm, order, case.rows, case.columns,
-                 case.any_direction)
-                for order in case.orders]
-    if isinstance(case, PrrCase):
-        return [("prr", case.algorithm, case.rows, case.columns,
-                 case.bits_per_word, case.backend, case.banks,
-                 case.bank_interleave)]
-    return []
+        return self._memoised(
+            ("controller", case.rows, case.columns, case.bits_per_word,
+             case.backend, case.banks, case.bank_interleave, case.kernel),
+            lambda: BistController(case.geometry(), backend=case.backend,
+                                   trace_cache=self.traces,
+                                   kernel=case.kernel))
 
 
 #: The worker state of the executing thread (``None`` until a sweep —
@@ -1079,11 +1042,9 @@ def _get_worker_state() -> Optional[_WorkerState]:
     return getattr(_WORKER_STATE_SLOT, "state", None)
 
 
-def _init_worker(cases: Sequence[AnyCase]) -> None:
-    """``multiprocessing.Pool`` initializer: fresh pre-warmed worker state."""
-    state = _WorkerState()
-    _set_worker_state(state)
-    state.warm(cases)
+def _init_worker() -> None:
+    """``multiprocessing.Pool`` initializer: a fresh worker state."""
+    _set_worker_state(_WorkerState())
 
 
 def _set_worker_state(state: Optional[_WorkerState]) -> None:
@@ -1097,53 +1058,14 @@ def _set_worker_state(state: Optional[_WorkerState]) -> None:
     _WORKER_STATE_SLOT.state = state
 
 
-def _order_for(name: str, geometry: ArrayGeometry):
-    """Resolve an address order, through the worker state when present."""
-    state = _get_worker_state()
-    if state is not None:
-        return state.order_for(name, geometry)
-    return make_order(name, geometry)
-
-
-def _session_for_case(case: "SweepCase") -> TestSession:
-    """Resolve the session facade, through the worker state when present."""
-    state = _get_worker_state()
-    if state is not None:
-        return state.session_for(case)
-    geometry = case.geometry()
-    return TestSession(geometry, order=make_order(case.order, geometry),
-                       any_direction=AddressingDirection(case.any_direction),
-                       detailed=False, backend=case.backend,
-                       kernel=case.kernel)
-
-
-def _simulator_for_case(case: "CoverageCase") -> FaultSimulator:
-    """Resolve the fault simulator, through the worker state when present."""
-    state = _get_worker_state()
-    if state is not None:
-        return state.simulator_for(case)
-    return FaultSimulator(case.geometry(),
-                          any_direction=AddressingDirection(case.any_direction),
-                          backend=case.backend)
-
-
-def _controller_for_case(case: "PrrCase") -> BistController:
-    """Resolve the BIST controller, through the worker state when present."""
-    state = _get_worker_state()
-    if state is not None:
-        return state.controller_for(case)
-    return BistController(case.geometry(), backend=case.backend,
-                          kernel=case.kernel)
-
-
 @dataclass
 class SweepResult:
     """The records of one executed sweep, with export/import helpers.
 
-    Holds power records, coverage records, or a mix; JSON export tags each
-    record with its kind (``"power"``/``"coverage"``), CSV export requires
-    a homogeneous result (one header) and the importer sniffs the kind
-    from the header fields.
+    Holds records of any kind, or a mix; JSON export tags each record
+    with its case class's ``kind``, CSV export requires a homogeneous
+    result (one header) and the importer recognises the record class from
+    the header fields.
     """
 
     records: List[AnyRecord] = field(default_factory=list)
@@ -1165,18 +1087,16 @@ class SweepResult:
         """Plain-text report of the whole sweep.
 
         A homogeneous sweep renders as one table; a mixed sweep renders
-        one table per record kind (the two kinds have different columns).
+        one table per record kind (the kinds have different columns).
         """
-        kinds = {_record_kind(record) for record in self.records}
-        if len(kinds) <= 1:
+        sections = [(cls.kind, [record.table_row() for record in self.records
+                                if type(record) is cls.record_class])
+                    for cls in CASE_TYPES]
+        sections = [(kind, rows) for kind, rows in sections if rows]
+        if len(sections) <= 1:
             return render_table(self.table_rows(), title=title)
-        sections = []
-        for kind, record_cls in _RECORD_KINDS.items():
-            rows = [record.table_row() for record in self.records
-                    if isinstance(record, record_cls)]
-            if rows:
-                sections.append(render_table(rows, title=f"{title} — {kind}"))
-        return "\n\n".join(sections)
+        return "\n\n".join(render_table(rows, title=f"{title} — {kind}")
+                           for kind, rows in sections)
 
     # ------------------------------------------------------------------
     # Export / import
@@ -1184,7 +1104,7 @@ class SweepResult:
     def to_json(self, path: Union[str, Path]) -> Path:
         """Write the records to ``path`` as a JSON document; returns the path."""
         path = Path(path)
-        rows = [{"kind": _record_kind(record), **record.as_dict()}
+        rows = [{"kind": _KIND_OF_RECORD[type(record)], **record.as_dict()}
                 for record in self.records]
         payload = {"format": "repro-sweep", "version": 2, "records": rows}
         # Atomic + fsync'd: re-exporting over a previous artifact must
@@ -1206,17 +1126,14 @@ class SweepResult:
         for row in payload["records"]:
             row = dict(row)
             kind = row.pop("kind", "power")
-            record_cls = _RECORD_KINDS.get(kind)
-            if record_cls is None:
-                raise SweepError(f"{path} contains unknown record kind {kind!r}")
-            records.append(record_cls.from_dict(row))
+            records.append(_record_class(kind, path).from_dict(row))
         return cls(records)
 
     def to_csv(self, path: Union[str, Path]) -> Path:
         """Write the records to ``path`` as CSV; returns the path.
 
-        CSV has one header, so the result must be homogeneous (all power
-        records or all coverage records); use JSON for mixed sweeps.
+        CSV has one header, so the result must be homogeneous (one record
+        kind); use JSON for mixed sweeps.
         """
         import csv
 
@@ -1243,21 +1160,26 @@ class SweepResult:
     def from_csv(cls, path: Union[str, Path]) -> "SweepResult":
         """Load a sweep previously written by :meth:`to_csv`.
 
-        The record kind is sniffed from the header: coverage exports carry
-        the ``total_faults`` column, PRR-campaign exports
-        ``analytical_prr_bracket``, power exports ``measured_prr`` only.
+        The record class is the one whose fields cover the header and
+        whose default-less fields all appear in it, so exports written
+        before a defaulted field existed still load; anything else loads
+        as power records (the default kind) and fails on its missing
+        fields.
         """
         import csv
 
+        def fits(record_cls: type, header: set) -> bool:
+            specs = fields(record_cls)
+            return header <= {spec.name for spec in specs} and all(
+                spec.name in header for spec in specs
+                if spec.default is MISSING)
+
         with Path(path).open(newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
-            names = reader.fieldnames or []
-            if "total_faults" in names:
-                record_cls: type = CoverageRecord
-            elif "analytical_prr_bracket" in names:
-                record_cls = PrrRecord
-            else:
-                record_cls = SweepRecord
+            header = set(reader.fieldnames or ())
+            record_cls = next((case_cls.record_class for case_cls in CASE_TYPES
+                               if fits(case_cls.record_class, header)),
+                              SweepRecord)
             return cls([record_cls.from_dict(row) for row in reader])
 
 
@@ -1326,17 +1248,6 @@ def shard_cases(cases: Sequence[AnyCase], index: int,
 STRATEGIES = ("auto", "batched", "percase")
 
 
-def _batchable(case: AnyCase) -> bool:
-    """True when the batched grid engine can stack this scenario.
-
-    Power and PRR scenarios on a vectorizable backend stack; the
-    reference backend (no bulk kernel) and coverage campaigns (a
-    different engine family) execute per case either way.
-    """
-    return isinstance(case, (SweepCase, PrrCase)) and \
-        case.backend != "reference"
-
-
 class SweepRunner:
     """Executes a list of sweep scenarios, streaming and optionally parallel.
 
@@ -1364,10 +1275,9 @@ class SweepRunner:
     runs in-process; anything larger maps the cases over a
     ``multiprocessing.Pool`` of that size.  Workers rebuild every object
     from the case's names (only plain data crosses process boundaries) and
-    are pre-warmed by an initializer that compiles the grid's
-    algorithm x order traces into a process-local cache once, instead of
-    once per case.  The batched strategy is in-process and ignores
-    ``processes``.
+    each keeps a process-local worker state, so an algorithm x order trace
+    compiles at most once per worker instead of once per case.  The
+    batched strategy is in-process and ignores ``processes``.
 
     Execution streams in both strategies: completions are consumed as
     they happen, so progress lines appear live and each finished case is
@@ -1428,7 +1338,7 @@ class SweepRunner:
             return "batched"
         if self.processes is None:
             pending = self.cases if cases is None else cases
-            if all(_batchable(case) for case in pending):
+            if all(case.stack_key() is not None for case in pending):
                 return "batched"
         return "percase"
 
@@ -1469,12 +1379,8 @@ class SweepRunner:
                     f"journal {self.journal} entry for case {index} does not "
                     "match this grid; resume requires the journal's original "
                     "grid and shard")
-            record_cls = _RECORD_KINDS.get(entry.kind)
-            if record_cls is None:
-                raise SweepError(
-                    f"journal {self.journal} contains unknown record kind "
-                    f"{entry.kind!r}")
-            restored[index] = record_cls.from_dict(entry.record)
+            restored[index] = _record_class(
+                entry.kind, f"journal {self.journal}").from_dict(entry.record)
         return restored
 
     def _completions(self, pending: Sequence[Tuple[int, AnyCase]],
@@ -1484,9 +1390,10 @@ class SweepRunner:
 
         The batched strategy streams the grid engine's stacked-group
         completions.  Per-case sequential mode executes in input order
-        in-process (warming the local state first); parallel mode streams
-        ``imap_unordered`` completions out of a pre-warmed pool, so the
-        slowest case never gates reporting of the others.
+        in-process under a worker state scoped to the run; parallel mode
+        streams ``imap_unordered`` completions out of a pool whose workers
+        each keep one, so the slowest case never gates reporting of the
+        others.
         """
         if not pending:
             return
@@ -1501,12 +1408,9 @@ class SweepRunner:
                 yield indices[position], record
             return
         workers = self.resolved_processes(len(pending))
-        cases = [case for _, case in pending]
         if workers <= 1:
-            state = _WorkerState()
-            state.warm(cases)
             previous = _get_worker_state()
-            _set_worker_state(state)
+            _set_worker_state(_WorkerState())
             try:
                 for index, case in pending:
                     yield index, execute_case(case)
@@ -1514,8 +1418,7 @@ class SweepRunner:
                 _set_worker_state(previous)
             return
         with multiprocessing.get_context().Pool(
-                processes=workers, initializer=_init_worker,
-                initargs=(cases,)) as pool:
+                processes=workers, initializer=_init_worker) as pool:
             for index, record in pool.imap_unordered(_execute_indexed,
                                                      list(pending)):
                 yield index, record
@@ -1596,7 +1499,7 @@ class SweepRunner:
                 records[index] = record
                 if journal is not None:
                     journal.append(JournalEntry(
-                        case_index=index, kind=_record_kind(record),
+                        case_index=index, kind=case_kind(self.cases[index]),
                         case=case_fingerprint(self.cases[index]),
                         record=record.as_dict()))
                 if case_sink is not None:

@@ -16,8 +16,8 @@ def _claim_fallback_warning(tier):
 
 
 def resolve(tier):
-    if tier == "gpu" and _claim_fallback_warning(tier):
+    if tier == "jit" and _claim_fallback_warning(tier):
         warnings.warn(
-            "kernel 'gpu' unavailable; falling back to 'flat'",
+            "kernel 'jit' unavailable; falling back to 'flat'",
             RuntimeWarning)
     return "flat"

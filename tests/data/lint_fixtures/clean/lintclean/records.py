@@ -3,9 +3,6 @@
 import json
 from dataclasses import dataclass, fields
 
-_RECORD_KINDS = {"power": "PowerRecord"}
-_CASE_KINDS = {"power": "PowerCase"}
-
 
 def _record_from_dict(cls, data):
     names = {spec.name for spec in fields(cls)}

@@ -4,8 +4,8 @@ import warnings
 
 
 def resolve(tier):
-    if tier == "gpu":
+    if tier == "jit":
         warnings.warn(  # line 8: raw backend/kernel fallback warning
-            "kernel 'gpu' unavailable; falling back to 'flat'",
+            "kernel 'jit' unavailable; falling back to 'flat'",
             RuntimeWarning)
     return "flat"

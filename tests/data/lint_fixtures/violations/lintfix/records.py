@@ -2,9 +2,6 @@
 
 from dataclasses import dataclass
 
-_RECORD_KINDS = {"power": "PowerRecord", "coverage": "CoverageRecord"}
-_CASE_KINDS = {"power": "PowerCase"}  # line 6: disagrees with _RECORD_KINDS
-
 
 @dataclass
 class DriftRecord:
@@ -12,9 +9,9 @@ class DriftRecord:
     energy: float
     kernel_used: str
 
-    def as_dict(self):  # line 15: drops 'kernel_used'
+    def as_dict(self):  # line 12: drops 'kernel_used'
         return {"case_id": self.case_id, "energy": self.energy}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)  # line 20: raw splat, crashes on old journals
+        return cls(**data)  # line 17: raw splat, crashes on old journals

@@ -26,8 +26,8 @@ re-deriving its own:
 * :func:`kernel_pair` / :func:`kernel_engines` /
   :func:`kernel_matrix_tiers` / :func:`assert_aggregates_match` — the
   kernel-tier matrix on one engine configuration: the segmented oracle
-  against the flat numpy kernel, plus the compiled ``jit``/``gpu`` tiers
-  wherever their dependency is importable;
+  against the flat numpy kernel, plus the compiled ``jit`` tier wherever
+  numba is importable;
 * :func:`drop_elapsed` / :func:`assert_identical_records` /
   :func:`run_both_strategies` — sweep records across execution strategies
   (field-for-field identical; ``elapsed_s`` is the one wall-clock exempt
@@ -154,8 +154,8 @@ def assert_fault_verdicts_identical(geometry, algorithm, order, battery,
 # ----------------------------------------------------------------------
 def kernel_matrix_tiers():
     """Every kernel tier that can actually run here: ``segmented`` and
-    ``flat`` always, plus ``jit``/``gpu`` when their dependency imports.
-    The three-way (or four-way) differential matrix iterates this."""
+    ``flat`` always, plus ``jit`` when numba imports.  The two-way (or
+    three-way) differential matrix iterates this."""
     from repro.engine import available_kernels  # deferred: numpy optional
 
     tiers = ["segmented", "flat"]
@@ -172,7 +172,7 @@ def kernel_engines(geometry, order_cls=None,
     oracle first, then every tier the environment can execute — so a
     suite comparing ``engines[0]`` against ``engines[1:]`` pins the whole
     matrix wherever it runs and silently narrows to the classic
-    segmented-vs-flat pair where numba/cupy are absent.
+    segmented-vs-flat pair where numba is absent.
     """
     from repro.engine import VectorizedEngine  # deferred: numpy optional
 

@@ -141,8 +141,8 @@ def test_interleave_mode_changes_the_transition_count():
 @pytest.mark.parametrize("geometry", banked_geometries(), ids=GEOMETRY_IDS)
 def test_banked_flat_kernel_matches_segmented(geometry, order_cls, direction):
     """Banked sub-array accounting across the whole kernel matrix: the
-    flat numpy kernel always, plus the compiled jit/gpu tiers wherever
-    their dependency is importable."""
+    flat numpy kernel always, plus the compiled jit tier wherever numba
+    is importable."""
     from repro.engine import UnsupportedConfiguration
 
     segmented, *others = kernel_engines(geometry, order_cls, direction,

@@ -51,9 +51,8 @@ EXPECTED_VIOLATIONS = {
     ("RPR004", "violations/lintfix/engine/facade.py", 15),
     ("RPR004", "violations/lintfix/engine/facade.py", 20),
     ("RPR005", "violations/lintfix/fallback.py", 8),
-    ("RPR006", "violations/lintfix/records.py", 5),
-    ("RPR006", "violations/lintfix/records.py", 15),
-    ("RPR006", "violations/lintfix/records.py", 20),
+    ("RPR006", "violations/lintfix/records.py", 12),
+    ("RPR006", "violations/lintfix/records.py", 17),
     ("RPR007", "violations/lintfix/ledger_fmt.py", 3),
     ("RPR007", "violations/lintfix/loader_fmt.py", 11),
 }

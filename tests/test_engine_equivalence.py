@@ -235,8 +235,8 @@ KERNEL_ORDERS = (None, ColumnMajorOrder, RowMajorSnakeOrder, PseudoRandomOrder)
                          [AddressingDirection.UP, AddressingDirection.DOWN])
 def test_flat_kernel_matches_segmented(order_cls, mode, any_direction):
     """The full kernel matrix against the segmented oracle: the flat
-    numpy kernel always, plus the compiled jit/gpu tiers wherever their
-    dependency is importable (the CI optional-deps job)."""
+    numpy kernel always, plus the compiled jit tier wherever numba is
+    importable (the CI optional-deps job)."""
     geometry = ArrayGeometry(rows=16, columns=32)
     segmented, *others = _kernel_engines(geometry, order_cls, any_direction,
                                          detailed=True)
@@ -296,6 +296,46 @@ def test_stacked_batch_is_bit_identical_to_single_runs():
             algorithm, mode)
         assert cycles_b == cycles_s and counters_b == counters_s
         assert by_source_b == by_source_s  # bit-identical, not approx
+
+
+@pytest.mark.parametrize("order_cls", [None, ColumnMajorOrder])
+def test_multi_tile_flat_kernel_matches_single_tile(monkeypatch, order_cls):
+    """No committed grid reaches DEFAULT_SEGMENT_CHUNK (2^19) segments, so
+    a tiny chunk forces the flat kernel's multi-tile path: counters and
+    stress stay exact, energies stay at the differential tolerance, and
+    a stacked batch stays bit-identical to single runs under that chunk."""
+    from repro.engine import vectorized
+
+    geometry = ArrayGeometry(rows=16, columns=32)
+    mode = OperatingMode.LOW_POWER_TEST
+
+    def engine():
+        order = order_cls(geometry) if order_cls is not None else None
+        return VectorizedEngine(geometry, order=order, detailed=True,
+                                kernel="flat")
+
+    single_tile = engine()
+    expected = {algorithm.name: single_tile.run_aggregates(algorithm, mode)
+                for algorithm in PAPER_TABLE1_ALGORITHMS}
+
+    monkeypatch.setattr(vectorized, "DEFAULT_SEGMENT_CHUNK", 7)
+    tiled = engine()
+    for algorithm in PAPER_TABLE1_ALGORITHMS:
+        assert tiled.trace_for(algorithm).segment_walk().segment_count > 7
+        assert_aggregates_match(expected[algorithm.name],
+                                tiled.run_aggregates(algorithm, mode),
+                                label=algorithm.name)
+
+    requests = [(algorithm, mode, None) for algorithm in PAPER_TABLE1_ALGORITHMS]
+    stacked = tiled.run_aggregates_batch(requests)
+    for (algorithm, _, _), batch_result in zip(requests, stacked):
+        by_source_b, counters_b, cycles_b, stress_b = batch_result
+        by_source_s, counters_s, cycles_s, stress_s = tiled.run_aggregates(
+            algorithm, mode)
+        assert cycles_b == cycles_s and counters_b == counters_s
+        assert by_source_b == by_source_s  # bit-identical, not approx
+        assert np.array_equal(stress_b.full_res, stress_s.full_res)
+        assert np.array_equal(stress_b.partial_res, stress_s.partial_res)
 
 
 def test_batch_collects_unsupported_units():

@@ -1,13 +1,12 @@
 """Kernel-tier seam: availability fallback, provenance, cache immutability.
 
-The compiled tiers (``kernel="jit"`` via numba, ``kernel="gpu"`` via CuPy)
-are strictly optional: these tests pin the contract that holds *without*
-the dependency — a request for an absent tier falls back to the ``"flat"``
+The compiled tier (``kernel="jit"`` via numba) is strictly optional:
+these tests pin the contract that holds *without* the dependency — a request for an absent tier falls back to the ``"flat"``
 numpy kernel with exactly one process-wide warning, ``"auto"`` resolves to
 ``"flat"`` with the same single warning, results are identical to an
 explicit flat run, and every result/record truthfully carries the tier
-that actually executed.  Where numba/cupy *are* importable (the CI
-optional-deps job) the same tests exercise the real tier paths, and the
+that actually executed.  Where numba *is* importable (the CI
+optional-deps job) the same tests exercise the real tier path, and the
 differential suites (``test_engine_equivalence`` /
 ``test_banked_differential``) pin the numeric matrix.
 """
@@ -47,12 +46,11 @@ from differential import assert_identical_records
 
 GEOMETRY = ArrayGeometry(rows=8, columns=16)
 
-#: The compiled-tier modules and the third-party imports behind them;
+#: The compiled-tier module and the third-party import behind it;
 #: poisoning both in ``sys.modules`` simulates an absent dependency even
 #: in environments (the CI optional-deps job) where numba is installed.
 _TIER_IMPORTS = {
     "jit": ("numba", "repro.engine.compiled"),
-    "gpu": ("cupy", "repro.engine.gpu"),
 }
 
 
@@ -80,7 +78,7 @@ def _absent(monkeypatch, *tiers: str) -> None:
 # Resolution and the warn-once contract (satellite: dependency-absent)
 # ----------------------------------------------------------------------
 def test_kernel_choices_cover_all_tiers():
-    assert KERNEL_CHOICES == ("flat", "segmented", "jit", "gpu", "auto")
+    assert KERNEL_CHOICES == ("flat", "segmented", "jit", "auto")
     concrete = available_kernels()
     assert "flat" in concrete and "segmented" in concrete
     assert "auto" not in concrete
@@ -97,7 +95,7 @@ def test_explicit_jit_falls_back_to_flat_with_one_warning(clean_kernels):
 
 
 def test_auto_resolves_to_flat_with_a_single_warning(clean_kernels):
-    _absent(clean_kernels, "jit", "gpu")
+    _absent(clean_kernels, "jit")
     with pytest.warns(RuntimeWarning) as caught:
         assert resolve_kernel("auto") == "flat"
         assert resolve_kernel("auto") == "flat"

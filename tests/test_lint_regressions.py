@@ -89,7 +89,7 @@ class TestKernelStateLocking:
         def probe():
             for _ in range(100):
                 vectorized.kernel_module("jit")
-                vectorized.kernel_available("gpu")
+                vectorized.kernel_available("jit")
 
         def reset():
             for _ in range(100):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,21 @@ def test_fingerprint_digest_is_canonical():
     assert fingerprint_digest(fingerprint) == fingerprint_digest(shuffled)
     other = case_fingerprint(case_from_dict(_prr_case(rows=16)))
     assert fingerprint_digest(fingerprint) != fingerprint_digest(other)
+
+
+def test_committed_trace_digests_are_pinned():
+    # Every request of the committed workload trace keeps its recorded
+    # digest: a field leaking into (or out of) a case's fingerprint would
+    # silently re-address journals and the serve cache.
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "data" \
+        / "serve_trace.jsonl"
+    entries = load_trace(path)
+    assert len(entries) == 120
+    assert Counter(entry["kind"] for entry in entries) == \
+        {"power": 90, "prr": 23, "coverage": 7}
+    for entry in entries:
+        case = case_from_dict(entry["case"])
+        assert fingerprint_digest(case_fingerprint(case)) == entry["digest"]
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +370,29 @@ def test_distinct_cases_coalesce_into_one_wave(tmp_path):
     assert stats["executed_cases"] == 2
 
 
+def test_wave_that_dies_is_rescued_case_by_case(tmp_path, monkeypatch):
+    # A stacked pass that fails mid-wave must not starve its neighbours:
+    # every unanswered case is rescued one at a time, with exactly the
+    # record a local execution measures.
+    from repro.engine.grid import BatchedGridEngine
+
+    def dying(self):
+        raise RuntimeError("stacked pass died")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(BatchedGridEngine, "completions", dying)
+    cases = [_power_case(algorithm="MATS+"), _prr_case()]
+    with running_service(tmp_path / "cache", coalesce_window=0.25) \
+            as (service, host, port):
+        responses = replay(host, port, cases, concurrency=2)
+        stats = service.stats_snapshot()
+    assert stats["errors"] == 0
+    for case, response in zip(cases, responses):
+        local = execute_case(case_from_dict(case))
+        assert _drop_elapsed(response["record"]) == \
+            _drop_elapsed(local.as_dict())
+
+
 def test_cache_survives_a_service_restart(tmp_path):
     case = _prr_case()
     with running_service(tmp_path / "cache") as (service, host, port):
@@ -447,4 +487,4 @@ def test_served_records_carry_truthful_provenance(tmp_path):
     for response in responses:
         record = response["record"]
         assert record["backend_used"] == "vectorized"
-        assert record["kernel_used"] in ("flat", "jit", "gpu")
+        assert record["kernel_used"] in ("flat", "jit")

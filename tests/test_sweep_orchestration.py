@@ -9,8 +9,9 @@ Covers the PR's bugfixes and the orchestration subsystem around them:
 * the append-only JSONL run journal, ``run(resume=True)`` semantics and
   grid-mismatch detection;
 * deterministic sharding (disjoint, exhaustive, stable);
-* the per-worker pre-warmed state (memoised orders/facades, one shared
-  ``TraceCache``);
+* the per-worker state (memoised orders/facades, one shared
+  ``TraceCache``), including the bank-free order memo a banked power
+  case and a coverage case of one shape share;
 * JSON/CSV/journal round-trips of all three record kinds, including the
   stringly-typed CSV coercion of bool/seed/backend fields;
 * the new CLI surface (``--journal`` / ``--resume`` / ``--shard``, warnings
@@ -40,11 +41,12 @@ from repro.sweep import (
     SweepRunner,
     case_fingerprint,
     case_kind,
-    coverage_grid,
+    execute_case,
     load_journal,
     shard_cases,
     sweep_grid,
 )
+from repro.sram import ArrayGeometry
 from repro.sweep import runner as runner_module
 from repro.sweep.__main__ import main as sweep_main, parse_shard
 
@@ -473,6 +475,30 @@ def test_csv_round_trip_preserves_bool_seed_backend_fields(tmp_path, index,
             assert getattr(restored, name) is value
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_csv_written_before_defaulted_fields_imports_as_its_kind(tmp_path,
+                                                                 index):
+    # Exports that predate the defaulted columns (banks, kernel, ...) are
+    # recognised by their header and import with the defaults.
+    import csv
+    from dataclasses import MISSING, fields
+
+    record = _sample_records()[index]
+    path = tmp_path / "old.csv"
+    SweepResult([record]).to_csv(path)
+    kept = [spec.name for spec in fields(record) if spec.default is MISSING]
+    with path.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    with path.open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=kept,
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    restored = SweepResult.from_csv(path).records[0]
+    assert type(restored) is type(record)
+    assert restored.as_dict() == record.as_dict()
+
+
 def test_json_round_trip_of_all_kinds_together(tmp_path):
     records = list(_sample_records())
     path = SweepResult(records).to_json(tmp_path / "mixed.json")
@@ -499,7 +525,7 @@ def test_journal_round_trip_of_all_kinds(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Worker state: memoised orders/facades, pre-warmed shared trace cache
+# Worker state: memoised orders/facades, shared trace cache
 # ----------------------------------------------------------------------
 @pytest.fixture
 def clear_worker_state():
@@ -510,57 +536,72 @@ def clear_worker_state():
     runner_module._set_worker_state(None)
 
 
-def test_worker_initializer_prewarms_shared_traces(clear_worker_state):
-    # A seed sweep: both cases replay the same algorithm x order traces,
-    # so the initializer compiles them (3 orders) exactly once up front.
-    cases = [CoverageCase(rows=8, columns=8, algorithm="MATS+",
-                          include_coupling=False, sample=2, seed=seed)
-             for seed in (1, 2)]
-    runner_module._init_worker(cases)
-    state = runner_module._get_worker_state()
-    assert state is not None
-    assert len(state.traces) == len(cases[0].orders)
-    geometry = cases[0].geometry()
-    assert state.order_for("row-major", geometry) is \
-        state.order_for("row-major", geometry)
-    # Same configuration axes -> the same facade instance.
-    assert state.simulator_for(cases[0]) is state.simulator_for(cases[1])
-
-
-def test_worker_initializer_skips_unshared_traces(clear_worker_state):
-    # A grid of unique scenarios (the --paper-table1 shape) must NOT
-    # pre-compile the whole grid in every worker — each trace is needed
-    # by exactly one case and compiles lazily when that case runs.
-    cases = coverage_grid(["8x8"], ["MATS+", "March C-"],
-                          orders=("row-major",), sample=2)
-    runner_module._init_worker(cases)
-    state = runner_module._get_worker_state()
-    assert len(state.traces) == 0
-    # A direct (shared=None) warm still compiles everything the case needs.
-    state.warm_case(cases[0])
-    assert len(state.traces) == 1
-
-
 def test_worker_state_reuses_controllers_and_sessions(clear_worker_state):
+    state = runner_module._WorkerState()
     prr = [PrrCase(rows=8, columns=64, algorithm="MATS+",
                    backend="vectorized", seed=seed) for seed in (1, 2)]
     power = _fast_cases(2)
-    runner_module._init_worker(prr + power)
-    state = runner_module._get_worker_state()
+    coverage = [CoverageCase(rows=8, columns=8, algorithm="MATS+",
+                             include_coupling=False, sample=2, seed=seed)
+                for seed in (1, 2)]
+    # Same configuration axes -> the same facade instance.
     assert state.controller_for(prr[0]) is state.controller_for(prr[1])
     assert state.session_for(power[0]) is state.session_for(power[1])
-    # The seed-swept PRR scenario shares one trace: pre-compiled at init.
-    assert len(state.traces) == 1
+    assert state.simulator_for(coverage[0]) is \
+        state.simulator_for(coverage[1])
+    geometry = coverage[0].geometry()
+    assert state.order_for("row-major", geometry) is \
+        state.order_for("row-major", geometry)
+    # Orders are keyed by shape: the bank map never reaches them.
+    banked = ArrayGeometry(rows=8, columns=8, banks=2)
+    assert state.order_for("row-major", banked) is \
+        state.order_for("row-major", geometry)
+
+
+def test_worker_state_compiles_each_shared_trace_once(clear_worker_state):
+    # A seed sweep replays the same algorithm x order traces: executed
+    # under one worker state, they compile on first use, once.
+    cases = [CoverageCase(rows=8, columns=8, algorithm="MATS+",
+                          include_coupling=False, sample=2, seed=seed)
+             for seed in (1, 2)]
+    state = runner_module._WorkerState()
+    runner_module._set_worker_state(state)
+    runner_module.execute_case(cases[0])
+    compiled = len(state.traces)
+    assert compiled == len(cases[0].orders)
+    runner_module.execute_case(cases[1])
+    assert len(state.traces) == compiled
 
 
 def test_worker_state_results_match_fresh_facades(clear_worker_state):
     cases = _mixed_cases()
     fresh = [runner_module.execute_case(case) for case in cases]
-    runner_module._init_worker(cases)
+    runner_module._init_worker()
     warmed = [runner_module.execute_case(case) for case in cases]
     drop = lambda d: {k: v for k, v in d.items() if k != "elapsed_s"}
     for lhs, rhs in zip(fresh, warmed):
         assert drop(lhs.as_dict()) == drop(rhs.as_dict())
+
+
+@pytest.mark.parametrize("strategy", ["batched", "percase"])
+def test_banked_power_then_coverage_of_one_shape(strategy):
+    # The order memo once kept a banked power case's order for a later
+    # coverage case of the same rows x columns, which the fault campaign
+    # rejected for its bank-free geometry.
+    cases = [SweepCase(rows=8, columns=16, algorithm="MATS+",
+                       backend="vectorized", banks=2),
+             CoverageCase(rows=8, columns=16, algorithm="MATS+",
+                          backend="vectorized", include_coupling=False,
+                          sample=2)]
+    result = SweepRunner(cases, processes=1,
+                         strategy=strategy).run(progress=False)
+    power, coverage = result.records
+    assert power.banks == 2 and power.passed
+    assert coverage.backend_used == "vectorized" and coverage.invariant
+    # The same records as each case run alone on fresh state.
+    drop = lambda d: {k: v for k, v in d.items() if k != "elapsed_s"}
+    assert [drop(record.as_dict()) for record in result.records] == \
+        [drop(execute_case(case).as_dict()) for case in cases]
 
 
 # ----------------------------------------------------------------------
