@@ -216,8 +216,9 @@ class BistController:
         """Pre-compile ``algorithm``'s operation trace (no measurement).
 
         On the vectorized backend this populates the campaign's trace
-        cache — including the compiled segment structure, the dominant
-        cold cost at large geometries — and warms the resolved kernel
+        cache — including the compiled segment structure, built from the
+        order's row runs (closed-form for the word-line-sequential order)
+        — and warms the resolved kernel
         tier (loading numba's on-disk cache for ``kernel="jit"``), so the
         first :meth:`run` measures instead of compiling.  Callers that
         want the first measurement warm call this up front; the sweep

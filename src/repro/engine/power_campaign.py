@@ -234,15 +234,17 @@ class VectorizedPowerCampaign:
         reduce to a handful of per-element masks; the failure count is a
         sum of mask populations and the log keeps the first ``log_limit``
         failing accesses in exact global cycle order, matching the
-        reference comparator entry for entry.
+        reference comparator entry for entry.  Coordinates are fetched
+        (:meth:`~repro.march.execution.OperationTrace.element_walks`) only
+        for an element that logs a mismatch or reads the initial
+        background, so a passing run never expands the address order.
         """
         failures = 0
         entries: List[ComparatorLog] = []
-        walks = trace.element_walks()
-        for element, element_bg, (_, rows, words) in zip(
-                trace.elements, trace.element_backgrounds(), walks):
+        for element, element_bg in zip(trace.elements,
+                                        trace.element_backgrounds()):
             n_ops = element.operation_count
-            n_addr = int(rows.size)
+            n_addr = len(element.coordinates)
             pending: Optional[int] = None
             #: (op_index, expected, observed uniform value or per-address
             #: array, mismatch mask or None for an all-addresses mismatch).
@@ -259,6 +261,7 @@ class VectorizedPowerCampaign:
                     if element_bg != expected:
                         specs.append((k, expected, element_bg, None))
                 else:
+                    _, rows, words = trace.element_walks()[element.index]
                     observed = self._initial_word_values(background)[rows, words]
                     mask = observed != expected
                     if np.any(mask):
@@ -286,6 +289,7 @@ class VectorizedPowerCampaign:
                     (index, k, expected, int(value))
                     for index, value in zip(indices, observed_at))
             candidates.sort(key=lambda entry: (entry[0], entry[1]))
+            _, rows, words = trace.element_walks()[element.index]
             entries.extend(
                 ComparatorLog(cycle=element.base_step + index * n_ops + k,
                               row=int(rows[index]), word=int(words[index]),

@@ -592,7 +592,8 @@ class VectorizedEngine:
         (numba's ``cache=True`` on-disk cache is loaded — or the kernel
         compiled — by a tiny dummy reduction), and, when ``algorithm`` is
         given, this engine's memoised trace plus its compiled segment
-        structure (the dominant cold cost at large geometries).
+        structure (built from the order's cached row runs, so only
+        orders without closed-form runs expand coordinates for it).
         Idempotent and cheap when already
         warm; reached facade-first through
         :meth:`repro.engine.dispatch.BackendDispatcher.warm`.
@@ -1086,7 +1087,7 @@ class VectorizedEngine:
         return by_source, counters, cycles, stress
 
     def _walk_chains(self, trace: OperationTrace, segwalk: SegmentWalk,
-                     walks, stress_partial):
+                     stress_partial):
         """Evaluate the state-dependent parts of the carried-over chains.
 
         Chains — runs of segments joined by a skipped end-of-row
@@ -1101,7 +1102,9 @@ class VectorizedEngine:
         selects a word whose bit lines are floating.  All
         state-independent quantities of chain segments (operation/RES
         energies, word-line and control events, counters) are covered by
-        the flat pass and deliberately not re-counted here.
+        the flat pass and deliberately not re-counted here.  A segment's
+        words are ``first_word + delta * arange(length)``: exact, because
+        the caller has already checked ``segwalk.neighbour_ok``.
         """
         adds: List[Tuple[PowerSource, float]] = []
         partial_res_cycles = 0
@@ -1118,13 +1121,12 @@ class VectorizedEngine:
                 element = int(segwalk.element[index])
                 ops = trace.elements[element].operation_count
                 delta = segwalk.deltas[element]
-                start = int(segwalk.start[index])
                 m = int(segwalk.length[index])
-                seg = walks[element][2][start:start + m]
+                first_word = int(segwalk.first_word[index])
+                seg = first_word + delta * np.arange(m, dtype=np.int64)
                 row = int(segwalk.row[index])
                 base = int(segwalk.base_cycle[index])
 
-                first_word = int(seg[0])
                 if float_start[first_word] >= 0:
                     raise UnsupportedConfiguration(
                         "selected word's bit lines are floating at selection "
@@ -1213,14 +1215,14 @@ class VectorizedEngine:
                         f"order {trace.order.name!r} does not follow the "
                         "pre-charged traversal neighbour within a row; use "
                         "the reference backend")
-                walks = trace.element_walks()
-                stress_partial = stress_full = None
+                walks = stress_partial = stress_full = None
                 if track:
+                    walks = trace.element_walks()
                     shape = (geo.rows, n_words)
                     stress_full = np.zeros(shape, dtype=np.int64)
                     stress_partial = np.zeros(shape, dtype=np.int64)
                 chain_adds, chain_prc = self._walk_chains(
-                    trace, segwalk, walks, stress_partial)
+                    trace, segwalk, stress_partial)
             except EngineError as error:
                 if not collect_errors:
                     raise

@@ -278,8 +278,10 @@ class OperationTrace:
     def element_walks(self):
         """Per-element ``(direction, rows, words)`` NumPy coordinate arrays.
 
-        The bulk form of :attr:`elements` the vectorized power campaign
-        (:mod:`repro.engine.power_campaign`) replays: the ascending arrays
+        The per-address form of :attr:`elements`, read by the segmented
+        kernel, per-cell stress tracking and the comparator's per-address
+        cases (:mod:`repro.engine.power_campaign`); the flat kernel reads
+        :meth:`segment_walk` instead.  The ascending arrays
         come from :meth:`repro.march.ordering.AddressOrder.coordinate_arrays`
         (cached on the order, shared with the vectorized test engine) and the
         descending arrays are reversed views of the same buffers, so a
@@ -308,7 +310,8 @@ class OperationTrace:
         The flat execution kernel (:mod:`repro.engine.vectorized`) works
         over *segments* — maximal runs of consecutive accesses on one word
         line within one element — instead of individual accesses.  This
-        compiles the whole run's segment description once per trace:
+        compiles the whole run's segment description once per trace, from
+        the order's cached row runs rather than its coordinates:
         per-segment coordinate/length/base-cycle arrays, the paper's
         end-of-row restoration flags, the carry-over chains that span
         element boundaries staying on one row, and the per-element
@@ -434,35 +437,35 @@ class SegmentWalk:
     # ------------------------------------------------------------------
     @classmethod
     def compile(cls, trace: OperationTrace) -> "SegmentWalk":
-        """Build the segment description of ``trace`` (one numpy pass)."""
+        """Build the segment description of ``trace`` from the order's
+        :meth:`~repro.march.ordering.AddressOrder.row_runs` (descending
+        elements replay them reversed), without touching coordinates."""
         import numpy as np
 
         # Deferred: core.lowpower imports this module (planner AccessStep).
         from ..core.lowpower import traversal_neighbour_delta
 
-        walks = trace.element_walks()
+        ascending = trace.order.row_runs()
+        descending = None
         per_element = []
         neighbour_ok: List[bool] = []
         deltas: List[int] = []
-        for element, (direction, rows, words) in zip(trace.elements, walks):
-            delta = traversal_neighbour_delta(direction)
-            deltas.append(delta)
-            n = int(rows.size)
-            same_row = rows[1:] == rows[:-1]
-            boundaries = np.flatnonzero(~same_row) + 1
-            starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), boundaries))
-            ends = np.concatenate((boundaries, np.asarray([n], dtype=np.int64)))
-            neighbour_ok.append(bool(np.all(
-                words[1:][same_row] == words[:-1][same_row] + delta)))
+        for element in trace.elements:
+            deltas.append(traversal_neighbour_delta(element.direction))
+            runs = ascending
+            if element.direction is AddressingDirection.DOWN:
+                if descending is None:
+                    descending = ascending.reversed()
+                runs = descending
+            neighbour_ok.append(runs.unit_step)
             per_element.append((
-                np.full(starts.size, element.index, dtype=np.int64),
-                rows[starts],
-                words[starts],
-                words[ends - 1],
-                ends - starts,
-                starts,
-                element.base_step + starts * element.operation_count,
+                np.full(runs.row.size, element.index, dtype=np.int64),
+                runs.row,
+                runs.first_word,
+                runs.last_word,
+                runs.length,
+                runs.start,
+                element.base_step + runs.start * element.operation_count,
             ))
 
         element_ids = np.concatenate([fields[0] for fields in per_element])

@@ -17,9 +17,13 @@ exact reverse of ascending traversal, as DOF 1 requires.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from ..sram.geometry import ArrayGeometry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads on demand
+    import numpy as np
 
 
 def _numpy():
@@ -36,6 +40,35 @@ class OrderingError(Exception):
 
 
 Coordinate = Tuple[int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class RowRuns:
+    """A traversal as maximal same-row runs (parallel ``numpy`` arrays).
+
+    Run ``i`` visits ``length[i]`` consecutive positions on word line
+    ``row[i]``, from word ``first_word[i]`` to ``last_word[i]``, starting
+    at position ``start[i]`` of the traversal.  ``unit_step`` is True when
+    every step inside every run moves to the adjacent word in the
+    traversal direction (``+1`` ascending, ``-1`` descending) — the
+    pre-charged traversal neighbour of the low-power test mode.
+    """
+
+    row: "np.ndarray"
+    first_word: "np.ndarray"
+    last_word: "np.ndarray"
+    length: "np.ndarray"
+    start: "np.ndarray"
+    unit_step: bool
+
+    def reversed(self) -> "RowRuns":
+        """The runs of the exact reverse traversal (DOF 1's ``⇓``)."""
+        count = self.start[-1] + self.length[-1]
+        return RowRuns(row=self.row[::-1], first_word=self.last_word[::-1],
+                       last_word=self.first_word[::-1],
+                       length=self.length[::-1],
+                       start=count - (self.start + self.length)[::-1],
+                       unit_step=self.unit_step)
 
 
 class AddressOrder:
@@ -138,6 +171,37 @@ class AddressOrder:
             self._rank_array_cache = cached
         return cached
 
+    def row_runs(self) -> RowRuns:
+        """The ascending sequence as maximal same-row :class:`RowRuns`.
+
+        The segment structure of every compiled run
+        (:class:`repro.march.execution.SegmentWalk`) and the
+        word-line-sequential verdict are read from these runs instead of
+        from :meth:`coordinate_arrays`.  Cached on the order instance like
+        the coordinate arrays; subclasses whose runs have a closed form
+        override :meth:`_build_row_runs`.  Requires ``numpy``.
+        """
+        cached = getattr(self, "_row_runs_cache", None)
+        if cached is None:
+            cached = self._build_row_runs()
+            self._row_runs_cache = cached
+        return cached
+
+    def _build_row_runs(self) -> RowRuns:
+        """Runs detected on the coordinate arrays (one pass, any order)."""
+        import numpy as np
+
+        rows, words = self.coordinate_arrays()
+        same_row = rows[1:] == rows[:-1]
+        starts = np.concatenate((np.zeros(1, dtype=np.int64),
+                                 np.flatnonzero(~same_row) + 1))
+        ends = np.append(starts[1:], rows.size)
+        return RowRuns(row=rows[starts], first_word=words[starts],
+                       last_word=words[ends - 1], length=ends - starts,
+                       start=starts,
+                       unit_step=bool(np.all(
+                           words[1:][same_row] == words[:-1][same_row] + 1)))
+
     # ------------------------------------------------------------------
     def is_wordline_sequential(self) -> bool:
         """True when consecutive positions stay on a row until it is exhausted.
@@ -147,10 +211,8 @@ class AddressOrder:
         adjacent traversal step, so only the selected column and its
         successor require pre-charge.  The verdict is cached on the order
         instance (orders are immutable permutations) and, with numpy
-        available, computed as two array reductions instead of a
-        per-position Python walk — the check guards *every* low-power BIST
-        run, so on paper-scale geometries the scalar walk used to cost
-        more than the measurement itself.
+        available, read from :meth:`row_runs` — sequential means no row
+        starts two runs — instead of a per-position Python walk.
         """
         cached = getattr(self, "_wordline_sequential_cache", None)
         if cached is None:
@@ -161,14 +223,8 @@ class AddressOrder:
     def _compute_wordline_sequential(self) -> bool:
         np = _numpy()
         if np is not None:
-            rows, _ = self.coordinate_arrays()
-            if rows.size == 0:
-                return True
-            # Rows at which the traversal switches word line, including the
-            # very first: sequential means no row ever appears twice there.
-            switches = rows[np.concatenate(
-                ([True], rows[1:] != rows[:-1]))]
-            return int(np.unique(switches).size) == int(switches.size)
+            rows = np.sort(self.row_runs().row)
+            return not bool(np.any(rows[1:] == rows[:-1]))
         previous_row: int | None = None
         seen_rows: set[int] = set()
         for row, _ in self.ascending():
@@ -203,6 +259,17 @@ class RowMajorOrder(AddressOrder):
 
         positions = np.arange(len(self), dtype=np.int64)
         return np.divmod(positions, self.geometry.words_per_row)
+
+    def _build_row_runs(self) -> RowRuns:
+        """Closed form: one ``+1`` run per row (O(rows), no coordinates)."""
+        import numpy as np
+
+        rows, width = self.geometry.rows, self.geometry.words_per_row
+        row = np.arange(rows, dtype=np.int64)
+        return RowRuns(row=row, first_word=np.zeros(rows, dtype=np.int64),
+                       last_word=np.full(rows, width - 1, dtype=np.int64),
+                       length=np.full(rows, width, dtype=np.int64),
+                       start=row * width, unit_step=True)
 
 
 class ColumnMajorOrder(AddressOrder):

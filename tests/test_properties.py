@@ -4,15 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from repro.march import (
-    AddressingDirection,
-    MarchAlgorithm,
-    MarchElement,
-    MarchOperation,
-    OperationKind,
-    parse_march,
-    walk,
-)
+from repro.march import parse_march, walk
 from repro.march.ordering import (
     AddressComplementOrder,
     ColumnMajorOrder,
@@ -27,28 +19,12 @@ from repro.power.sources import PowerSource
 from repro.sram.bitline import BitLinePair
 from repro.sram.geometry import ArrayGeometry
 
+from strategies import algorithms
+
 
 # ----------------------------------------------------------------------
-# Strategies
+# Strategies (the March ones are shared through ``strategies``)
 # ----------------------------------------------------------------------
-operations = st.builds(
-    MarchOperation,
-    kind=st.sampled_from([OperationKind.READ, OperationKind.WRITE]),
-    value=st.integers(min_value=0, max_value=1),
-)
-
-elements = st.builds(
-    MarchElement,
-    direction=st.sampled_from(list(AddressingDirection)),
-    operations=st.lists(operations, min_size=1, max_size=6).map(tuple),
-)
-
-algorithms = st.builds(
-    MarchAlgorithm,
-    name=st.just("generated"),
-    elements=st.lists(elements, min_size=1, max_size=5).map(tuple),
-)
-
 geometries = st.builds(
     ArrayGeometry,
     rows=st.integers(min_value=1, max_value=8),
