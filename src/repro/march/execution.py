@@ -437,9 +437,9 @@ class SegmentWalk:
     # ------------------------------------------------------------------
     @classmethod
     def compile(cls, trace: OperationTrace) -> "SegmentWalk":
-        """Build the segment description of ``trace`` from the order's
+        """Build the segment description of ``trace`` from its order's
         :meth:`~repro.march.ordering.AddressOrder.row_runs` (descending
-        elements replay them reversed), without touching coordinates."""
+        elements replay them reversed)."""
         import numpy as np
 
         # Deferred: core.lowpower imports this module (planner AccessStep).
