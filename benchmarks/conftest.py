@@ -43,23 +43,10 @@ from typing import Dict, List, Optional
 
 import pytest
 
+from repro.engine.vectorized import DEFAULT_TIER
+
 #: Series id recorded in the perf-trajectory file.
 BENCH_SERIES = os.environ.get("REPRO_BENCH_ID", "9")
-
-
-def _active_kernel() -> Optional[str]:
-    """The kernel tier a measurement ran on, when the engine layer is up.
-
-    Entries that don't name their tier explicitly get the process-wide
-    active tier, so ``check_regression.py`` can compare like-for-like
-    tiers across trajectories measured with different optional deps.
-    """
-    try:
-        from repro.engine import active_kernel
-
-        return active_kernel()
-    except Exception:  # noqa: BLE001 - engine (numpy) may be absent
-        return None
 
 
 def _git_metadata() -> Dict[str, object]:
@@ -105,10 +92,11 @@ class BenchTrajectory:
         if speedup is not None:
             entry["speedup"] = round(float(speedup), 3)
         entry.update(extra)
+        # Entries that don't name their tier ran on the engine's default
+        # one; stamping it lets ``check_regression.py`` compare
+        # like-for-like tiers across trajectories.
         if entry.get("kernel") is None:
-            active = _active_kernel()
-            if active is not None:
-                entry["kernel"] = active
+            entry["kernel"] = DEFAULT_TIER
         # Last write wins per workload (a bench may refine its entry).
         self.entries = [existing for existing in self.entries
                         if existing["workload"] != workload]

@@ -12,12 +12,13 @@ This experiment measures the two layers this series replaced that with:
   planners of a geometry evaluated in one stacked kernel pass.
 
 The baseline is the PR 4 configuration reproduced exactly: per-case
-strategy on the segmented kernel (``default_kernel("segmented")`` pins the
-process default, reaching the engines inside the facades).  The claim
-asserted here is the series' acceptance bar: the batched paper-scale grid
-beats that baseline by >= 5x wall-clock with records that are
-field-for-field identical (``elapsed_s`` aside), and the measurement is
-recorded in ``BENCH_<id>.json`` as the committed perf trajectory.
+strategy on the segmented kernel (the same cases with
+``kernel="segmented"``, which reaches the engines inside the facades).
+The claim asserted here is the series' acceptance bar: the batched
+paper-scale grid beats that baseline by >= 5x wall-clock with records
+that are field-for-field identical (``elapsed_s`` aside), and the
+measurement is recorded in ``BENCH_<id>.json`` as the committed perf
+trajectory.
 
 Environment knobs:
 
@@ -30,13 +31,13 @@ Environment knobs:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
 import pytest
 
 from repro.analysis import render_table
-from repro.engine.vectorized import default_kernel
 from repro.sweep import SweepRunner
 from repro.sweep.runner import paper_prr_cases, paper_table1_cases, prr_grid, sweep_grid
 
@@ -62,12 +63,18 @@ def _drop_elapsed(record):
     return row
 
 
+def _segmented(cases):
+    """The same cases pinned to the segmented kernel (the baseline path)."""
+    return [dataclasses.replace(case, kernel="segmented") for case in cases]
+
+
 def _drop_kernel_provenance(row):
-    """The cross-kernel baseline comparison: ``kernel_used`` records the
-    tier that actually executed, which differs *by design* between the
-    segmented-kernel baseline and today's kernel — every physical field
-    must still agree."""
+    """The cross-kernel baseline comparison: ``kernel`` / ``kernel_used``
+    record the requested and executed tiers, which differ *by design*
+    between the segmented-kernel baseline and today's kernel — every
+    physical field must still agree."""
     row = dict(row)
+    row.pop("kernel")
     row.pop("kernel_used")
     return row
 
@@ -79,8 +86,8 @@ def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
 
     # --- PR 4 baseline: per-case strategy on the segmented kernel -------
     started = time.perf_counter()
-    with default_kernel("segmented"):
-        baseline = SweepRunner(cases, processes=1, strategy="percase").run()
+    baseline = SweepRunner(_segmented(cases), processes=1,
+                           strategy="percase").run()
     baseline_s = time.perf_counter() - started
 
     # --- this series: one stacked flat-kernel pass per geometry ---------
@@ -162,8 +169,8 @@ def test_banked_batched_grid_speedup_over_percase_segmented(benchmark, once,
     cases, geometry = _banked_grid_cases()
 
     started = time.perf_counter()
-    with default_kernel("segmented"):
-        baseline = SweepRunner(cases, processes=1, strategy="percase").run()
+    baseline = SweepRunner(_segmented(cases), processes=1,
+                           strategy="percase").run()
     baseline_s = time.perf_counter() - started
 
     timing = {}

@@ -121,7 +121,7 @@ from .sweep import (
     sweep_grid,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.11.0"
 
 #: Engine classes resolved lazily (PEP 562) so that importing :mod:`repro`
 #: (or any scalar subsystem) never loads numpy; the vectorized modules load
@@ -135,9 +135,7 @@ _LAZY_ENGINE_EXPORTS = (
     # kernel-tier helpers (numpy loads on first use, numba never before
     # the compiled tier is actually requested)
     "KERNELS",
-    "default_kernel",
     "available_kernels",
-    "active_kernel",
     "resolve_kernel",
 )
 
@@ -181,8 +179,7 @@ __all__ = [
     "VectorizedEngine", "EngineError", "UnsupportedConfiguration",
     "VectorizedFaultCampaign", "UnsupportedFaultCampaign",
     "VectorizedPowerCampaign",
-    "KERNEL_CHOICES", "KERNELS", "default_kernel", "available_kernels",
-    "active_kernel", "resolve_kernel",
+    "KERNEL_CHOICES", "KERNELS", "available_kernels", "resolve_kernel",
     "SweepRunner", "SweepCase", "CoverageCase", "PrrCase", "SweepResult",
     "sweep_grid", "coverage_grid", "prr_grid",
 ]

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Protocol
 
 from ..circuit.technology import TechnologyParameters, default_technology
 from ..core.lowpower import FunctionalModePlanner, LowPowerTestPlanner
-from ..engine.dispatch import register_backend_family
+from ..engine.dispatch import BACKEND_CHOICES
 from ..march.algorithm import MarchAlgorithm
 from ..march.execution import walk
 from ..march.ordering import AddressOrder
@@ -42,9 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .controller import BistResult
 
 
-#: Valid values of the ``backend`` switch of :class:`repro.bist.BistController`
-#: (the "bist" family of :mod:`repro.engine.dispatch`).
-POWER_BACKENDS = register_backend_family("bist")
+#: Valid values of the ``backend`` switch of :class:`repro.bist.BistController`.
+POWER_BACKENDS = BACKEND_CHOICES
 
 
 def planner_name(low_power: bool) -> str:

@@ -95,7 +95,9 @@ class BistController:
     Both engines produce equivalent :class:`BistResult` measurements —
     energy totals and per-source breakdowns, pass/fail and the bounded
     comparator log; the differential test-suite asserts this on the whole
-    algorithm library.
+    algorithm library.  ``kernel`` picks the vectorized campaign's kernel
+    tier (``None``: the flat tier); backend and kernel are fixed at
+    construction.
     """
 
     def __init__(self, geometry: ArrayGeometry,
@@ -105,14 +107,14 @@ class BistController:
                  backend: str = "reference",
                  trace_cache: Optional[TraceCache] = None,
                  kernel: Optional[str] = None) -> None:
-        self._dispatch = BackendDispatcher("bist", self._make_engine,
+        self._dispatch = BackendDispatcher(self._make_engine,
                                            error=BistError)
         self.backend = self._dispatch.validate(backend)
         if kernel is not None and kernel not in KERNEL_CHOICES:
             raise BistError(
                 f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
-        #: kernel tier of the vectorized power campaign (``None`` follows
-        #: the process default).
+        #: kernel tier of the vectorized power campaign (``None``: the
+        #: flat tier).
         self.kernel = kernel
         self.geometry = geometry
         self.tech = tech or default_technology()
@@ -166,9 +168,9 @@ class BistController:
         .measure_batch`), sharing this controller's background, comparator
         log limit and trace cache — each returned
         :class:`BistResult` is bit-identical to what ``run(algorithm,
-        low_power=..., backend="vectorized")`` measures for that request
-        alone.  With ``collect_errors=True`` (the default) a request the
-        bulk replay cannot represent yields its
+        low_power=...)`` on a ``backend="vectorized"`` controller measures
+        for that request alone.  With ``collect_errors=True`` (the
+        default) a request the bulk replay cannot represent yields its
         :class:`~repro.engine.EngineError` in its result slot, so the
         caller can reroute just that run to the reference path.  Unlike
         :meth:`run`, the controller's comparator and
@@ -235,22 +237,19 @@ class BistController:
             pass
 
     def run(self, algorithm: MarchAlgorithm, low_power: bool = True,
-            memory: Optional[SRAM] = None,
-            backend: Optional[str] = None) -> BistResult:
+            memory: Optional[SRAM] = None) -> BistResult:
         """Run ``algorithm`` once and return the pass/fail + power result.
 
-        A pre-built ``memory`` (e.g. one with injected faults) can be
-        supplied; it always runs on the reference engine.  ``backend``
-        overrides the controller's execution engine for this run (see the
-        class docstring).
+        The controller's backend measures the run (see the class
+        docstring).  A pre-built ``memory`` (e.g. one with injected
+        faults) can be supplied; it always runs on the reference engine,
+        which a ``"vectorized"`` controller refuses.
         """
         if low_power and not self.address_generator.supports_low_power_mode():
             raise BistError(
                 "the low-power test mode requires the word-line-sequential "
                 f"address order; the generator is configured for {self.address_generator.order}")
         algorithm.validate()
-        chosen = self._dispatch.validate(
-            backend if backend is not None else self.backend)
         order = self._current_order()
 
         def measure_vectorized(campaign) -> BistResult:
@@ -275,7 +274,7 @@ class BistController:
             return result
 
         if memory is not None:
-            if chosen == "vectorized":
+            if self.backend == "vectorized":
                 raise BistError(
                     "the vectorized backend cannot run with a custom memory; "
                     "use backend='reference' (or 'auto')")
@@ -283,11 +282,12 @@ class BistController:
         # "auto" falls back on EngineError (unsupported run, numpy
         # unavailable); a construction failure is never cached, so any
         # campaign already built stays valid — no invalidation.
-        return self._dispatch.call(chosen, vectorized=measure_vectorized,
+        return self._dispatch.call(self.backend,
+                                   vectorized=measure_vectorized,
                                    reference=measure_reference)
 
-    def run_suite(self, algorithms, low_power: bool = True,
-                  backend: Optional[str] = None) -> List[BistResult]:
+    def run_suite(self, algorithms, low_power: bool = True
+                  ) -> List[BistResult]:
         """Run several algorithms back to back (fresh memory each time)."""
-        return [self.run(algorithm, low_power=low_power, backend=backend)
+        return [self.run(algorithm, low_power=low_power)
                 for algorithm in algorithms]

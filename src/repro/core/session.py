@@ -26,11 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.technology import TechnologyParameters, default_technology
-from ..engine.dispatch import (
-    KERNEL_CHOICES,
-    BackendDispatcher,
-    register_backend_family,
-)
+from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES, BackendDispatcher
 from ..march.algorithm import MarchAlgorithm
 from ..march.element import AddressingDirection
 from ..march.execution import walk
@@ -127,9 +123,8 @@ class ModeComparison:
         }
 
 
-#: Valid values of the ``backend`` switch of :class:`TestSession`
-#: (the "session" family of :mod:`repro.engine.dispatch`).
-BACKENDS = register_backend_family("session")
+#: Valid values of the ``backend`` switch of :class:`TestSession`.
+BACKENDS = BACKEND_CHOICES
 
 
 class TestSession:
@@ -153,6 +148,10 @@ class TestSession:
     Both engines produce equivalent :class:`TestRunResult` measurements
     (energy totals and per-source breakdowns, stress counters, fault
     detections); the test-suite asserts this on every Table 1 algorithm.
+
+    ``kernel`` picks the vectorized engine's kernel tier
+    (:data:`repro.engine.dispatch.KERNEL_CHOICES`; ``None`` is the flat
+    tier).  Backend and kernel are fixed here, at construction.
     """
 
     def __init__(self, geometry: ArrayGeometry,
@@ -163,7 +162,7 @@ class TestSession:
                  detailed: Optional[bool] = None,
                  backend: str = "reference",
                  kernel: Optional[str] = None) -> None:
-        self._dispatch = BackendDispatcher("session", self._make_engine,
+        self._dispatch = BackendDispatcher(self._make_engine,
                                            error=SessionError)
         self.backend = self._dispatch.validate(backend)
         self.geometry = geometry
@@ -172,8 +171,7 @@ class TestSession:
         self.background = background if background is not None else solid_background(0)
         self.any_direction = any_direction
         self.detailed = detailed
-        #: kernel tier of the vectorized engine (``None`` follows the
-        #: process default; see :func:`repro.engine.vectorized.default_kernel`).
+        #: kernel tier of the vectorized engine (``None``: the flat tier).
         #: Validated eagerly — the engine itself is built lazily.
         if kernel is not None and kernel not in KERNEL_CHOICES:
             raise SessionError(
@@ -224,18 +222,15 @@ class TestSession:
     # ------------------------------------------------------------------
     def run(self, algorithm: MarchAlgorithm, mode: OperatingMode,
             memory: Optional[SRAM] = None,
-            planner: Optional[PrechargePlanner] = None,
-            backend: Optional[str] = None) -> TestRunResult:
+            planner: Optional[PrechargePlanner] = None) -> TestRunResult:
         """Run ``algorithm`` once in ``mode`` and return the measurements.
 
         A pre-built ``memory`` (e.g. one with injected faults) and/or a
         custom ``planner`` can be supplied; otherwise fresh fault-free ones
-        are created.  ``backend`` overrides the session's execution engine
-        for this run (see the class docstring); a custom memory or planner
-        always runs on the reference engine.
+        are created.  The session's backend executes the run (see the
+        class docstring); a custom memory or planner always runs on the
+        reference engine, which a ``"vectorized"`` session refuses.
         """
-        chosen = self._dispatch.validate(
-            backend if backend is not None else self.backend)
         if memory is None and planner is None:
             def run_vectorized(engine) -> TestRunResult:
                 result = engine.run(algorithm, mode)
@@ -245,11 +240,11 @@ class TestSession:
             # A failed engine must not be cached, so "auto" fallback also
             # invalidates it; "vectorized" surfaces the EngineError.
             return self._dispatch.call(
-                chosen, vectorized=run_vectorized,
+                self.backend, vectorized=run_vectorized,
                 reference=lambda: self._run_reference(algorithm, mode,
                                                       memory, planner),
                 invalidate_on_fallback=True)
-        if chosen == "vectorized":
+        if self.backend == "vectorized":
             raise SessionError(
                 "the vectorized backend cannot run with a custom memory "
                 "or planner; use backend='reference' (or 'auto')")
@@ -315,15 +310,10 @@ class TestSession:
         )
 
     # ------------------------------------------------------------------
-    def compare_modes(self, algorithm: MarchAlgorithm,
-                      backend: Optional[str] = None) -> ModeComparison:
-        """Run ``algorithm`` in both modes on fresh fault-free memories.
-
-        ``backend`` overrides the session's execution engine for this
-        comparison (see the class docstring).
-        """
-        functional = self.run(algorithm, OperatingMode.FUNCTIONAL, backend=backend)
-        low_power = self.run(algorithm, OperatingMode.LOW_POWER_TEST, backend=backend)
+    def compare_modes(self, algorithm: MarchAlgorithm) -> ModeComparison:
+        """Run ``algorithm`` in both modes on fresh fault-free memories."""
+        functional = self.run(algorithm, OperatingMode.FUNCTIONAL)
+        low_power = self.run(algorithm, OperatingMode.LOW_POWER_TEST)
         return ModeComparison(algorithm=algorithm.name,
                               functional=functional, low_power=low_power)
 

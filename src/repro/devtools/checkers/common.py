@@ -107,8 +107,8 @@ def looks_like_lock(expr: ast.expr, module_locks: Set[str]) -> bool:
 
     Module-level ``threading.Lock()``/``RLock()`` names are known exactly;
     beyond those, any name or attribute containing ``lock`` (``self._lock``,
-    ``_REGISTRY_LOCK``) is accepted — the rule is about *unguarded* state,
-    and a mis-named lock is a different review problem.
+    an imported ``_CACHE_LOCK``) is accepted — the rule is about *unguarded*
+    state, and a mis-named lock is a different review problem.
     """
     if isinstance(expr, ast.Name):
         return expr.id in module_locks or "lock" in expr.id.lower()

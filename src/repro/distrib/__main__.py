@@ -35,6 +35,7 @@ from ..sweep.merge import MergeError
 from ..sweep.runner import (
     AnyCase,
     DEFAULT_SAMPLE,
+    STRATEGIES,
     SweepError,
     coverage_grid,
     paper_coverage_cases,
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("root", help="campaign directory")
     worker.add_argument("--worker-id", default=None,
                         help="worker identity (default: host-pid)")
-    worker.add_argument("--strategy", default="auto",
+    worker.add_argument("--strategy", default="auto", choices=STRATEGIES,
                         help="SweepRunner strategy per lease")
     worker.add_argument("--processes", type=int, default=1,
                         help="per-case fan-out inside this worker")
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--factor", type=int, default=DEFAULT_CHUNK_FACTOR)
     run.add_argument("--lease-timeout", type=float, default=30.0,
                      help="steal chunks silent this long (seconds)")
-    run.add_argument("--strategy", default="auto",
+    run.add_argument("--strategy", default="auto", choices=STRATEGIES,
                      help="SweepRunner strategy per lease")
     run.add_argument("--deadline", type=float, default=None,
                      help="abort supervision after this many seconds")

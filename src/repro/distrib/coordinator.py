@@ -34,7 +34,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..sweep.merge import MergeReport, merge_journals
-from ..sweep.runner import AnyCase, case_fingerprint, fingerprint_digest
+from ..sweep.runner import (
+    AnyCase,
+    case_fingerprint,
+    check_strategy,
+    fingerprint_digest,
+)
 from .ledger import LeaseLedger, LedgerError
 
 __all__ = [
@@ -205,8 +210,11 @@ def run_distributed(root: Union[str, Path], cases: Sequence[AnyCase],
     Spawns ``workers`` child processes, supervises until every lease is
     done (stealing from any child that dies), merges, and reaps the
     children.  The convenience wrapper behind ``python -m repro.distrib
-    run``, the benchmark and the integration tests.
+    run``, the benchmark and the integration tests.  An unknown
+    ``strategy`` raises :class:`repro.sweep.SweepError` before anything
+    is published: a worker would reject it only after claiming a lease.
     """
+    check_strategy(strategy)
     coordinator = Coordinator.create(root, cases, workers,
                                      min_chunk=min_chunk, factor=factor)
     children = [spawn_worker(root, worker_id=f"worker-{number}",

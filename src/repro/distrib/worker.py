@@ -41,6 +41,7 @@ from ..sweep.runner import (
     AnyRecord,
     SweepRunner,
     case_from_dict,
+    check_strategy,
 )
 from .ledger import Lease, LeaseLedger, LeaseRevoked
 
@@ -61,6 +62,8 @@ class DistribWorker:
     finds no pending lease, it re-leases chunks whose holders have been
     silent that long.  ``None`` disables stealing from this worker
     (useful when only a supervising coordinator should declare death).
+    An unknown ``strategy`` raises :class:`repro.sweep.SweepError` here,
+    before any lease is claimed.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -70,9 +73,9 @@ class DistribWorker:
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  heartbeat_interval: Optional[float] = None,
                  lease_timeout: Optional[float] = None) -> None:
+        self.strategy = check_strategy(strategy)
         self.ledger = LeaseLedger(root)
         self.worker_id = worker_id or default_worker_id()
-        self.strategy = strategy
         self.processes = processes
         self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval

@@ -1,9 +1,9 @@
 """Vectorized batch execution backends (power measurement + fault campaigns).
 
 * :mod:`repro.engine.dispatch` — the shared backend-selection seam: the
-  family registry, the :class:`BackendDispatcher` fallback scaffold used by
-  every facade, and the NumPy-free :class:`EngineError` root of the engine
-  exception hierarchy.
+  backend and kernel choices, the :class:`BackendDispatcher` fallback
+  scaffold used by every facade, and the NumPy-free :class:`EngineError`
+  root of the engine exception hierarchy.
 * :mod:`repro.engine.vectorized` — the NumPy power-measurement engine:
   simulates an entire March element over the whole array as array operations
   (background state, pre-charge activity masks, RES stress counters and
@@ -41,8 +41,8 @@ scenario grids tractable.
 Attribute access is lazy (PEP 562): importing :mod:`repro.engine` — or the
 numpy-free :mod:`repro.engine.dispatch` — never loads the vectorized
 modules, so the scalar layers and the sweep orchestrator can catch
-:class:`EngineError` and consult the backend registry without numpy
-installed.
+:class:`EngineError` and enumerate the backend and kernel choices without
+numpy installed.
 """
 
 from importlib import import_module
@@ -56,13 +56,10 @@ _EXPORTS = {
     # kernel-tier surface (the "jit" compiled tier and its
     # availability/fallback helpers) lives on the vectorized module.
     "KERNELS": ".vectorized",
-    "default_kernel": ".vectorized",
     "available_kernels": ".vectorized",
-    "active_kernel": ".vectorized",
     "kernel_available": ".vectorized",
     "resolve_kernel": ".vectorized",
     "reset_kernel_state": ".vectorized",
-    "note_kernel_fallback": ".vectorized",
     "VectorizedFaultCampaign": ".fault_campaign",
     "UnsupportedFaultCampaign": ".fault_campaign",
     "VectorizedPowerCampaign": ".power_campaign",
@@ -72,9 +69,6 @@ _EXPORTS = {
     "BackendDispatcher": ".dispatch",
     "BACKEND_CHOICES": ".dispatch",
     "KERNEL_CHOICES": ".dispatch",
-    "register_backend_family": ".dispatch",
-    "backend_families": ".dispatch",
-    "backend_choices": ".dispatch",
 }
 
 __all__ = list(_EXPORTS)
@@ -85,9 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         KERNEL_CHOICES,
         BackendDispatcher,
         EngineError,
-        backend_choices,
-        backend_families,
-        register_backend_family,
     )
     from .fault_campaign import UnsupportedFaultCampaign, VectorizedFaultCampaign
     from .grid import BatchedGridEngine
@@ -97,11 +88,8 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         CellStressTotals,
         UnsupportedConfiguration,
         VectorizedEngine,
-        active_kernel,
         available_kernels,
-        default_kernel,
         kernel_available,
-        note_kernel_fallback,
         reset_kernel_state,
         resolve_kernel,
     )

@@ -1,21 +1,21 @@
-"""Shared backend-selection registry and fallback dispatch.
+"""Shared backend-selection scaffolding and fallback dispatch.
 
 Three facades expose the same execution seam — a ``backend`` switch taking
-``"reference"`` / ``"vectorized"`` / ``"auto"`` — and before this module
-each carried its own copy of the scaffolding behind it: validating the
-switch, lazily building and caching the vectorized engine, and implementing
-the fallback rule (``"auto"`` silently falls back to the reference path
-when the vectorized engine rejects a run, ``"vectorized"`` surfaces the
-error).  :class:`BackendDispatcher` is that scaffolding, written once:
+``"reference"`` / ``"vectorized"`` / ``"auto"``, fixed when the facade is
+constructed — and before this module each carried its own copy of the
+scaffolding behind it: validating the switch, lazily building and caching
+the vectorized engine, and implementing the fallback rule (``"auto"``
+silently falls back to the reference path when the vectorized engine
+rejects a run, ``"vectorized"`` surfaces the error).
+:class:`BackendDispatcher` is that scaffolding, written once:
 
 * :class:`repro.core.session.TestSession` (power measurement),
 * :class:`repro.faults.FaultSimulator` (fault campaigns),
 * :class:`repro.bist.BistController` (BIST power campaigns)
 
-each own one dispatcher instance, and the sweep orchestrator
-(:mod:`repro.sweep.runner`) consults the module-level *family registry* —
-:func:`register_backend_family` / :func:`backend_choices` — instead of
-hard-coding per-facade backend tuples.
+each own one dispatcher instance, and every facade's public backend
+constant (``BACKENDS`` / ``FAULT_BACKENDS`` / ``POWER_BACKENDS``) is
+:data:`BACKEND_CHOICES`.
 
 This module is deliberately NumPy-free: :class:`EngineError` lives here
 (re-exported by :mod:`repro.engine.vectorized`, which subclasses it) so the
@@ -26,7 +26,7 @@ without importing any vectorized code.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Optional, Tuple, TypeVar
 
 
 class EngineError(Exception):
@@ -40,7 +40,7 @@ class EngineError(Exception):
     """
 
 
-#: The canonical backend switch values every facade family shares.
+#: The backend switch values every facade accepts.
 BACKEND_CHOICES: Tuple[str, ...] = ("reference", "vectorized", "auto")
 
 #: The kernel-tier switch shared by every vectorized engine: the two
@@ -50,60 +50,6 @@ BACKEND_CHOICES: Tuple[str, ...] = ("reference", "vectorized", "auto")
 #: ``"flat"``).  Defined here — NumPy-free — so the sweep CLI
 #: can enumerate the axis without loading any engine module.
 KERNEL_CHOICES: Tuple[str, ...] = ("flat", "segmented", "jit", "auto")
-
-#: Facade families registered through :func:`register_backend_family`.
-#: Guarded by ``_REGISTRY_LOCK``: facade modules register at import time,
-#: but the serving layer imports facades lazily from worker threads, so
-#: the check-and-set below must be atomic (RPR002).
-_FAMILIES: Dict[str, Tuple[str, ...]] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def register_backend_family(family: str,
-                            choices: Sequence[str] = BACKEND_CHOICES
-                            ) -> Tuple[str, ...]:
-    """Register (idempotently) the backend choices of a facade family.
-
-    Returns the registered tuple, so facade modules can spell their public
-    backend constant as one assignment::
-
-        BACKENDS = register_backend_family("session")
-
-    Re-registering a family with the same choices is a no-op; conflicting
-    choices raise :class:`ValueError` (two facades must not disagree about
-    what a family's switch accepts).
-    """
-    registered = tuple(choices)
-    with _REGISTRY_LOCK:
-        existing = _FAMILIES.get(family)
-        if existing is not None and existing != registered:
-            raise ValueError(
-                f"backend family {family!r} already registered with choices "
-                f"{existing}, cannot re-register with {registered}")
-        _FAMILIES[family] = registered
-    return registered
-
-
-# The kernel tier is itself a registered family, so orchestrators discover
-# it exactly like the per-facade backend switches.
-register_backend_family("kernel", KERNEL_CHOICES)
-
-
-def backend_families() -> Dict[str, Tuple[str, ...]]:
-    """A snapshot of every registered facade family and its choices."""
-    with _REGISTRY_LOCK:
-        return dict(_FAMILIES)
-
-
-def backend_choices(family: str) -> Tuple[str, ...]:
-    """The backend choices of one registered facade family."""
-    with _REGISTRY_LOCK:
-        try:
-            return _FAMILIES[family]
-        except KeyError:
-            raise KeyError(
-                f"unknown backend family {family!r}; registered: "
-                f"{sorted(_FAMILIES)}") from None
 
 
 _T = TypeVar("_T")
@@ -128,12 +74,8 @@ class BackendDispatcher:
     used to spell by hand.
     """
 
-    def __init__(self, family: str, factory: Callable[[], object],
-                 error: type = ValueError,
-                 choices: Optional[Sequence[str]] = None) -> None:
-        self.family = family
-        self.choices = tuple(choices) if choices is not None \
-            else backend_choices(family)
+    def __init__(self, factory: Callable[[], object],
+                 error: type = ValueError) -> None:
         self._factory = factory
         self._error = error
         self._engine: Optional[object] = None
@@ -159,9 +101,10 @@ class BackendDispatcher:
 
     def validate(self, backend: str) -> str:
         """Return ``backend`` unchanged, or raise the facade's error."""
-        if backend not in self.choices:
+        if backend not in BACKEND_CHOICES:
             raise self._error(
-                f"unknown backend {backend!r}; expected one of {self.choices}")
+                f"unknown backend {backend!r}; "
+                f"expected one of {BACKEND_CHOICES}")
         return backend
 
     @property

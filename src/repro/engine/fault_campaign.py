@@ -41,7 +41,7 @@ from ..march.element import AddressingDirection
 from ..march.execution import OperationTrace, compile_trace
 from ..march.ordering import AddressOrder
 from ..sram.geometry import ArrayGeometry
-from .vectorized import KERNELS, EngineError
+from .vectorized import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..faults.simulator import DetectionResult, FaultInjection
@@ -488,24 +488,15 @@ class VectorizedFaultCampaign:
     name = "vectorized"
 
     def __init__(self, geometry: ArrayGeometry,
-                 any_direction: AddressingDirection = AddressingDirection.UP,
-                 kernel: Optional[str] = None) -> None:
+                 any_direction: AddressingDirection = AddressingDirection.UP
+                 ) -> None:
         _require_numpy()
         if geometry.bits_per_word != 1:
             raise UnsupportedFaultCampaign(
                 "the fault-campaign engine models bit-oriented arrays "
                 "(bits_per_word == 1), matching the logical fault simulator")
-        if kernel is not None and kernel not in KERNELS:
-            raise EngineError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         self.geometry = geometry
         self.any_direction = any_direction
-        #: Accepted for facade uniformity (the sweep runner threads one
-        #: ``kernel`` axis through every vectorized engine).  The fault
-        #: campaign is an integer state machine over position arrays —
-        #: there is no decay math to compile — so the tier changes
-        #: provenance only: verdicts are tier-invariant by construction.
-        self.kernel = kernel
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -79,24 +79,6 @@ class BatchedGridEngine:
         #: batches; by default each :meth:`completions` call builds a fresh
         #: one scoped to the run.
         self._worker_state = worker_state
-        #: Concrete kernel tier of the most recent stacked pass (mirrors
-        #: ``last_backend_used`` on the facades): the tier that actually
-        #: executed, after availability fallback — ``None`` before the
-        #: first stacked group runs.
-        self.last_kernel_used = None
-
-    def _noted(self, case, record):
-        """Stamp :attr:`last_kernel_used` from a finished record and warn
-        (once per process, via the engine layer's shared registry) when
-        the case's requested tier silently fell back."""
-        from .vectorized import note_kernel_fallback  # deferred: numpy path
-
-        used = getattr(record, "kernel_used", "") or None
-        if used is not None:
-            self.last_kernel_used = used
-        note_kernel_fallback(getattr(case, "kernel", None), used,
-                             context="batched grid")
-        return record
 
     # ------------------------------------------------------------------
     def completions(self) -> Iterator[Tuple[int, object]]:
@@ -186,8 +168,8 @@ class BatchedGridEngine:
                 # backend="vectorized" surfaces the engine error.
                 yield position, runner.execute_case(case)
             else:
-                yield position, self._noted(case, runner.prr_record(
-                    case, functional, low_power, share))
+                yield position, runner.prr_record(case, functional,
+                                                  low_power, share)
 
     def _run_power_group(self, state, members):
         """One stacked pass over a session power group (all orders, both
@@ -229,5 +211,5 @@ class BatchedGridEngine:
                 results.append(engine.result_from_aggregates(
                     algorithm, mode, by_source, counters, cycles,
                     order_name=orders[index].name))
-            yield position, self._noted(case, runner.power_record(
-                case, results[0], results[1], "vectorized", share))
+            yield position, runner.power_record(
+                case, results[0], results[1], "vectorized", share)

@@ -78,9 +78,8 @@ class VectorizedPowerCampaign:
         self.geometry = geometry
         self.tech = tech or default_technology()
         self.any_direction = any_direction
-        #: kernel tier of the per-order aggregate engines (``None``
-        #: follows the process default; see
-        #: :func:`repro.engine.vectorized.default_kernel`).
+        #: kernel tier of the per-order aggregate engines (``None``:
+        #: :data:`repro.engine.vectorized.DEFAULT_TIER`).
         self.kernel = kernel
         #: compiled traces shared across runs (and optionally across tools).
         self.traces = trace_cache if trace_cache is not None else TraceCache()

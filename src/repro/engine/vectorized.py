@@ -41,13 +41,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..circuit.technology import TechnologyParameters, default_technology
 from ..core.lowpower import traversal_neighbour_delta
 from ..march.algorithm import MarchAlgorithm
-from ..march.element import AddressingDirection, MarchElement
-from ..march.execution import (
-    OperationTrace,
-    SegmentWalk,
-    TraceCache,
-    resolve_direction,
-)
+from ..march.element import AddressingDirection
+from ..march.execution import OperationTrace, SegmentWalk, TraceCache
 from ..march.ordering import AddressOrder, RowMajorOrder
 from ..power.accounting import EnergyLedger
 from ..power.model import PowerModel
@@ -102,11 +97,12 @@ def _require_numpy() -> None:
 #: importing :mod:`repro` (or this module) never loads numba.
 KERNELS = KERNEL_CHOICES
 
-#: Process-wide default kernel; see :func:`default_kernel`.  Rebinding it
-#: and mutating ``_TIER_CACHE`` below happen under ``_KERNEL_STATE_LOCK``:
-#: the serving layer resolves kernels from concurrent worker threads, and
-#: unguarded writes to process-wide kernel state are the RPR002 bug class.
-_DEFAULT_KERNEL = "flat"
+#: The tier an engine built with ``kernel=None`` runs.
+DEFAULT_TIER = "flat"
+
+#: Guards ``_TIER_CACHE`` below: the serving layer resolves kernels from
+#: concurrent worker threads, and unguarded writes to process-wide kernel
+#: state are the RPR002 bug class.
 _KERNEL_STATE_LOCK = threading.Lock()
 
 #: Optional compiled-tier implementation modules, imported lazily on first
@@ -203,34 +199,6 @@ def resolve_kernel(kernel: str, warn: bool = True) -> str:
     return kernel
 
 
-def note_kernel_fallback(requested: Optional[str], used: Optional[str],
-                         context: str = "") -> bool:
-    """Warn once per process when a *requested* tier ran as ``"flat"``.
-
-    The record-level companion of :func:`resolve_kernel`: callers that
-    observe provenance after the fact (the batched grid engine comparing a
-    case's requested ``kernel`` against the record's ``kernel_used``) warn
-    through the same once-per-tier registry, so a fallback is reported
-    exactly once no matter which seam notices it first.  Returns ``True``
-    when a warning was emitted.
-    """
-    if requested not in ("jit", "auto"):
-        return False
-    if used != "flat" or not _claim_fallback_warning(requested):
-        return False
-    where = f" [{context}]" if context else ""
-    warnings.warn(
-        f"requested kernel {requested!r} fell back to the 'flat' numpy "
-        f"kernel (compiled-tier dependency absent){where}; records carry "
-        "the tier actually used", RuntimeWarning, stacklevel=3)
-    return True
-
-
-def active_kernel() -> str:
-    """The concrete tier the process default currently resolves to."""
-    return resolve_kernel(_DEFAULT_KERNEL, warn=False)
-
-
 def reset_kernel_state() -> None:
     """Forget tier-availability probes and fallback warnings (test hook:
     lets a suite patch ``sys.modules`` and re-probe from scratch)."""
@@ -238,36 +206,6 @@ def reset_kernel_state() -> None:
         _TIER_CACHE.clear()
     with _FALLBACK_LOCK:
         _FALLBACK_WARNED.clear()
-
-
-class default_kernel:
-    """Context manager pinning the process-wide default execution kernel.
-
-    Benchmarks use this to measure the pre-flat-kernel baseline end to end
-    (facades construct their engines internally, so a constructor argument
-    cannot reach them)::
-
-        with default_kernel("segmented"):
-            SweepRunner(cases, strategy="percase").run()
-    """
-
-    def __init__(self, kernel: str) -> None:
-        if kernel not in KERNELS:
-            raise EngineError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-        self.kernel = kernel
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "default_kernel":
-        global _DEFAULT_KERNEL
-        with _KERNEL_STATE_LOCK:
-            self._previous = _DEFAULT_KERNEL
-            _DEFAULT_KERNEL = self.kernel
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        global _DEFAULT_KERNEL
-        with _KERNEL_STATE_LOCK:
-            _DEFAULT_KERNEL = self._previous
 
 
 #: Segments evaluated per flat-kernel tile; bounds the size of the
@@ -396,7 +334,8 @@ class VectorizedEngine:
                  trace_cache: Optional[TraceCache] = None,
                  kernel: Optional[str] = None) -> None:
         _require_numpy()
-        if kernel is not None and kernel not in KERNELS:
+        kernel = DEFAULT_TIER if kernel is None else kernel
+        if kernel not in KERNELS:
             raise EngineError(
                 f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         self.geometry = geometry
@@ -406,8 +345,9 @@ class VectorizedEngine:
         self.clock = ClockCycle.from_technology(self.tech)
         detailed_default = geometry.cell_count <= SRAM.DETAILED_CELL_LIMIT
         self.track_cell_stress = detailed_default if detailed is None else detailed
-        #: execution kernel; ``None`` follows the process default
-        #: (see :class:`default_kernel`).
+        #: requested execution kernel (``None`` at construction means
+        #: :data:`DEFAULT_TIER`); :func:`resolve_kernel` maps it to the
+        #: tier that runs.
         self.kernel = kernel
         #: compiled traces of this engine's own runs (shared when the
         #: caller passes one, e.g. the batched grid engine or a facade
@@ -490,18 +430,6 @@ class VectorizedEngine:
             return rows_arr // geo.rows_per_bank
         return rows_arr % geo.banks
 
-    # ------------------------------------------------------------------
-    # Walk expansion helpers
-    # ------------------------------------------------------------------
-    def _element_walk(self, element: MarchElement
-                      ) -> Tuple[AddressingDirection, "np.ndarray", "np.ndarray"]:
-        """Direction and (rows, words) coordinate arrays for one element."""
-        direction = resolve_direction(element, self.any_direction)
-        rows, words = self.order.coordinate_arrays()
-        if direction is AddressingDirection.DOWN:
-            rows, words = rows[::-1], words[::-1]
-        return direction, rows, words
-
     def _decayed_restore_energy(self, elapsed_cycles: "np.ndarray") -> float:
         """Supply energy to recharge bit lines floating for ``elapsed_cycles``.
 
@@ -569,23 +497,14 @@ class VectorizedEngine:
             kernel=self.last_kernel_used or "",
         )
 
-    def resolved_kernel(self, kernel: Optional[str] = None) -> str:
-        """The execution kernel a run will use (explicit > engine > default)."""
-        chosen = kernel if kernel is not None else self.kernel
-        chosen = chosen if chosen is not None else _DEFAULT_KERNEL
-        if chosen not in KERNELS:
-            raise EngineError(
-                f"unknown kernel {chosen!r}; expected one of {KERNELS}")
-        return chosen
-
     def trace_for(self, algorithm: MarchAlgorithm) -> OperationTrace:
         """The memoised compiled trace of ``algorithm`` over this engine's
         order — walks and segment structure compile once per (algorithm,
         order, direction) and are shared by every run and both modes."""
         return self.traces.get(algorithm, self.order, self.any_direction)
 
-    def warm(self, algorithm: Optional[MarchAlgorithm] = None,
-             kernel: Optional[str] = None) -> "VectorizedEngine":
+    def warm(self, algorithm: Optional[MarchAlgorithm] = None
+             ) -> "VectorizedEngine":
         """Amortize the one-time costs of a run up front.
 
         Two warm-up layers: the resolved kernel tier's compiled artefacts
@@ -598,7 +517,7 @@ class VectorizedEngine:
         warm; reached facade-first through
         :meth:`repro.engine.dispatch.BackendDispatcher.warm`.
         """
-        tier = resolve_kernel(self.resolved_kernel(kernel), warn=False)
+        tier = resolve_kernel(self.kernel, warn=False)
         module = kernel_module(tier)
         if module is not None:
             module.warm()
@@ -607,8 +526,7 @@ class VectorizedEngine:
         return self
 
     def run_aggregates(self, algorithm: MarchAlgorithm, mode: OperatingMode,
-                       walks=None, trace: Optional[OperationTrace] = None,
-                       kernel: Optional[str] = None):
+                       trace: Optional[OperationTrace] = None):
         """Measure one run and return raw ``(by_source, counters, cycles, stress)``.
 
         The aggregate core behind :meth:`run`, also consumed by
@@ -617,30 +535,16 @@ class VectorizedEngine:
         optionally supplies the compiled
         :class:`~repro.march.execution.OperationTrace` to replay (it must
         describe this engine's traversal); by default the engine compiles
-        and memoises its own.  ``walks`` is the legacy hook for raw
-        per-element ``(direction, rows, words)`` coordinate arrays and
-        forces the segmented kernel (the flat kernel needs the compiled
-        segment structure a bare walk list does not carry).  ``kernel``
-        overrides the engine's execution kernel for this run.
+        and memoises its own.
         """
         algorithm.validate()
-        chosen = self.resolved_kernel(kernel)
-        if walks is not None and trace is None:
-            chosen = "segmented"
-        chosen = resolve_kernel(chosen)
-        if chosen != "segmented":
-            if trace is None:
-                trace = self.trace_for(algorithm)
-            result = self.run_aggregates_batch([(algorithm, mode, trace)],
-                                               kernel=chosen)[0]
+        if trace is None:
+            trace = self.trace_for(algorithm)
+        if resolve_kernel(self.kernel) != "segmented":
+            result = self.run_aggregates_batch([(algorithm, mode, trace)])[0]
             by_source, counters, cycles, stress = result
         else:
-            if walks is None:
-                if trace is not None:
-                    walks = trace.element_walks()
-                else:
-                    walks = [self._element_walk(element)
-                             for element in algorithm.elements]
+            walks = trace.element_walks()
             if mode is OperatingMode.LOW_POWER_TEST:
                 by_source, counters, cycles, stress = \
                     self._run_low_power(algorithm, walks)
@@ -652,8 +556,7 @@ class VectorizedEngine:
         self.last_counters = counters
         return by_source, counters, cycles, stress
 
-    def run_aggregates_batch(self, requests, collect_errors: bool = False,
-                             kernel: Optional[str] = None):
+    def run_aggregates_batch(self, requests, collect_errors: bool = False):
         """Measure a stack of runs in one flat pass over shared structures.
 
         ``requests`` is a sequence of ``(algorithm, mode, trace)`` units —
@@ -674,14 +577,13 @@ class VectorizedEngine:
         result slot so a grid driver can reroute just that unit to a
         fallback backend.
 
-        ``kernel`` overrides the engine's kernel for this batch.  The
-        batch path *is* the flat orchestration, so ``"segmented"`` maps
-        to the ``"flat"`` tier here (matching the pre-tier behaviour of
-        this method); the compiled tier (``"jit"``) swaps in its own
-        implementation of the per-segment slot reductions and is
-        availability-checked through :func:`resolve_kernel` first.
+        The batch path *is* the flat orchestration, so an engine on the
+        ``"segmented"`` kernel runs the ``"flat"`` tier here; the compiled
+        tier (``"jit"``) swaps in its own implementation of the
+        per-segment slot reductions and is availability-checked through
+        :func:`resolve_kernel` first.
         """
-        tier = resolve_kernel(self.resolved_kernel(kernel))
+        tier = resolve_kernel(self.kernel)
         if tier == "segmented":
             tier = "flat"
         prepared = []

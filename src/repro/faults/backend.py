@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
-from ..engine.dispatch import register_backend_family
+from ..engine.dispatch import BACKEND_CHOICES
 from ..march.algorithm import MarchAlgorithm
 from ..march.element import AddressingDirection
 from ..march.execution import OperationTrace, TraceCache
@@ -36,9 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .simulator import DetectionResult, FaultInjection
 
 
-#: Valid values of the ``backend`` switch of :class:`repro.faults.FaultSimulator`
-#: (the "faults" family of :mod:`repro.engine.dispatch`).
-FAULT_BACKENDS = register_backend_family("faults")
+#: Valid values of the ``backend`` switch of :class:`repro.faults.FaultSimulator`.
+FAULT_BACKENDS = BACKEND_CHOICES
 
 
 class FaultBackend(Protocol):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..engine.dispatch import KERNEL_CHOICES, BackendDispatcher, EngineError
+from ..engine.dispatch import BackendDispatcher, EngineError
 from ..march.algorithm import MarchAlgorithm
 from ..march.element import AddressingDirection
 from ..march.execution import OperationTrace, TraceCache
@@ -296,18 +296,10 @@ class FaultSimulator:
     def __init__(self, geometry: ArrayGeometry,
                  any_direction: AddressingDirection = AddressingDirection.UP,
                  backend: str = "auto",
-                 trace_cache: Optional[TraceCache] = None,
-                 kernel: Optional[str] = None) -> None:
-        self._dispatch = BackendDispatcher("faults", self._make_engine,
+                 trace_cache: Optional[TraceCache] = None) -> None:
+        self._dispatch = BackendDispatcher(self._make_engine,
                                            error=FaultSimulationError)
         self.backend = self._dispatch.validate(backend)
-        if kernel is not None and kernel not in KERNEL_CHOICES:
-            raise FaultSimulationError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
-        #: kernel tier forwarded to the vectorized campaign (facade
-        #: uniformity; fault verdicts are tier-invariant — see
-        #: :class:`repro.engine.fault_campaign.VectorizedFaultCampaign`).
-        self.kernel = kernel
         self.geometry = geometry
         self.any_direction = any_direction
         # ``trace_cache`` optionally shares compiled traces across
@@ -334,8 +326,7 @@ class FaultSimulator:
         from ..engine.fault_campaign import VectorizedFaultCampaign
 
         return VectorizedFaultCampaign(
-            self.geometry, any_direction=self.any_direction,
-            kernel=self.kernel)
+            self.geometry, any_direction=self.any_direction)
 
     def trace_for(self, algorithm: MarchAlgorithm,
                   order: AddressOrder) -> OperationTrace:

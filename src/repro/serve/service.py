@@ -208,7 +208,13 @@ class CampaignService:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                length_field = headers.get("content-length", "0") or "0"
+                if not length_field.isdecimal():  # digits only, as HTTP says
+                    await self._respond(writer, 400,
+                                        {"error": "malformed Content-Length"},
+                                        keep_alive=False)
+                    break
+                length = int(length_field)
                 body = await reader.readexactly(length) if length else b""
                 status, payload = await self._route(method, target, body)
                 keep_alive = headers.get("connection", "").lower() != "close"

@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "when numba is importable, else flat); jit "
                              "falls back to flat with a warning when numba "
                              "is absent, and records carry the tier that "
-                             "actually ran (default: the process-wide "
-                             "engine default)")
+                             "actually ran (default: flat, recorded as "
+                             "'default')")
     parser.add_argument("--banks", type=int, action="append", default=None,
                         metavar="N",
                         help="sub-array bank count, repeatable — each value "

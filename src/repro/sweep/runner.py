@@ -195,8 +195,8 @@ class SweepRecord(_Record):
     elapsed_s: float
     banks: int = 1
     bank_interleave: str = "blocked"
-    kernel: str = "default"  # requested kernel tier ("default" = follow
-                             # the process default)
+    kernel: str = "default"  # requested kernel tier ("default" = none
+                             # requested: the engine's flat tier)
     kernel_used: str = ""    # concrete tier(s) that measured the modes
                              # ("flat"/"segmented"/"jit", joined
                              # with "+" if they differed; "" = reference
@@ -252,10 +252,7 @@ class SweepCase:
     banks: int = 1
     bank_interleave: str = "blocked"
     #: vectorized-engine kernel tier (:data:`KERNEL_CHOICES`); ``None``
-    #: follows the process default (see
-    #: :func:`repro.engine.vectorized.default_kernel`), which is what
-    #: keeps kernel-pinning context managers effective under every
-    #: strategy.
+    #: is the engine's flat tier and is recorded as ``"default"``.
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -632,7 +629,7 @@ class PrrRecord(_Record):
     elapsed_s: float
     banks: int = 1
     bank_interleave: str = "blocked"
-    kernel: str = "default"   # requested tier ("default" = process default)
+    kernel: str = "default"   # requested tier ("default" = none: flat)
     kernel_used: str = ""     # "+"-joined tiers that ran ("" = reference only)
 
     def table_row(self) -> Dict[str, object]:
@@ -690,9 +687,8 @@ class PrrCase:
     seed: int = 0
     banks: int = 1
     bank_interleave: str = "blocked"
-    #: Kernel tier request for the vectorized campaign (``None`` follows
-    #: the process-wide default, keeping ``default_kernel(...)`` pinning
-    #: effective under every strategy).
+    #: Kernel tier request for the vectorized campaign (``None`` is the
+    #: engine's flat tier and is recorded as ``"default"``).
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -1248,6 +1244,14 @@ def shard_cases(cases: Sequence[AnyCase], index: int,
 STRATEGIES = ("auto", "batched", "percase")
 
 
+def check_strategy(strategy: str) -> str:
+    """Return ``strategy`` unchanged, or raise :class:`SweepError`."""
+    if strategy not in STRATEGIES:
+        raise SweepError(
+            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    return strategy
+
+
 class SweepRunner:
     """Executes a list of sweep scenarios, streaming and optionally parallel.
 
@@ -1298,9 +1302,7 @@ class SweepRunner:
             raise SweepError("a sweep needs at least one case")
         if processes is not None and processes < 1:
             raise SweepError(f"processes must be >= 1, got {processes}")
-        if strategy not in STRATEGIES:
-            raise SweepError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        check_strategy(strategy)
         self.cases = list(cases)
         self.processes = processes
         self.journal = Path(journal) if journal is not None else None

@@ -1,9 +1,9 @@
-"""The shared backend dispatch registry (repro.engine.dispatch).
+"""The shared backend dispatch seam (repro.engine.dispatch).
 
-Covers the family registry (the three facades register their ``backend``
-switch choices once), the :class:`BackendDispatcher` fallback contract the
-facades delegate to, and the numpy-independence of the dispatch layer
-(importing it must not load the vectorized engine modules).
+Covers the shared backend choices (every facade's ``backend`` switch
+accepts :data:`BACKEND_CHOICES`), the :class:`BackendDispatcher` fallback
+contract the facades delegate to, and the numpy-independence of the
+dispatch layer (importing it must not load the vectorized engine modules).
 """
 
 from __future__ import annotations
@@ -17,43 +17,18 @@ import pytest
 from repro.bist import POWER_BACKENDS, BistController
 from repro.bist.controller import BistError
 from repro.core.session import BACKENDS, SessionError, TestSession
-from repro.engine.dispatch import (
-    BACKEND_CHOICES,
-    BackendDispatcher,
-    EngineError,
-    backend_choices,
-    backend_families,
-    register_backend_family,
-)
+from repro.core.lowpower import FunctionalModePlanner
+from repro.engine.dispatch import BACKEND_CHOICES, BackendDispatcher, EngineError
 from repro.faults import FAULT_BACKENDS, FaultSimulator
 from repro.faults.simulator import FaultSimulationError
 from repro.sram.geometry import ArrayGeometry
 
 
 # ----------------------------------------------------------------------
-# Family registry
+# Shared backend choices
 # ----------------------------------------------------------------------
-def test_facade_families_are_registered():
-    families = backend_families()
-    assert {"session", "faults", "bist"} <= set(families)
-    assert families["session"] == BACKEND_CHOICES
-    assert families["faults"] == BACKEND_CHOICES
-    assert families["bist"] == BACKEND_CHOICES
-
-
-def test_facade_constants_come_from_the_registry():
-    assert BACKENDS == backend_choices("session")
-    assert FAULT_BACKENDS == backend_choices("faults")
-    assert POWER_BACKENDS == backend_choices("bist")
+def test_facade_backend_constants_are_the_shared_choices():
     assert BACKENDS == FAULT_BACKENDS == POWER_BACKENDS == BACKEND_CHOICES
-
-
-def test_reregistration_is_idempotent_but_conflicts_raise():
-    assert register_backend_family("session") == BACKEND_CHOICES
-    with pytest.raises(ValueError):
-        register_backend_family("session", ("reference",))
-    with pytest.raises(KeyError):
-        backend_choices("no-such-family")
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +39,7 @@ class _StubError(Exception):
 
 
 def _dispatcher(factory, error=_StubError):
-    return BackendDispatcher("session", factory, error=error)
+    return BackendDispatcher(factory, error=error)
 
 
 def test_dispatcher_engine_is_lazy_and_cached():
@@ -148,15 +123,16 @@ def test_facades_validate_backend_with_their_own_error():
 
 def test_session_reports_last_backend_used():
     geometry = ArrayGeometry(4, 16)
-    session = TestSession(geometry, backend="vectorized")
+    session = TestSession(geometry, backend="auto")
     assert session.last_backend_used is None
     from repro.march import get_algorithm
     from repro.sram.memory import OperatingMode
 
     session.run(get_algorithm("MATS+"), OperatingMode.FUNCTIONAL)
     assert session.last_backend_used == "vectorized"
+    # A custom planner forces the reference engine on an "auto" session.
     session.run(get_algorithm("MATS+"), OperatingMode.FUNCTIONAL,
-                backend="reference")
+                planner=FunctionalModePlanner())
     assert session.last_backend_used == "reference"
 
 
@@ -169,7 +145,7 @@ def test_last_backend_used_is_thread_local():
     from repro.sram.memory import OperatingMode
 
     geometry = ArrayGeometry(4, 16)
-    session = TestSession(geometry, backend="vectorized")
+    session = TestSession(geometry, backend="auto")
     algorithm = get_algorithm("MATS+")
     session.run(algorithm, OperatingMode.FUNCTIONAL)
     assert session.last_backend_used == "vectorized"
@@ -178,7 +154,8 @@ def test_last_backend_used_is_thread_local():
 
     def probe():
         seen["before"] = session.last_backend_used  # fresh thread: unset
-        session.run(algorithm, OperatingMode.FUNCTIONAL, backend="reference")
+        session.run(algorithm, OperatingMode.FUNCTIONAL,
+                    planner=FunctionalModePlanner())  # runs on reference
         seen["after"] = session.last_backend_used
 
     worker = threading.Thread(target=probe)
@@ -219,10 +196,10 @@ def test_facade_provenance_is_thread_local_everywhere():
 # numpy independence of the dispatch layer
 # ----------------------------------------------------------------------
 def test_dispatch_imports_without_loading_vectorized_modules():
-    """Catching EngineError / consulting the registry must not need numpy."""
+    """Catching EngineError / reading the choices must not need numpy."""
     code = (
         "import sys\n"
-        "from repro.engine import EngineError, backend_families\n"
+        "from repro.engine import BACKEND_CHOICES, EngineError\n"
         "from repro.engine.dispatch import BackendDispatcher\n"
         "import repro.sweep.journal\n"
         "loaded = [m for m in sys.modules\n"

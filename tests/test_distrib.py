@@ -40,6 +40,7 @@ from repro.sweep import (
     JournalError,
     MergeError,
     RunJournal,
+    SweepError,
     SweepRunner,
     case_fingerprint,
     fingerprint_digest,
@@ -301,6 +302,24 @@ class TestWorkers:
         counts = _execution_counts(coordinator.ledger)
         assert len(counts) == len(cases)
         assert set(counts.values()) == {1}
+
+    def test_unknown_strategy_is_rejected_before_any_claim(self, tmp_path):
+        # A worker that accepted a typo would claim a lease, then fail
+        # inside SweepRunner and strand it; run_distributed would publish
+        # the campaign and supervise forever.
+        from repro.distrib import run_distributed
+
+        coordinator = Coordinator.create(tmp_path / "camp", _tiny_cases(2),
+                                         workers=1)
+        with pytest.raises(SweepError, match="unknown strategy 'turbo'"):
+            DistribWorker(coordinator.ledger.root, strategy="turbo")
+        status = coordinator.status()
+        assert status["claimed"] == 0
+        assert status["pending"] == status["leases"]
+        with pytest.raises(SweepError, match="unknown strategy 'turbo'"):
+            run_distributed(tmp_path / "other", _tiny_cases(2), workers=1,
+                            strategy="turbo")
+        assert not (tmp_path / "other").exists()
 
     def test_two_workers_share_one_campaign_exactly_once(self, tmp_path):
         cases = _tiny_cases(6)
@@ -712,6 +731,33 @@ class TestDistribCli:
         assert distrib_main(["merge", str(root)]) == 0
         assert "merged 2 cases" in capsys.readouterr().out
         assert (root / "merged.jsonl").exists()
+
+    def test_run_with_unknown_strategy_exits_2_unpublished(self, tmp_path,
+                                                            capsys):
+        from repro.distrib.__main__ import main as distrib_main
+
+        root = tmp_path / "camp"
+        with pytest.raises(SystemExit) as exited:
+            distrib_main(["run", str(root), "--strategy", "turbo",
+                          "--geometry", "8x8", "--algorithm", "MATS+"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'turbo'" in capsys.readouterr().err
+        assert not root.exists()
+
+    def test_worker_with_unknown_strategy_exits_2_unclaimed(self, tmp_path,
+                                                             capsys):
+        from repro.distrib.__main__ import main as distrib_main
+
+        coordinator = Coordinator.create(tmp_path / "camp", _tiny_cases(2),
+                                         workers=1)
+        with pytest.raises(SystemExit) as exited:
+            distrib_main(["worker", str(tmp_path / "camp"),
+                          "--strategy", "turbo"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'turbo'" in capsys.readouterr().err
+        status = coordinator.status()
+        assert status["claimed"] == 0
+        assert status["pending"] == status["leases"]
 
     def test_init_without_cases_is_an_error(self, tmp_path, capsys):
         from repro.distrib.__main__ import main as distrib_main

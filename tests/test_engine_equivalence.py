@@ -66,8 +66,8 @@ def test_equivalence_table1_algorithms(algorithm, mode):
 def test_equivalence_compare_modes_prr():
     for algorithm in PAPER_TABLE1_ALGORITHMS:
         reference = TestSession(SMALL_GEOMETRY).compare_modes(algorithm)
-        vectorized = TestSession(SMALL_GEOMETRY).compare_modes(
-            algorithm, backend="vectorized")
+        vectorized = TestSession(SMALL_GEOMETRY,
+                                 backend="vectorized").compare_modes(algorithm)
         # Note: on a tiny 16x16 array the PRR is legitimately small or even
         # negative (few suppressed columns, frequent row restores); the
         # equivalence of the two backends is what matters here.
@@ -189,9 +189,6 @@ def test_vectorized_rejects_custom_memory():
 def test_unknown_backend_rejected():
     with pytest.raises(SessionError):
         TestSession(SMALL_GEOMETRY, backend="warp-drive")
-    with pytest.raises(SessionError):
-        TestSession(SMALL_GEOMETRY).run(MARCH_CM, OperatingMode.FUNCTIONAL,
-                                        backend="warp-drive")
 
 
 def test_auto_falls_back_when_numpy_unavailable(monkeypatch):

@@ -203,15 +203,6 @@ def test_prr_records_carry_kernel_fields(clean_kernels):
     assert record.kernel_used == "flat"
 
 
-def test_grid_engine_tracks_last_kernel_used(clean_kernels):
-    from repro.engine.grid import BatchedGridEngine
-
-    engine = BatchedGridEngine(sweep_grid(["8x16"], ["MATS+"],
-                                          kernel="flat"))
-    records = [record for _, record in engine.completions()]
-    assert records and engine.last_kernel_used == "flat"
-
-
 def test_engine_run_state_is_thread_local(clean_kernels):
     # One engine shared by a serving worker pool: last_kernel_used /
     # last_stress / last_counters are per-thread observations, so a run

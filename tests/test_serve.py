@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 from collections import Counter
 from pathlib import Path
@@ -461,6 +462,22 @@ def test_protocol_error_mapping(tmp_path):
         # Malformed cases count as request errors; routing rejections
         # (bad path/method/body framing) never reach the campaign layer.
         assert service.stats_snapshot()["errors"] == 2
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_malformed_content_length_is_a_400(tmp_path, length):
+    with running_service(tmp_path / "cache") as (service, host, port):
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.sendall(f"POST /v1/run HTTP/1.1\r\nContent-Length: "
+                        f"{length}\r\n\r\n".encode("latin-1"))
+            reply = b""
+            while chunk := raw.recv(4096):  # the service closes after it
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {"error": "malformed Content-Length"}
+        with ServeClient(host, port) as client:
+            assert client.health() == {"status": "ok"}
 
 
 def test_stats_and_health_endpoints(tmp_path):

@@ -154,15 +154,14 @@ class TestBist:
         assert low_power.backend == functional.backend == "reference"
         assert "LowPowerTestPlanner" in low_power.describe()
         # The attribution survives the vectorized engine unchanged.
-        vectorized = controller.run(MATS_PLUS, low_power=True,
-                                    backend="vectorized")
+        vectorized = BistController(wide_geometry, backend="vectorized").run(
+            MATS_PLUS, low_power=True)
         assert vectorized.planner == "LowPowerTestPlanner"
         assert vectorized.backend == "vectorized"
 
-    def test_bist_suite_accepts_backend_override(self, small_geometry):
-        controller = BistController(small_geometry)
-        results = controller.run_suite([MATS, MATS_PLUS], low_power=True,
-                                       backend="vectorized")
+    def test_bist_suite_runs_on_the_controller_backend(self, small_geometry):
+        controller = BistController(small_geometry, backend="vectorized")
+        results = controller.run_suite([MATS, MATS_PLUS], low_power=True)
         assert all(r.backend == "vectorized" for r in results)
         assert controller.last_backend_used == "vectorized"
 
