@@ -19,11 +19,18 @@ Each tier lands two entries in ``BENCH_<id>.json``:
 warm measurements), and ``check_regression.py`` gates each against its
 own committed entry (like-for-like via the ``kernel`` field).
 
+A third bar covers the fast-row (column-major) order, which makes every
+visit its own segment: a **cold 2048 x 2048 column-major power case**
+(both modes through a fresh session) **under 100 ms** on the ``flat``
+tier, recorded as ``paper-power-column-major-<size>-cold[flat]``.  The
+shape-compressed segment walk makes its cost independent of the
+segment count.
+
 Environment knobs:
 
-* ``REPRO_BENCH_QUICK=1`` — a 1024 x 1024 array for smoke jobs; both
+* ``REPRO_BENCH_QUICK=1`` — 1024 x 1024 arrays for smoke jobs; the
   bars are asserted on the full tier only (the claims are about the
-  paper-extrapolated 4096-row geometry).
+  paper-extrapolated geometries).
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ import time
 
 import pytest
 
+from repro import TestSession
 from repro.analysis import render_table
 from repro.bist import BistController
 from repro.march.library import get_algorithm
+from repro.march.ordering import ColumnMajorOrder
 from repro.sram import ArrayGeometry
 
 #: Warm 4096 x 4096 PRR under 100 ms, on every tier.
@@ -45,6 +54,8 @@ WARM_BUDGET_S = 0.1
 COLD_BUDGET_S = 0.25
 #: Warm measurements per tier; the entry records their median.
 WARM_ROUNDS = 5
+#: Cold 2048 x 2048 column-major power case under 100 ms, flat tier.
+COLD_POWER_BUDGET_S = 0.1
 
 ALGORITHM = "March C-"
 
@@ -128,3 +139,48 @@ def test_prr_warm_latency_per_tier(benchmark, bench_record, tier):
             requested_kernel=tier,
             algorithm=ALGORITHM,
         )
+
+
+def _power_geometry():
+    if os.environ.get("REPRO_BENCH_QUICK"):
+        return ArrayGeometry(rows=1024, columns=1024), "1024x1024", False
+    return ArrayGeometry(rows=2048, columns=2048), "2048x2048", True
+
+
+@pytest.mark.benchmark(group="kernel-tiers")
+def test_column_major_power_cold_latency(bench_record):
+    geometry, label, enforce_budget = _power_geometry()
+    algorithm = get_algorithm(ALGORITHM)
+    session = TestSession(geometry, order=ColumnMajorOrder(geometry),
+                          backend="vectorized", kernel="flat")
+
+    # Cold: the order's row runs, the trace and its segment walk are all
+    # built by this first comparison.
+    started = time.perf_counter()
+    comparison = session.compare_modes(algorithm)
+    cold_s = time.perf_counter() - started
+    low_power = comparison.low_power
+    assert comparison.functional.passed and low_power.passed
+    assert low_power.kernel == "flat"
+
+    print()
+    print(render_table(
+        [{"Cold (s)": f"{cold_s:.4f}",
+          "PRR": f"{100.0 * comparison.prr:.1f} %",
+          "Ran on": low_power.kernel}],
+        title=f"{ALGORITHM} column-major power @ {label} — cold"))
+
+    if enforce_budget:
+        assert cold_s < COLD_POWER_BUDGET_S, (
+            f"cold {label} column-major power took {cold_s:.3f}s "
+            f"(budget {COLD_POWER_BUDGET_S}s)")
+    bench_record(
+        f"paper-power-column-major-{label}-cold[flat]",
+        wall_clock_s=cold_s,
+        cases=1,
+        geometry=label,
+        kernel=low_power.kernel,
+        requested_kernel="flat",
+        algorithm=ALGORITHM,
+        order="column-major",
+    )

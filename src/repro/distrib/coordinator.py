@@ -104,6 +104,11 @@ def grid_digest(fingerprints: Sequence[Dict[str, object]]) -> str:
     return rollup.hexdigest()
 
 
+#: Seconds between the supervisor's completion checks: a finished
+#: campaign returns within this, however long the lease timeout is.
+COMPLETION_POLL = 0.1
+
+
 class Coordinator:
     """Creates, supervises and merges one distributed campaign."""
 
@@ -139,29 +144,32 @@ class Coordinator:
                   deadline: Optional[float] = None) -> Dict[str, object]:
         """Re-lease dead workers' chunks until the campaign completes.
 
-        Polls the ledger every ``poll_interval`` seconds (default: a
-        quarter of the lease timeout), calling
-        :meth:`LeaseLedger.release_expired` each round so chunks whose
+        Calls :meth:`LeaseLedger.release_expired` every ``poll_interval``
+        seconds (default: a quarter of the lease timeout), so chunks whose
         holders went silent return to the pending pool for surviving
-        workers to steal.  Returns the final :meth:`status` when every
-        lease is done; raises :class:`LedgerError` if ``deadline``
-        seconds pass first (a campaign with no live workers would
-        otherwise supervise forever).
+        workers to steal, and checks for completion every
+        :data:`COMPLETION_POLL` seconds in between.  Returns the final
+        :meth:`status` when every lease is done; raises
+        :class:`LedgerError` if ``deadline`` seconds pass first (a
+        campaign with no live workers would otherwise supervise forever).
         """
         interval = poll_interval if poll_interval is not None \
             else max(0.05, lease_timeout / 4)
         started = time.monotonic()
+        next_release = started
         while True:
             status = self.ledger.status()
             if status["complete"]:
                 return status
-            self.ledger.release_expired(lease_timeout)
-            if deadline is not None \
-                    and time.monotonic() - started > deadline:
+            now = time.monotonic()
+            if now >= next_release:
+                self.ledger.release_expired(lease_timeout)
+                next_release = now + interval
+            if deadline is not None and now - started > deadline:
                 raise LedgerError(
                     f"campaign did not complete within {deadline}s "
                     f"(status: {status})")
-            time.sleep(interval)
+            time.sleep(min(COMPLETION_POLL, interval))
 
     # ------------------------------------------------------------------
     def merge(self, require_complete: bool = True) -> MergeReport:

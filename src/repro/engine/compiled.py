@@ -5,9 +5,10 @@ reductions — the decay-sum and bincount core factored out of
 :meth:`repro.engine.vectorized.VectorizedEngine._low_power_flat` as
 :func:`repro.engine.vectorized._reduce_tile_arrays`.  The array program is
 unchanged; this module re-derives it as a scalar recurrence per segment
-under ``@numba.njit(parallel=True, cache=True)``:
+shape, weighted by the shape's multiplicity, under
+``@numba.njit(parallel=True, cache=True)``:
 
-* the segment tile is partitioned into contiguous blocks, each reduced by
+* the shape tile is partitioned into contiguous blocks, each reduced by
   one ``prange`` worker into its *own* row of a per-block accumulator
   (no scatter races on shared slots);
 * the per-block partials are summed once at the end.
@@ -43,8 +44,8 @@ MAX_BLOCKS = 64
 
 
 @numba.njit(parallel=True, cache=True)
-def _reduce_segments(slots, m, first, last, carry, chained, delta_seg, x,
-                     n_words, bits, coeff, boundary_gain, total_slots,
+def _reduce_segments(slots, m, first, last, carry, chained, mult, delta_seg,
+                     x, n_words, bits, coeff, ratio, total_slots,
                      n_blocks):
     wl = np.zeros((n_blocks, total_slots), dtype=np.int64)
     enabled_sum = np.zeros((n_blocks, total_slots), dtype=np.int64)
@@ -59,36 +60,37 @@ def _reduce_segments(slots, m, first, last, carry, chained, delta_seg, x,
         for i in range(lo, hi):
             slot = slots[i]
             m_i = m[i]
+            count = mult[i]
             out_word = last[i] + delta_seg[i]
             valid_out = 1 if (out_word >= 0 and out_word < n_words) else 0
             if not carry[i]:
-                wl[b, slot] += 1
-            enabled_sum[b, slot] += (m_i - 1) + valid_out
+                wl[b, slot] += count
+            enabled_sum[b, slot] += ((m_i - 1) + valid_out) * count
             if not chained[i]:
                 # State-dependent closed forms: chain-free segments only.
                 first_neighbour = first[i] + delta_seg[i]
                 valid_first = 1 if (first_neighbour >= 0
                                     and first_neighbour < n_words) else 0
                 n_newly = n_words - 1 - valid_first
-                prc[b, slot] += (n_newly + (m_i - 1)) * bits
+                prc[b, slot] += (n_newly + (m_i - 1)) * bits * count
                 x_f = x[i]
                 decay_unit = -math.expm1(-x_f)
                 series_j = m_i - 2 + valid_out if m_i >= 2 else 0
                 series = (series_j
                           - math.exp(-x_f) * -math.expm1(-series_j * x_f)
                           / decay_unit)
-                recharge[b, slot] += coeff * series
+                recharge[b, slot] += coeff * series * count
                 visited = ((m_i - 1)
-                           - boundary_gain * math.exp(-x_f)
+                           - math.exp(ratio - x_f)
                            * -math.expm1(-(m_i - 1) * x_f) / decay_unit)
                 untouched = ((n_words - m_i - valid_out)
-                             * -(boundary_gain * math.exp(-m_i * x_f) - 1.0))
-                restore[b, slot] += coeff * (visited + untouched)
+                             * -math.expm1(ratio - m_i * x_f))
+                restore[b, slot] += coeff * (visited + untouched) * count
     return wl, enabled_sum, prc, recharge, restore
 
 
-def reduce_tile(slots, m, first, last, carry, chained, delta_seg, x,
-                n_words, bits, coeff, boundary_gain, total_slots):
+def reduce_tile(slots, m, first, last, carry, chained, mult, delta_seg, x,
+                n_words, bits, coeff, ratio, total_slots):
     """The flat kernel's per-tile slot reductions, compiled.
 
     Same signature and return contract as the numpy tier
@@ -96,7 +98,7 @@ def reduce_tile(slots, m, first, last, carry, chained, delta_seg, x,
     accumulator arrays of length
     ``total_slots``.  Inputs are normalised to contiguous canonical
     dtypes so the cached compilation is hit regardless of how the caller
-    sliced its segment arrays.
+    sliced its shape arrays.
     """
     n = int(slots.shape[0])
     n_blocks = max(1, min(MAX_BLOCKS, numba.get_num_threads() * 4, n))
@@ -107,10 +109,11 @@ def reduce_tile(slots, m, first, last, carry, chained, delta_seg, x,
         np.ascontiguousarray(last, dtype=np.int64),
         np.ascontiguousarray(carry, dtype=np.bool_),
         np.ascontiguousarray(chained, dtype=np.bool_),
+        np.ascontiguousarray(mult, dtype=np.int64),
         np.ascontiguousarray(delta_seg, dtype=np.int64),
         np.ascontiguousarray(x, dtype=np.float64),
         np.int64(n_words), np.int64(bits), float(coeff),
-        float(boundary_gain), np.int64(total_slots), np.int64(n_blocks))
+        float(ratio), np.int64(total_slots), np.int64(n_blocks))
     return (wl.sum(axis=0), enabled_sum.sum(axis=0), prc.sum(axis=0),
             recharge.sum(axis=0), restore.sum(axis=0))
 
@@ -118,8 +121,9 @@ def reduce_tile(slots, m, first, last, carry, chained, delta_seg, x,
 def warm() -> None:
     """Load (or build) the on-disk compiled kernel with a dummy reduction."""
     zero = np.zeros(1, dtype=np.int64)
-    reduce_tile(zero, np.ones(1, dtype=np.int64), zero, zero,
+    one = np.ones(1, dtype=np.int64)
+    reduce_tile(zero, one, zero, zero,
                 np.zeros(1, dtype=np.bool_), np.zeros(1, dtype=np.bool_),
-                zero, np.full(1, 0.5, dtype=np.float64),
-                n_words=1, bits=1, coeff=1.0, boundary_gain=1.0,
+                one, zero, np.full(1, 0.5, dtype=np.float64),
+                n_words=1, bits=1, coeff=1.0, ratio=0.5,
                 total_slots=1)

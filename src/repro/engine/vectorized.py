@@ -208,27 +208,29 @@ def reset_kernel_state() -> None:
         _FALLBACK_WARNED.clear()
 
 
-#: Segments evaluated per flat-kernel tile; bounds the size of the
-#: per-segment temporaries on degenerate orders (column-major visits one
-#: word per segment, so a 4096 x 4096 campaign holds ~100 M segments).
-#: Tiles are unit-local — chunk boundaries depend only on the run itself —
-#: so results are bit-identical whether a run is evaluated alone or
-#: stacked into a grid batch.
+#: Segment shapes evaluated per flat-kernel tile; bounds the size of the
+#: per-shape temporaries.  A compressed walk has few shapes (column-major
+#: at 4096 x 4096 holds ~4096 per element), so one tile usually covers a
+#: whole run.  Tiles are unit-local — chunk boundaries depend only on the
+#: run itself — so results are bit-identical whether a run is evaluated
+#: alone or stacked into a grid batch.
 DEFAULT_SEGMENT_CHUNK = 1 << 19
 
 
-def _reduce_tile_arrays(slots, m, first, last, carry, chained,
-                        delta_seg, x, n_words, bits, coeff, boundary_gain,
+def _reduce_tile_arrays(slots, m, first, last, carry, chained, mult,
+                        delta_seg, x, n_words, bits, coeff, ratio,
                         total_slots):
-    """One tile of per-segment slot reductions as an array program.
+    """One tile of per-shape slot reductions as an array program.
 
     The decay-sum and bincount core of the flat kernel, factored out of
     :meth:`VectorizedEngine._low_power_flat` as a pure function of the
-    segment arrays; :mod:`repro.engine.compiled` re-derives the identical
-    scalar recurrence under numba.  Returns the five per-slot accumulator
-    tiles ``(wl_count, enabled_sum, prc, recharge, restore)`` — integer
-    counts exact, energies subject only to summation order.
+    segment-shape arrays: each shape is evaluated once and weighted by its
+    multiplicity ``mult``.  :mod:`repro.engine.compiled` re-derives the
+    identical scalar recurrence under numba.  Returns the five per-slot
+    accumulator tiles ``(wl_count, enabled_sum, prc, recharge, restore)``
+    — integer counts exact, energies subject only to summation order.
     """
+    weight = mult.astype(np.float64)
     out_word = last + delta_seg
     valid_out = ((out_word >= 0) & (out_word < n_words)).astype(np.int64)
     first_neighbour = first + delta_seg
@@ -236,9 +238,9 @@ def _reduce_tile_arrays(slots, m, first, last, carry, chained,
                    & (first_neighbour < n_words)).astype(np.int64)
     enabled = (m - 1) + valid_out
 
-    wl_count = np.bincount(slots, weights=(~carry).astype(np.float64),
+    wl_count = np.bincount(slots, weights=np.where(carry, 0.0, weight),
                            minlength=total_slots).astype(np.int64)
-    enabled_sum = np.bincount(slots, weights=enabled.astype(np.float64),
+    enabled_sum = np.bincount(slots, weights=enabled * weight,
                               minlength=total_slots).astype(np.int64)
 
     prc = np.zeros(total_slots, dtype=np.int64)
@@ -251,10 +253,10 @@ def _reduce_tile_arrays(slots, m, first, last, carry, chained,
         slots_f = slots[free]
         m_f = m[free]
         x_f = x[free]
+        weight_f = weight[free]
         n_newly = n_words - 1 - valid_first[free]
         prc = np.bincount(
-            slots_f,
-            weights=((n_newly + (m_f - 1)) * bits).astype(np.float64),
+            slots_f, weights=(n_newly + (m_f - 1)) * bits * weight_f,
             minlength=total_slots).astype(np.int64)
 
         # Within-segment neighbour recharges: the neighbour of visit j
@@ -264,18 +266,21 @@ def _reduce_tile_arrays(slots, m, first, last, carry, chained,
         series_j = np.where(m_f >= 2, m_f - 2 + valid_out[free], 0)
         series = (series_j
                   - np.exp(-x_f) * -np.expm1(-series_j * x_f) / decay_unit)
-        recharge = np.bincount(slots_f, weights=coeff * series,
+        recharge = np.bincount(slots_f, weights=coeff * series * weight_f,
                                minlength=total_slots)
 
         # End-of-row restoration: visited words refloated one visit
         # after their own selection (elapsed t*ops - 1 for t=1..m-1)
-        # plus the never-visited words floating since the first cycle.
+        # plus the never-visited words floating since the first cycle
+        # (elapsed m*ops - 1).  ``ratio - t*x`` is -elapsed*T/tau, so a
+        # zero elapsed time restores exactly nothing, as in the reference.
         visited = ((m_f - 1)
-                   - boundary_gain * np.exp(-x_f)
+                   - np.exp(ratio - x_f)
                    * -np.expm1(-(m_f - 1) * x_f) / decay_unit)
         untouched = ((n_words - m_f - valid_out[free])
-                     * -(boundary_gain * np.exp(-m_f * x_f) - 1.0))
-        restore = np.bincount(slots_f, weights=coeff * (visited + untouched),
+                     * -np.expm1(ratio - m_f * x_f))
+        restore = np.bincount(slots_f,
+                              weights=coeff * (visited + untouched) * weight_f,
                               minlength=total_slots)
     return wl_count, enabled_sum, prc, recharge, restore
 
@@ -928,19 +933,14 @@ class VectorizedEngine:
         prev_row: Optional[int] = None
         cycles = 0
 
-        # Segments are maximal same-row runs, so the per-segment row array
-        # is exactly the run's row-change sequence; bank transitions are
-        # its bank-value changes (equal rows across an element boundary
-        # contribute a zero diff, matching the reference's "no transition").
         if geo.is_banked:
-            banks_seg = self._bank_of(segwalk.row)
-            counters["bank_transitions"] = int(
-                np.count_nonzero(banks_seg[1:] != banks_seg[:-1]))
+            counters["bank_transitions"] = self._bank_transitions(segwalk)
             self._add(by_source, PowerSource.BANK_SELECT,
                       counters["bank_transitions"] * self._k.bank_select)
 
-        for element, compiled, (lo, hi) in zip(
-                algorithm.elements, trace.elements, segwalk.element_slices):
+        for element, compiled, segments, (first_row, last_row) in zip(
+                algorithm.elements, trace.elements,
+                segwalk.element_segments, segwalk.element_rows):
             n_addr = len(compiled.coordinates)
             ops = element.operation_count
             n_access = n_addr * ops
@@ -952,8 +952,7 @@ class VectorizedEngine:
                       n_addr * element.write_count
                       * (per_access_decode + bits * k.write_col))
 
-            changes = (hi - lo) - 1
-            first_row = int(segwalk.row[lo])
+            changes = segments - 1
             new_row_at_boundary = prev_row is None or first_row != prev_row
             counters["row_transitions"] += changes
             if new_row_at_boundary and prev_row is not None:
@@ -962,7 +961,7 @@ class VectorizedEngine:
             wl_source = (PowerSource.OPERATION_READ if element.operations[0].is_read
                          else PowerSource.OPERATION_WRITE)
             self._add(by_source, wl_source, recharges * k.wordline)
-            prev_row = int(segwalk.row[hi - 1])
+            prev_row = last_row
 
             res_energy = n_access * unselected * k.res_per_column
             self._add(by_source, PowerSource.PRECHARGE_UNSELECTED, res_energy)
@@ -988,6 +987,13 @@ class VectorizedEngine:
             )
         return by_source, counters, cycles, stress
 
+    def _bank_transitions(self, segwalk: SegmentWalk) -> int:
+        """Bank-select transitions of a run: its row changes whose two
+        rows sit in different banks (the walk's row pairs, weighted)."""
+        changed = self._bank_of(segwalk.pair_from) \
+            != self._bank_of(segwalk.pair_to)
+        return int(np.sum(segwalk.pair_count[changed]))
+
     def _walk_chains(self, trace: OperationTrace, segwalk: SegmentWalk,
                      stress_partial):
         """Evaluate the state-dependent parts of the carried-over chains.
@@ -998,7 +1004,8 @@ class VectorizedEngine:
         crosses a segment, so their decayed-recharge energies cannot be
         closed-form per segment.  There are at most ``element_count - 1``
         of them per run; this walker replays just those segments with the
-        exact per-segment state machine.  Returns the ordered
+        exact per-segment state machine over the chain segments the walk
+        keeps explicitly.  Returns the ordered
         ``(source, energy)`` additions and the chains' partial-RES cycle
         count; raises :class:`UnsupportedConfiguration` when a chain
         selects a word whose bit lines are floating.  All
@@ -1017,17 +1024,16 @@ class VectorizedEngine:
         n_words = geo.words_per_row
         track = stress_partial is not None
 
-        for lo, hi in segwalk.chains:
+        for chain in segwalk.chains:
             float_start = np.full(n_words, -1, dtype=np.int64)
-            for index in range(lo, hi):
-                element = int(segwalk.element[index])
-                ops = trace.elements[element].operation_count
-                delta = segwalk.deltas[element]
-                m = int(segwalk.length[index])
-                first_word = int(segwalk.first_word[index])
+            for segment in chain:
+                ops = trace.elements[segment.element].operation_count
+                delta = segwalk.deltas[segment.element]
+                m = segment.length
+                first_word = segment.first_word
                 seg = first_word + delta * np.arange(m, dtype=np.int64)
-                row = int(segwalk.row[index])
-                base = int(segwalk.base_cycle[index])
+                row = segment.row
+                base = segment.base_cycle
 
                 if float_start[first_word] >= 0:
                     raise UnsupportedConfiguration(
@@ -1063,7 +1069,7 @@ class VectorizedEngine:
                 if bool(valid[-1]):
                     float_start[int(neighbours[-1])] = -1
 
-                if bool(segwalk.restore[index]):
+                if segment.restore:
                     last_cycle = base + m * ops - 1
                     floating = float_start >= 0
                     if np.any(floating):
@@ -1078,17 +1084,17 @@ class VectorizedEngine:
         """Low-power test mode for a stack of units in one flat pass.
 
         Every quantity of :meth:`_run_low_power` re-derived as per-segment
-        closed forms over the compiled segment arrays: the within-segment
+        closed forms over the compiled segment shapes: the within-segment
         decayed-recharge and end-of-row restoration sums are geometric
-        series in ``exp(-ops * T / tau)``, so no per-word or per-segment
-        Python iteration remains — only the rare carried-over chains walk
-        (:meth:`_walk_chains`).  Per-(unit, element) slot reductions use
-        ``np.bincount``, whose per-bin sums run sequentially over that
-        slot's own segments: a unit's result is bit-identical whether it
-        is evaluated alone or stacked with an entire grid, and tiles
-        (:data:`DEFAULT_SEGMENT_CHUNK` segments) are unit-local so
-        chunking preserves the same property on degenerate
-        segment-per-access orders.
+        series in ``exp(-ops * T / tau)``, evaluated once per distinct
+        shape and weighted by its multiplicity, so no per-word or
+        per-segment Python iteration remains — only the rare carried-over
+        chains walk (:meth:`_walk_chains`).  Per-(unit, element) slot
+        reductions use ``np.bincount``, whose per-bin sums run
+        sequentially over that slot's own shapes: a unit's result is
+        bit-identical whether it is evaluated alone or stacked with an
+        entire grid, and tiles (:data:`DEFAULT_SEGMENT_CHUNK` shapes) are
+        unit-local so chunking preserves the same property.
 
         ``tier`` selects who executes the per-tile slot reductions: the
         in-module numpy array program (:func:`_reduce_tile_arrays`, the
@@ -1103,7 +1109,6 @@ class VectorizedEngine:
         unselected_bits = geo.columns - bits
         per_access_decode = k.row_decode + k.col_decode
         ratio = self.clock.period / self._tau     # per-cycle decay exponent
-        boundary_gain = float(np.exp(ratio))      # the "-1 cycle" correction
         coeff = k.restore_coeff * bits
         track = self.track_cell_stress
 
@@ -1165,7 +1170,7 @@ class VectorizedEngine:
             else _reduce_tile_arrays
 
         def reduce_piece(unit, lo, hi):
-            """Accumulate one unit-local tile of segments into the slots."""
+            """Accumulate one unit-local tile of shapes into the slots."""
             segwalk = unit["segwalk"]
             slots = unit["offset"] + segwalk.element[lo:hi]
             m = segwalk.length[lo:hi]
@@ -1173,12 +1178,13 @@ class VectorizedEngine:
             last = segwalk.last_word[lo:hi]
             carry = segwalk.carry_in[lo:hi]
             chained = segwalk.in_chain[lo:hi]
+            mult = segwalk.multiplicity[lo:hi]
             delta_seg = delta_arr[slots]
             x = x_arr[slots]
 
             wl, enabled, prc, rec, rst = reduce_tile(
-                slots, m, first, last, carry, chained, delta_seg, x,
-                n_words, bits, coeff, boundary_gain, total_slots)
+                slots, m, first, last, carry, chained, mult, delta_seg, x,
+                n_words, bits, coeff, ratio, total_slots)
             wl_count[:] += wl
             enabled_sum[:] += enabled
             prc_flat[:] += prc
@@ -1187,7 +1193,7 @@ class VectorizedEngine:
 
         chunk = DEFAULT_SEGMENT_CHUNK
         for unit in active:
-            total = unit["segwalk"].segment_count
+            total = unit["segwalk"].shape_count
             for lo in range(0, total, chunk):
                 reduce_piece(unit, lo, min(lo + chunk, total))
 
@@ -1203,25 +1209,20 @@ class VectorizedEngine:
                         "floating_column_cycles": 0,
                         "bank_transitions": 0}
 
-            carry = segwalk.carry_in
-            counters["row_transitions"] = int(np.count_nonzero(~carry[1:]))
+            counters["row_transitions"] = int(np.sum(segwalk.pair_count))
             if geo.is_banked:
-                banks_seg = self._bank_of(segwalk.row)
-                counters["bank_transitions"] = int(
-                    np.count_nonzero(banks_seg[1:] != banks_seg[:-1]))
+                counters["bank_transitions"] = self._bank_transitions(segwalk)
                 self._add(by_source, PowerSource.BANK_SELECT,
                           counters["bank_transitions"] * k.bank_select)
-            restores = int(np.count_nonzero(segwalk.restore))
+            restores = segwalk.restores
             counters["full_restores"] = restores
             # Control elements switch on every within-segment word change
             # plus every segment boundary that lands on a different word
             # (and once for the very first cycle of the run).
             visits = sum(len(element.coordinates)
                          for element in trace.elements)
-            control_events = (visits - segwalk.segment_count) + 1
-            if segwalk.segment_count > 1:
-                control_events += int(np.count_nonzero(
-                    segwalk.first_word[1:] != segwalk.last_word[:-1]))
+            control_events = ((visits - segwalk.segment_count) + 1
+                              + segwalk.word_changes)
 
             for element, compiled in zip(algorithm.elements, trace.elements):
                 slot = offset + compiled.index
@@ -1264,7 +1265,7 @@ class VectorizedEngine:
 
             stress = None
             if track:
-                self._flat_stress(unit, delta_arr)
+                self._flat_stress(unit)
                 stress = CellStressTotals(
                     full_res=unit["stress_full"],
                     partial_res=unit["stress_partial"],
@@ -1275,9 +1276,12 @@ class VectorizedEngine:
                 by_source, counters, trace.step_count, stress)
         return outcomes
 
-    def _flat_stress(self, unit, delta_arr) -> None:
+    def _flat_stress(self, unit) -> None:
         """Accumulate the per-cell RES stress of one unit, flat.
 
+        Runs only in detailed sessions (at most
+        ``SRAM.DETAILED_CELL_LIMIT`` cells), over the per-visit walks it
+        reads anyway, which also give its segment boundaries.
         State-independent parts (the pre-charged neighbour's full RES, the
         refloat of every visited-but-last word) run over the whole visit
         arrays; the newly-floating mask of chain-free segments is the
@@ -1287,35 +1291,39 @@ class VectorizedEngine:
         """
         geo = self.geometry
         n_words = geo.words_per_row
-        trace = unit["trace"]
         segwalk = unit["segwalk"]
-        walks = unit["walks"]
         stress_full = unit["stress_full"]
         stress_partial = unit["stress_partial"]
+        chained = [(segment.element, segment.start)
+                   for chain in segwalk.chains for segment in chain]
 
-        for element, (lo, hi) in zip(trace.elements, segwalk.element_slices):
-            _, rows, words = walks[element.index]
+        for element in unit["trace"].elements:
+            _, rows, words = unit["walks"][element.index]
             delta = segwalk.deltas[element.index]
             neighbours = words + delta
             valid = (neighbours >= 0) & (neighbours < n_words)
             if np.any(valid):
                 np.add.at(stress_full, (rows[valid], neighbours[valid]),
                           element.operation_count)
+            ends = np.flatnonzero(rows[1:] != rows[:-1])
             not_last = np.ones(rows.size, dtype=bool)
-            not_last[segwalk.start[lo:hi] + segwalk.length[lo:hi] - 1] = False
+            not_last[ends] = False
+            not_last[-1] = False
             if np.any(not_last):
                 np.add.at(stress_partial, (rows[not_last], words[not_last]), 1)
 
-        free = ~segwalk.in_chain
-        rows_free = segwalk.row[free]
-        stress_partial += np.bincount(
-            rows_free, minlength=geo.rows).astype(np.int64)[:, None]
-        np.add.at(stress_partial, (rows_free, segwalk.first_word[free]), -1)
-        delta_seg = delta_arr[unit["offset"] + segwalk.element]
-        held = segwalk.first_word + delta_seg
-        held_free = free & (held >= 0) & (held < n_words)
-        np.add.at(stress_partial,
-                  (segwalk.row[held_free], held[held_free]), -1)
+            starts = np.concatenate(([0], ends + 1))
+            free = np.ones(starts.size, dtype=bool)
+            free[np.searchsorted(starts, [start for index, start in chained
+                                          if index == element.index])] = False
+            rows_free = rows[starts[free]]
+            first_free = words[starts[free]]
+            stress_partial += np.bincount(
+                rows_free, minlength=geo.rows).astype(np.int64)[:, None]
+            np.add.at(stress_partial, (rows_free, first_free), -1)
+            held = first_free + delta
+            held_ok = (held >= 0) & (held < n_words)
+            np.add.at(stress_partial, (rows_free[held_ok], held[held_ok]), -1)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algorithm import MarchAlgorithm
 from .element import AddressingDirection, MarchElement
 from .operations import MarchOperation
-from .ordering import AddressOrder
+from .ordering import AddressOrder, group_rows
 
 
 class LazyCoordinates(SequenceABC):
@@ -311,11 +311,12 @@ class OperationTrace:
         over *segments* — maximal runs of consecutive accesses on one word
         line within one element — instead of individual accesses.  This
         compiles the whole run's segment description once per trace, from
-        the order's cached row runs rather than its coordinates:
-        per-segment coordinate/length/base-cycle arrays, the paper's
-        end-of-row restoration flags, the carry-over chains that span
-        element boundaries staying on one row, and the per-element
-        traversal-neighbour certification.  Cached on the trace, so a
+        the order's cached row runs rather than its coordinates: each
+        distinct segment shape with its multiplicity, the sequence counts
+        record assembly reads (row changes, restorations, word changes),
+        the carry-over chains that span element boundaries staying on one
+        row, and the per-element traversal-neighbour certification.
+        Cached on the trace, so a
         :class:`TraceCache` amortises the compilation exactly once per
         (algorithm, order, direction) — every campaign run and both
         operating modes replay the same structure.  Requires ``numpy``.
@@ -373,73 +374,101 @@ def compile_trace(algorithm: MarchAlgorithm, order: AddressOrder,
     return OperationTrace(algorithm, order, any_direction)
 
 
+class ChainSegment(NamedTuple):
+    """One segment of a carried-over chain, kept explicitly for replay."""
+
+    element: int
+    row: int
+    first_word: int
+    length: int
+    #: offset of the segment's first visit inside its element's walk.
+    start: int
+    #: global clock cycle of the segment's first access.
+    base_cycle: int
+    #: the end-of-row restoration fires at the end of this segment.
+    restore: bool
+
+
 class SegmentWalk:
-    """Per-segment numpy description of one compiled March run.
+    """Shape-compressed segment description of one compiled March run.
 
     A *segment* is a maximal run of consecutive accesses on one word line
     within one element — the granularity at which the low-power test mode
     makes pre-charge decisions (the end-of-row restoration closes a
-    segment whose successor sits on a different row).  All arrays are
-    parallel over the ``segment_count`` segments of the whole run, in
-    execution order, concatenated across elements:
+    segment whose successor sits on a different row).  Few segment shapes
+    occur, so the walk stores each distinct *shape* once with its
+    multiplicity; the parallel arrays run over the ``shape_count`` shapes,
+    grouped by element:
 
     ``element``
         index of the owning element.
-    ``row`` / ``first_word`` / ``last_word`` / ``length``
-        word-line index, first/last visited word and visit count of each
-        segment.
-    ``start``
-        offset of the segment's first visit inside its element's
-        coordinate arrays (:meth:`OperationTrace.element_walks`).
-    ``base_cycle``
-        global clock cycle of the segment's first access.
-    ``restore``
-        True when the paper's one functional-mode restoration cycle fires
-        at the end of this segment (the traversal leaves the row, or the
-        test ends).
+    ``length`` / ``first_word`` / ``last_word``
+        visit count and first/last visited word of the shape's segments.
     ``carry_in``
         True when the segment begins on the row the previous segment
         ended on (only possible across an element boundary), i.e. the
         previous segment did *not* restore and its floating-column state
         carries over.
+    ``in_chain``
+        True when the segment carries in or does not restore.
+    ``multiplicity``
+        how many segments of the run have this shape.
 
-    ``chains`` lists the half-open segment-index ranges connected by
-    carried-over state (each ends with its restoring segment); every
-    segment outside a chain starts from the all-attached state and is
-    closed-form for the flat kernel.  ``neighbour_ok[e]`` certifies that
-    element ``e`` steps through each row strictly by the pre-charged
-    traversal-neighbour offset (+1 ascending / -1 descending), the
-    support condition of the exact bulk replay.
+    The sequence facts shapes drop are kept as counts: ``segment_count``
+    (the logical segment count), ``element_segments`` and
+    ``element_rows`` (each element's segment count and first/last row),
+    the consecutive-segment row changes ``pair_from``/``pair_to`` with
+    ``pair_count`` (from which any bank map counts bank transitions),
+    ``restores`` (segments closed by the paper's one functional-mode
+    restoration cycle) and ``word_changes`` (segment boundaries that land
+    on a different word).
+
+    ``chains`` lists the segments connected by carried-over state, each
+    chain ending with its restoring segment, as :class:`ChainSegment`
+    tuples; every segment outside a chain starts from the all-attached
+    state and is closed-form for the flat kernel.  ``neighbour_ok[e]``
+    certifies that element ``e`` steps through each row strictly by the
+    pre-charged traversal-neighbour offset (+1 ascending / -1
+    descending), the support condition of the exact bulk replay.
     """
 
-    def __init__(self, element, row, first_word, last_word, length, start,
-                 base_cycle, restore, carry_in, in_chain, chains,
-                 element_slices, neighbour_ok, deltas) -> None:
+    def __init__(self, element, length, first_word, last_word, carry_in,
+                 in_chain, multiplicity, element_segments, element_rows,
+                 pair_from, pair_to, pair_count, restores, word_changes,
+                 chains, neighbour_ok, deltas) -> None:
         self.element = element
-        self.row = row
+        self.length = length
         self.first_word = first_word
         self.last_word = last_word
-        self.length = length
-        self.start = start
-        self.base_cycle = base_cycle
-        self.restore = restore
         self.carry_in = carry_in
         self.in_chain = in_chain
-        self.chains: List[Tuple[int, int]] = chains
-        self.element_slices: List[Tuple[int, int]] = element_slices
+        self.multiplicity = multiplicity
+        self.element_segments: List[int] = element_segments
+        self.element_rows: List[Tuple[int, int]] = element_rows
+        self.pair_from = pair_from
+        self.pair_to = pair_to
+        self.pair_count = pair_count
+        self.restores: int = restores
+        self.word_changes: int = word_changes
+        self.chains: List[Tuple[ChainSegment, ...]] = chains
         self.neighbour_ok: List[bool] = neighbour_ok
         self.deltas: List[int] = deltas
+        #: logical segments of the run (the shapes' summed multiplicity).
+        self.segment_count: int = sum(element_segments)
 
     @property
-    def segment_count(self) -> int:
+    def shape_count(self) -> int:
         return int(self.element.size)
 
     # ------------------------------------------------------------------
     @classmethod
     def compile(cls, trace: OperationTrace) -> "SegmentWalk":
-        """Build the segment description of ``trace`` from its order's
+        """Build the shape-compressed walk of ``trace`` from its order's
         :meth:`~repro.march.ordering.AddressOrder.row_runs` (descending
-        elements replay them reversed)."""
+        elements replay them reversed).  Costs O(shapes + rows): only the
+        first and last segment of an element can carry state across an
+        element boundary, so they are split off their shape when they do.
+        """
         import numpy as np
 
         # Deferred: core.lowpower imports this module (planner AccessStep).
@@ -448,60 +477,106 @@ class SegmentWalk:
         ascending = trace.order.row_runs()
         descending = None
         per_element = []
-        neighbour_ok: List[bool] = []
-        deltas: List[int] = []
         for element in trace.elements:
-            deltas.append(traversal_neighbour_delta(element.direction))
             runs = ascending
             if element.direction is AddressingDirection.DOWN:
                 if descending is None:
                     descending = ascending.reversed()
                 runs = descending
-            neighbour_ok.append(runs.unit_step)
-            per_element.append((
-                np.full(runs.row.size, element.index, dtype=np.int64),
-                runs.row,
-                runs.first_word,
-                runs.last_word,
-                runs.length,
-                runs.start,
-                element.base_step + runs.start * element.operation_count,
-            ))
+            per_element.append(runs)
 
-        element_ids = np.concatenate([fields[0] for fields in per_element])
-        row = np.concatenate([fields[1] for fields in per_element])
-        first_word = np.concatenate([fields[2] for fields in per_element])
-        last_word = np.concatenate([fields[3] for fields in per_element])
-        length = np.concatenate([fields[4] for fields in per_element])
-        start = np.concatenate([fields[5] for fields in per_element])
-        base_cycle = np.concatenate([fields[6] for fields in per_element])
+        count = len(per_element)
+        # carry[e]: element e begins on the row element e-1 ended on.
+        carry = [False] + [per_element[e].first.row
+                           == per_element[e - 1].last.row
+                           for e in range(1, count)]
+        opened = carry[1:] + [False]     # element e's last segment stays open
 
-        total = int(row.size)
-        carry_in = np.zeros(total, dtype=bool)
-        restore = np.ones(total, dtype=bool)
-        if total > 1:
-            carry_in[1:] = row[1:] == row[:-1]
-            restore[:-1] = ~carry_in[1:]
-        in_chain = carry_in | ~restore
-        # A chain starts at a non-restoring segment with no carried state
-        # and runs to (including) the first restoring segment after it.
-        chains: List[Tuple[int, int]] = []
-        restoring = np.flatnonzero(restore)
-        for chain_start in np.flatnonzero(~restore & ~carry_in).tolist():
-            position = int(np.searchsorted(restoring, chain_start))
-            chain_end = int(restoring[position]) if position < restoring.size \
-                else total - 1
-            chains.append((chain_start, chain_end + 1))
+        #: per element: (element, length, first_word, last_word,
+        #: multiplicity, carry_in, in_chain) columns of its shapes.
+        parts: List[tuple] = []
+        chains: List[Tuple[ChainSegment, ...]] = []
+        current: List[ChainSegment] = []
+        for element, runs in zip(trace.elements, per_element):
+            index = element.index
+            if runs.run_count == 1:
+                ends = [(runs.first, 0, carry[index], not opened[index])]
+            else:
+                ends = [(runs.first, 0, carry[index], True),
+                        (runs.last,
+                         len(element.coordinates) - runs.last.length,
+                         False, not opened[index])]
+            multiplicity = runs.count.copy()
+            split: List[tuple] = []
+            for run, start, carry_in, restore in ends:
+                if restore and not carry_in:
+                    continue
+                matches = ((runs.length == run.length)
+                           & (runs.first_word == run.first_word)
+                           & (runs.last_word == run.last_word))
+                multiplicity[np.flatnonzero(matches)[0]] -= 1
+                split.append((index, run.length, run.first_word,
+                              run.last_word, 1, carry_in, True))
+                current.append(ChainSegment(
+                    element=index, row=run.row, first_word=run.first_word,
+                    length=run.length, start=start,
+                    base_cycle=element.base_step
+                    + start * element.operation_count,
+                    restore=restore))
+                if restore:
+                    chains.append(tuple(current))
+                    current = []
+            kept = multiplicity > 0
+            size = int(np.count_nonzero(kept))
+            parts.append((np.full(size, index), runs.length[kept],
+                          runs.first_word[kept], runs.last_word[kept],
+                          multiplicity[kept], np.zeros(size, dtype=bool),
+                          np.zeros(size, dtype=bool)))
+            parts.extend(tuple([value] for value in shape) for shape in split)
+        columns = [np.concatenate([part[position] for part in parts])
+                   for position in range(7)]
 
-        element_slices: List[Tuple[int, int]] = []
-        cursor = 0
-        for fields in per_element:
-            element_slices.append((cursor, cursor + int(fields[0].size)))
-            cursor += int(fields[0].size)
+        # Row changes: every element's own, weighted by how many elements
+        # walk each direction, plus the element boundaries that move.
+        up = sum(1 for element in trace.elements
+                 if element.direction is not AddressingDirection.DOWN)
+        pair_parts: List[tuple] = [(ascending.pair_from, ascending.pair_to,
+                                    ascending.pair_count * up)]
+        if descending is not None:
+            pair_parts.append((descending.pair_from, descending.pair_to,
+                               descending.pair_count * (count - up)))
+        pair_parts.extend(
+            ([per_element[e].last.row], [per_element[e + 1].first.row], [1])
+            for e in range(count - 1) if not carry[e + 1])
+        (pair_from, pair_to), pair_count = group_rows(
+            [np.concatenate([part[position] for part in pair_parts])
+             for position in range(2)],
+            np.concatenate([part[2] for part in pair_parts]))
+        moved = pair_count > 0
+        word_changes = sum(runs.word_changes for runs in per_element) + sum(
+            1 for e in range(count - 1)
+            if per_element[e + 1].first.first_word
+            != per_element[e].last.last_word)
 
-        return cls(element_ids, row, first_word, last_word, length, start,
-                   base_cycle, restore, carry_in, in_chain, chains,
-                   element_slices, neighbour_ok, deltas)
+        element_segments = [runs.run_count for runs in per_element]
+        return cls(
+            element=columns[0].astype(np.int64),
+            length=columns[1].astype(np.int64),
+            first_word=columns[2].astype(np.int64),
+            last_word=columns[3].astype(np.int64),
+            multiplicity=columns[4].astype(np.int64),
+            carry_in=columns[5].astype(bool),
+            in_chain=columns[6].astype(bool),
+            element_segments=element_segments,
+            element_rows=[(runs.first.row, runs.last.row)
+                          for runs in per_element],
+            pair_from=pair_from[moved], pair_to=pair_to[moved],
+            pair_count=pair_count[moved],
+            restores=sum(element_segments) - sum(carry),
+            word_changes=word_changes, chains=chains,
+            neighbour_ok=[runs.unit_step for runs in per_element],
+            deltas=[traversal_neighbour_delta(element.direction)
+                    for element in trace.elements])
 
 
 class TraceCache:
@@ -539,33 +614,13 @@ def row_transition_count(algorithm: MarchAlgorithm, order: AddressOrder,
                          ) -> int:
     """How many accesses are flagged ``last_access_on_row`` over a full run.
 
-    For a word-line-sequential order this equals ``#elements * #rows`` (plus
-    nothing for the final access, which is also counted); it is the
+    For a word-line-sequential order this equals ``#elements * #rows``,
+    less one per element boundary that stays on its row; it is the
     frequency driver of the paper's P_B term.
 
-    Counted directly over the coordinate sequences — one flag per row
-    change within an element, one per element boundary that lands on a
-    different row, one for the final access of the test — without
-    materialising :class:`AccessStep` objects, so it stays cheap on
-    paper-scale geometries (the same segment arithmetic the vectorized
-    backend uses).
+    Each flag closes one segment that restores, so this is the compiled
+    walk's :attr:`SegmentWalk.restores`: O(shapes + rows) for the orders
+    with closed-form row runs, no per-access walk.  Requires ``numpy``.
     """
-    elements = list(algorithm.elements)
-    first_rows: List[Optional[int]] = []
-    for element in elements:
-        first = next(iter(element_coordinates(element, order, any_direction)), None)
-        first_rows.append(first[0] if first is not None else None)
-
-    total = 0
-    for element_index, element in enumerate(elements):
-        rows = [row for row, _ in
-                element_coordinates(element, order, any_direction)]
-        total += sum(1 for previous, current in zip(rows, rows[1:])
-                     if previous != current)
-        if element_index + 1 < len(elements):
-            next_row = first_rows[element_index + 1]
-            if next_row is not None and next_row != rows[-1]:
-                total += 1
-        else:
-            total += 1  # the final access of the test is always flagged
-    return total
+    return compile_trace(algorithm, order, any_direction) \
+        .segment_walk().restores

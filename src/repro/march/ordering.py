@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..sram.geometry import ArrayGeometry
 
@@ -42,33 +42,140 @@ class OrderingError(Exception):
 Coordinate = Tuple[int, int]
 
 
+class Run(NamedTuple):
+    """One same-row run: word line, first/last visited word, visit count."""
+
+    row: int
+    first_word: int
+    last_word: int
+    length: int
+
+    def reversed(self) -> "Run":
+        """The same run walked backwards."""
+        return Run(self.row, self.last_word, self.first_word, self.length)
+
+
+def group_rows(columns, weights=None):
+    """Distinct rows of parallel non-negative integer ``columns``.
+
+    Returns ``(columns, counts)``: the distinct rows in lexicographic
+    order, as parallel ``int64`` arrays, and each row's summed ``weights``
+    (one per occurrence when ``weights`` is None).  Rows are keyed by a
+    mixed-radix integer, so this is one ``np.unique`` over a flat array.
+    """
+    import numpy as np
+
+    columns = [np.asarray(column, dtype=np.int64) for column in columns]
+    if columns[0].size == 0:
+        return columns, np.zeros(0, dtype=np.int64)
+    key = np.zeros(columns[0].size, dtype=np.int64)
+    for column in columns:
+        key = key * (int(column.max()) + 1) + column
+    _, index, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    counts = np.bincount(inverse, weights=weights, minlength=index.size)
+    return [column[index] for column in columns], counts.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class RowRuns:
-    """A traversal as maximal same-row runs (parallel ``numpy`` arrays).
+    """A traversal as its maximal same-row runs, compressed by shape.
 
-    Run ``i`` visits ``length[i]`` consecutive positions on word line
-    ``row[i]``, from word ``first_word[i]`` to ``last_word[i]``, starting
-    at position ``start[i]`` of the traversal.  ``unit_step`` is True when
-    every step inside every run moves to the adjacent word in the
-    traversal direction (``+1`` ascending, ``-1`` descending) — the
-    pre-charged traversal neighbour of the low-power test mode.
+    A *run* visits consecutive positions on one word line.  Runs of one
+    shape — length, first word, last word — are stored once:
+    ``length``/``first_word``/``last_word``/``count`` are parallel
+    ``numpy`` arrays over the distinct shapes (lexicographic order), and
+    ``count`` is each shape's multiplicity.  The sequence facts that
+    shapes drop are kept as counts:
+
+    ``run_count``
+        total runs (``count.sum()``); equals the row count exactly when
+        the order is word-line sequential, since every row starts a run.
+    ``first`` / ``last``
+        the first and last :class:`Run` of the traversal.
+    ``pair_from`` / ``pair_to`` / ``pair_count``
+        the row pairs of consecutive runs, distinct (lexicographic) with
+        multiplicity — every row change of the traversal.
+    ``word_changes``
+        consecutive-run boundaries whose first word differs from the
+        previous run's last word.
+    ``unit_step``
+        every step inside every run moves to the adjacent word in the
+        traversal direction (``+1`` ascending, ``-1`` descending) — the
+        pre-charged traversal neighbour of the low-power test mode.
     """
 
-    row: "np.ndarray"
+    length: "np.ndarray"
     first_word: "np.ndarray"
     last_word: "np.ndarray"
-    length: "np.ndarray"
-    start: "np.ndarray"
+    count: "np.ndarray"
+    run_count: int
+    first: Run
+    last: Run
+    pair_from: "np.ndarray"
+    pair_to: "np.ndarray"
+    pair_count: "np.ndarray"
+    word_changes: int
     unit_step: bool
+
+    @classmethod
+    def detect(cls, rows: "np.ndarray", words: "np.ndarray") -> "RowRuns":
+        """Runs detected on a traversal's coordinate arrays (any order)."""
+        import numpy as np
+
+        same_row = rows[1:] == rows[:-1]
+        starts = np.concatenate((np.zeros(1, dtype=np.int64),
+                                 np.flatnonzero(~same_row) + 1))
+        ends = np.append(starts[1:], rows.size)
+        run_rows, length = rows[starts], ends - starts
+        first_word, last_word = words[starts], words[ends - 1]
+        (length_s, first_s, last_s), count = group_rows(
+            (length, first_word, last_word))
+        (pair_from, pair_to), pair_count = group_rows(
+            (run_rows[:-1], run_rows[1:]))
+        return cls(length=length_s, first_word=first_s, last_word=last_s,
+                   count=count, run_count=int(starts.size),
+                   first=Run(int(run_rows[0]), int(first_word[0]),
+                             int(last_word[0]), int(length[0])),
+                   last=Run(int(run_rows[-1]), int(first_word[-1]),
+                            int(last_word[-1]), int(length[-1])),
+                   pair_from=pair_from, pair_to=pair_to,
+                   pair_count=pair_count,
+                   word_changes=int(np.count_nonzero(
+                       first_word[1:] != last_word[:-1])),
+                   unit_step=bool(np.all(
+                       words[1:][same_row] == words[:-1][same_row] + 1)))
 
     def reversed(self) -> "RowRuns":
         """The runs of the exact reverse traversal (DOF 1's ``⇓``)."""
-        count = self.start[-1] + self.length[-1]
-        return RowRuns(row=self.row[::-1], first_word=self.last_word[::-1],
-                       last_word=self.first_word[::-1],
-                       length=self.length[::-1],
-                       start=count - (self.start + self.length)[::-1],
+        (length, first_word, last_word), count = group_rows(
+            (self.length, self.last_word, self.first_word), self.count)
+        (pair_from, pair_to), pair_count = group_rows(
+            (self.pair_to, self.pair_from), self.pair_count)
+        return RowRuns(length=length, first_word=first_word,
+                       last_word=last_word, count=count,
+                       run_count=self.run_count,
+                       first=self.last.reversed(), last=self.first.reversed(),
+                       pair_from=pair_from, pair_to=pair_to,
+                       pair_count=pair_count,
+                       word_changes=self.word_changes,
                        unit_step=self.unit_step)
+
+
+def _row_major_runs(rows: int, width: int) -> RowRuns:
+    """Closed form of the row-major runs: one ``+1`` run per row."""
+    import numpy as np
+
+    row = np.arange(rows - 1, dtype=np.int64)
+    one = np.ones(1, dtype=np.int64)
+    return RowRuns(length=one * width, first_word=one * 0,
+                   last_word=one * (width - 1), count=one * rows,
+                   run_count=rows, first=Run(0, 0, width - 1, width),
+                   last=Run(rows - 1, 0, width - 1, width),
+                   pair_from=row, pair_to=row + 1,
+                   pair_count=np.ones(rows - 1, dtype=np.int64),
+                   word_changes=rows - 1 if width > 1 else 0,
+                   unit_step=True)
 
 
 class AddressOrder:
@@ -172,7 +279,7 @@ class AddressOrder:
         return cached
 
     def row_runs(self) -> RowRuns:
-        """The ascending sequence as maximal same-row :class:`RowRuns`.
+        """The ascending sequence as shape-compressed :class:`RowRuns`.
 
         The segment structure of every compiled run
         (:class:`repro.march.execution.SegmentWalk`) and the
@@ -189,18 +296,7 @@ class AddressOrder:
 
     def _build_row_runs(self) -> RowRuns:
         """Runs detected on the coordinate arrays (one pass, any order)."""
-        import numpy as np
-
-        rows, words = self.coordinate_arrays()
-        same_row = rows[1:] == rows[:-1]
-        starts = np.concatenate((np.zeros(1, dtype=np.int64),
-                                 np.flatnonzero(~same_row) + 1))
-        ends = np.append(starts[1:], rows.size)
-        return RowRuns(row=rows[starts], first_word=words[starts],
-                       last_word=words[ends - 1], length=ends - starts,
-                       start=starts,
-                       unit_step=bool(np.all(
-                           words[1:][same_row] == words[:-1][same_row] + 1)))
+        return RowRuns.detect(*self.coordinate_arrays())
 
     # ------------------------------------------------------------------
     def is_wordline_sequential(self) -> bool:
@@ -211,8 +307,9 @@ class AddressOrder:
         adjacent traversal step, so only the selected column and its
         successor require pre-charge.  The verdict is cached on the order
         instance (orders are immutable permutations) and, with numpy
-        available, read from :meth:`row_runs` — sequential means no row
-        starts two runs — instead of a per-position Python walk.
+        available, read from :meth:`row_runs`: every row starts at least
+        one run of a permutation, so sequential means exactly one run per
+        row.
         """
         cached = getattr(self, "_wordline_sequential_cache", None)
         if cached is None:
@@ -221,10 +318,8 @@ class AddressOrder:
         return cached
 
     def _compute_wordline_sequential(self) -> bool:
-        np = _numpy()
-        if np is not None:
-            rows = np.sort(self.row_runs().row)
-            return not bool(np.any(rows[1:] == rows[:-1]))
+        if _numpy() is not None:
+            return self.row_runs().run_count == self.geometry.rows
         previous_row: int | None = None
         seen_rows: set[int] = set()
         for row, _ in self.ascending():
@@ -261,15 +356,8 @@ class RowMajorOrder(AddressOrder):
         return np.divmod(positions, self.geometry.words_per_row)
 
     def _build_row_runs(self) -> RowRuns:
-        """Closed form: one ``+1`` run per row (O(rows), no coordinates)."""
-        import numpy as np
-
-        rows, width = self.geometry.rows, self.geometry.words_per_row
-        row = np.arange(rows, dtype=np.int64)
-        return RowRuns(row=row, first_word=np.zeros(rows, dtype=np.int64),
-                       last_word=np.full(rows, width - 1, dtype=np.int64),
-                       length=np.full(rows, width, dtype=np.int64),
-                       start=row * width, unit_step=True)
+        """Closed form: one shape, no coordinates."""
+        return _row_major_runs(self.geometry.rows, self.geometry.words_per_row)
 
 
 class ColumnMajorOrder(AddressOrder):
@@ -295,6 +383,29 @@ class ColumnMajorOrder(AddressOrder):
         positions = np.arange(len(self), dtype=np.int64)
         words, rows = np.divmod(positions, self.geometry.rows)
         return rows, words
+
+    def _build_row_runs(self) -> RowRuns:
+        """Closed form: one single-visit run per address, so one shape per
+        word, each ``rows`` times; no coordinates."""
+        import numpy as np
+
+        rows, width = self.geometry.rows, self.geometry.words_per_row
+        if rows == 1:  # one word line: the order is row-major
+            return _row_major_runs(rows, width)
+        word = np.arange(width, dtype=np.int64)
+        row = np.arange(rows, dtype=np.int64)
+        # Down each column (r, r+1), then (rows-1, 0) between columns.
+        pair_count = np.full(rows, width, dtype=np.int64)
+        pair_count[-1] = width - 1
+        keep = pair_count > 0
+        return RowRuns(length=np.ones(width, dtype=np.int64),
+                       first_word=word, last_word=word,
+                       count=np.full(width, rows, dtype=np.int64),
+                       run_count=rows * width, first=Run(0, 0, 0, 1),
+                       last=Run(rows - 1, width - 1, width - 1, 1),
+                       pair_from=row[keep], pair_to=((row + 1) % rows)[keep],
+                       pair_count=pair_count[keep],
+                       word_changes=width - 1, unit_step=True)
 
 
 class PseudoRandomOrder(AddressOrder):

@@ -42,3 +42,31 @@ def banked_geometries(draw, max_rows: int = 16, max_columns: int = 24):
         columns=bits * draw(st.integers(1, max_columns // bits)),
         bits_per_word=bits, banks=banks,
         bank_interleave=draw(st.sampled_from(("blocked", "interleaved"))))
+
+
+def _consistent(algorithm: MarchAlgorithm) -> MarchAlgorithm:
+    """``algorithm`` made a valid March test: every read expects the
+    fault-free content, and a read before any write becomes a write."""
+    background = None
+    elements = []
+    for element in algorithm.elements:
+        current = background
+        operations = []
+        for operation in element.operations:
+            if operation.is_read and current is None:
+                operation = MarchOperation(OperationKind.WRITE, operation.value)
+            elif operation.is_read:
+                operation = MarchOperation(OperationKind.READ, current)
+            if operation.is_write:
+                current = operation.value
+            operations.append(operation)
+        element = MarchElement(direction=element.direction,
+                               operations=tuple(operations))
+        if element.final_written_value() is not None:
+            background = element.final_written_value()
+        elements.append(element)
+    return MarchAlgorithm(name=algorithm.name, elements=tuple(elements))
+
+
+#: Generated algorithms that pass ``MarchAlgorithm.validate``.
+march_tests = algorithms.map(_consistent)

@@ -476,6 +476,20 @@ class TestKillAndSteal:
         counts = _execution_counts(LeaseLedger(tmp_path / "camp"))
         assert set(counts.values()) == {1}
 
+    def test_run_distributed_returns_promptly_after_completion(
+            self, tmp_path):
+        """Completion is noticed within a fraction of a second, not at
+        the next lease-expiry round (``lease_timeout / 4`` = 7.5 s)."""
+        from repro.distrib import run_distributed
+
+        started = time.monotonic()
+        report = run_distributed(tmp_path / "camp", _tiny_cases(2),
+                                 workers=1, lease_timeout=30.0,
+                                 supervise_deadline=60.0)
+        elapsed = time.monotonic() - started
+        assert report.complete is True
+        assert elapsed < 3.0, f"run_distributed took {elapsed:.2f} s"
+
 
 # ----------------------------------------------------------------------
 # Runner lease hooks (header_meta / case_sink)

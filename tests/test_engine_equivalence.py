@@ -297,10 +297,11 @@ def test_stacked_batch_is_bit_identical_to_single_runs():
 
 @pytest.mark.parametrize("order_cls", [None, ColumnMajorOrder])
 def test_multi_tile_flat_kernel_matches_single_tile(monkeypatch, order_cls):
-    """No committed grid reaches DEFAULT_SEGMENT_CHUNK (2^19) segments, so
-    a tiny chunk forces the flat kernel's multi-tile path: counters and
-    stress stay exact, energies stay at the differential tolerance, and
-    a stacked batch stays bit-identical to single runs under that chunk."""
+    """No committed grid reaches DEFAULT_SEGMENT_CHUNK (2^19) segment
+    shapes, so a tiny chunk forces the flat kernel's multi-tile path:
+    counters and stress stay exact, energies stay at the differential
+    tolerance, and a stacked batch stays bit-identical to single runs
+    under that chunk."""
     from repro.engine import vectorized
 
     geometry = ArrayGeometry(rows=16, columns=32)
@@ -315,10 +316,10 @@ def test_multi_tile_flat_kernel_matches_single_tile(monkeypatch, order_cls):
     expected = {algorithm.name: single_tile.run_aggregates(algorithm, mode)
                 for algorithm in PAPER_TABLE1_ALGORITHMS}
 
-    monkeypatch.setattr(vectorized, "DEFAULT_SEGMENT_CHUNK", 7)
+    monkeypatch.setattr(vectorized, "DEFAULT_SEGMENT_CHUNK", 4)
     tiled = engine()
     for algorithm in PAPER_TABLE1_ALGORITHMS:
-        assert tiled.trace_for(algorithm).segment_walk().segment_count > 7
+        assert tiled.trace_for(algorithm).segment_walk().shape_count > 4
         assert_aggregates_match(expected[algorithm.name],
                                 tiled.run_aggregates(algorithm, mode),
                                 label=algorithm.name)

@@ -1,22 +1,28 @@
 """Row runs: the segment structure every compiled run is built from.
 
 ``AddressOrder.row_runs()`` describes an order's ascending traversal as
-maximal same-row runs.  The row-major order (the paper's word-line-after-
-word-line order) builds them in closed form; every other order derives
-them from its coordinates.  Three things are pinned here:
+its maximal same-row runs, compressed to distinct shapes with their
+multiplicity.  The row-major and column-major orders build them in
+closed form; every other order groups runs detected on its coordinates.
+Four things are pinned here:
 
 * the compiled :class:`~repro.march.execution.SegmentWalk` of every
-  registry order equals the one compiled from runs derived over
-  coordinates materialised one ``coordinate_at`` call at a time, and
-  each element's segments equal the runs found directly on that
-  element's own walk (so the descending reversal is checked too);
+  registry order equals the one compiled from runs grouped over
+  coordinates materialised one ``coordinate_at`` call at a time, shapes
+  and every sequence count alike, and both equal a per-visit derivation
+  from each element's own walk (so the descending reversal is checked
+  too);
+* ``row_transition_count`` equals the ``last_access_on_row`` flags of
+  :func:`~repro.march.execution.walk` for every order;
 * the vectorized BIST PRR matches the reference backend on generated
   banked geometries;
-* the word-line-sequential BIST and engine paths never expand the
-  row-major coordinates at all.
+* the sweep power path and the BIST PRR path never expand row-major or
+  column-major coordinates, and their walks hold no per-segment array.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,24 +30,37 @@ from hypothesis import given, settings, strategies as st
 
 from repro import PAPER_TABLE1_ALGORITHMS
 from repro.bist import BistController
-from repro.engine import UnsupportedConfiguration, VectorizedEngine
-from repro.march import all_algorithms
+from repro.engine import (
+    UnsupportedConfiguration,
+    VectorizedEngine,
+    VectorizedPowerCampaign,
+)
+from repro.march import MARCH_CM, all_algorithms, row_transition_count, walk
 from repro.march.element import AddressingDirection
-from repro.march.execution import SegmentWalk, compile_trace
-from repro.march.ordering import ORDER_REGISTRY, AddressOrder, RowMajorOrder
+from repro.march.execution import ChainSegment, compile_trace
+from repro.march.ordering import (
+    ORDER_REGISTRY,
+    AddressOrder,
+    ColumnMajorOrder,
+    RowMajorOrder,
+)
 from repro.sram import ArrayGeometry, OperatingMode
+from repro.sweep import SweepCase, SweepRunner
 
-from differential import assert_energy_ledgers_match
+from differential import assert_energy_ledgers_match, drop_elapsed
 from strategies import algorithms, banked_geometries
 
 #: Every order class the registry ships (aliases collapse).
 ORDERS = sorted(set(ORDER_REGISTRY.values()), key=lambda cls: cls.name)
 DIRECTIONS = (AddressingDirection.UP, AddressingDirection.DOWN)
 
-#: Per-segment arrays and per-run lists of a SegmentWalk.
-SEGMENT_ARRAYS = ("element", "row", "first_word", "last_word", "length",
-                  "start", "base_cycle", "restore", "carry_in", "in_chain")
-SEGMENT_LISTS = ("chains", "element_slices", "neighbour_ok", "deltas")
+#: Per-shape and per-row-pair arrays of a SegmentWalk.
+WALK_ARRAYS = ("element", "length", "first_word", "last_word", "carry_in",
+               "in_chain", "multiplicity", "pair_from", "pair_to",
+               "pair_count")
+#: Sequence counts and per-run lists of a SegmentWalk.
+WALK_FACTS = ("segment_count", "element_segments", "element_rows",
+              "restores", "word_changes", "chains", "neighbour_ok", "deltas")
 
 
 class _Materialised(AddressOrder):
@@ -56,15 +75,60 @@ class _Materialised(AddressOrder):
         return self._order.coordinate_at(position)
 
 
-def _walk_segments(rows, words, delta):
-    """One element's segments found directly on its coordinate walk."""
-    same_row = rows[1:] == rows[:-1]
-    starts = np.flatnonzero(np.concatenate(([True], ~same_row)))
-    ends = np.append(starts[1:], rows.size)
-    neighbour_ok = bool(np.all(words[1:][same_row]
-                               == words[:-1][same_row] + delta))
-    return ((rows[starts], words[starts], words[ends - 1], ends - starts,
-             starts), neighbour_ok)
+def _per_visit_walk(trace):
+    """The walk's shapes and sequence counts, derived segment by segment
+    from each element's own coordinate walk."""
+    segments = []          # (element, row, first, last, length, start)
+    neighbour_ok = []
+    for element, (_, rows, words) in zip(trace.elements,
+                                         trace.element_walks()):
+        rows, words = rows.tolist(), words.tolist()
+        start = 0
+        for position in range(1, len(rows) + 1):
+            if position == len(rows) or rows[position] != rows[start]:
+                segments.append((element.index, rows[start], words[start],
+                                 words[position - 1], position - start,
+                                 start))
+                start = position
+        delta = 1 if element.direction is AddressingDirection.UP else -1
+        neighbour_ok.append(all(
+            words[i + 1] == words[i] + delta
+            for i in range(len(rows) - 1) if rows[i + 1] == rows[i]))
+
+    carry = [False] + [segments[i][1] == segments[i - 1][1]
+                       for i in range(1, len(segments))]
+    restore = [not flag for flag in carry[1:]] + [True]
+    shapes = Counter()
+    chains, current = [], []
+    for index, (element, row, first, last, length, start) in \
+            enumerate(segments):
+        chained = carry[index] or not restore[index]
+        shapes[(element, length, first, last, carry[index], chained)] += 1
+        if chained:
+            ops = trace.elements[element].operation_count
+            current.append(ChainSegment(
+                element=element, row=row, first_word=first, length=length,
+                start=start,
+                base_cycle=trace.elements[element].base_step + start * ops,
+                restore=restore[index]))
+            if restore[index]:
+                chains.append(tuple(current))
+                current = []
+    by_element = [[segment for segment in segments if segment[0] == index]
+                  for index in range(len(trace.elements))]
+    return {
+        "shapes": shapes,
+        "pairs": Counter((segments[i - 1][1], segments[i][1])
+                         for i in range(1, len(segments)) if not carry[i]),
+        "segment_count": len(segments),
+        "element_segments": [len(own) for own in by_element],
+        "element_rows": [(own[0][1], own[-1][1]) for own in by_element],
+        "restores": sum(restore),
+        "word_changes": sum(1 for i in range(1, len(segments))
+                            if segments[i][2] != segments[i - 1][3]),
+        "chains": chains,
+        "neighbour_ok": neighbour_ok,
+    }
 
 
 @given(geometry=banked_geometries(), algorithm=algorithms)
@@ -75,29 +139,43 @@ def test_segment_walk_matches_materialised_derivation(geometry, algorithm):
         for direction in DIRECTIONS:
             trace = compile_trace(algorithm, order, direction)
             compiled = trace.segment_walk()
-            expected = SegmentWalk.compile(
-                compile_trace(algorithm, _Materialised(order), direction))
+            expected = compile_trace(
+                algorithm, _Materialised(order), direction).segment_walk()
             label = (order.name, direction)
-            for name in SEGMENT_ARRAYS:
+            for name in WALK_ARRAYS:
                 observed = getattr(compiled, name)
                 reference = getattr(expected, name)
                 assert observed.dtype == reference.dtype, (label, name)
                 assert np.array_equal(observed, reference), (label, name)
-            for name in SEGMENT_LISTS:
+            for name in WALK_FACTS:
                 assert getattr(compiled, name) == getattr(expected, name), \
                     (label, name)
 
-            for element, (lo, hi), (walk_direction, rows, words) in zip(
-                    trace.elements, compiled.element_slices,
-                    trace.element_walks()):
-                segments, neighbour_ok = _walk_segments(
-                    rows, words, compiled.deltas[element.index])
-                fields = (compiled.row, compiled.first_word,
-                          compiled.last_word, compiled.length, compiled.start)
-                for observed, reference in zip(fields, segments):
-                    assert np.array_equal(observed[lo:hi], reference), \
-                        (label, walk_direction, element.index)
-                assert compiled.neighbour_ok[element.index] == neighbour_ok
+            per_visit = _per_visit_walk(trace)
+            shapes = Counter()
+            for fields in zip(*(getattr(compiled, name).tolist()
+                                for name in WALK_ARRAYS[:6]),
+                              compiled.multiplicity.tolist()):
+                shapes[tuple(fields[:6])] += fields[6]
+            assert shapes == per_visit.pop("shapes"), label
+            pairs = Counter(dict(zip(
+                zip(compiled.pair_from.tolist(), compiled.pair_to.tolist()),
+                compiled.pair_count.tolist())))
+            assert pairs == per_visit.pop("pairs"), label
+            for name, value in per_visit.items():
+                assert getattr(compiled, name) == value, (label, name)
+
+
+@given(geometry=banked_geometries(8, 8), algorithm=algorithms)
+@settings(max_examples=25, deadline=None)
+def test_row_transition_count_matches_walk_flags(geometry, algorithm):
+    for order_cls in ORDERS:
+        order = order_cls(geometry)
+        for direction in DIRECTIONS:
+            flagged = sum(1 for step in walk(algorithm, order, direction)
+                          if step.last_access_on_row)
+            assert row_transition_count(algorithm, order, direction) \
+                == flagged, (order.name, direction)
 
 
 @given(geometry=banked_geometries(),
@@ -126,13 +204,13 @@ def test_vectorized_bist_prr_matches_reference(geometry, algorithm):
 
 
 # ----------------------------------------------------------------------
-# The word-line-sequential path reads runs, never coordinates
+# The power paths read runs, never coordinates
 # ----------------------------------------------------------------------
 def _forbid_expansion(monkeypatch):
     def expand(self):
-        raise AssertionError("the row-major coordinates were expanded")
+        raise AssertionError(f"the {self.name} coordinates were expanded")
 
-    monkeypatch.setattr(RowMajorOrder, "_build_coordinate_arrays", expand)
+    monkeypatch.setattr(AddressOrder, "coordinate_arrays", expand)
 
 
 @pytest.mark.parametrize("banks", (1, 4))
@@ -162,3 +240,54 @@ def test_engine_batch_never_expands_row_major_coordinates(monkeypatch):
     expected = VectorizedEngine(geometry, detailed=False) \
         .run_aggregates_batch(requests)
     assert observed == expected
+
+
+@pytest.mark.parametrize("order", ("row-major", "column-major"))
+def test_sweep_power_path_never_expands_coordinates(monkeypatch, order):
+    cases = [SweepCase(rows=32, columns=64, algorithm=algorithm.name,
+                       order=order, backend="vectorized", banks=banks)
+             for algorithm in PAPER_TABLE1_ALGORITHMS for banks in (1, 2)]
+
+    def records():
+        return [drop_elapsed(record) for record
+                in SweepRunner(cases, strategy="batched").run()]
+
+    _forbid_expansion(monkeypatch)
+    observed = records()
+    monkeypatch.undo()
+    assert observed == records()
+
+
+@pytest.mark.parametrize("order_cls", (RowMajorOrder, ColumnMajorOrder))
+def test_bist_prr_backend_never_expands_coordinates(monkeypatch, order_cls):
+    geometry = ArrayGeometry(rows=16, columns=32, banks=2)
+    requests = [(algorithm, low_power)
+                for algorithm in PAPER_TABLE1_ALGORITHMS
+                for low_power in (False, True)]
+
+    def measure():
+        return VectorizedPowerCampaign(geometry).measure_batch(
+            requests, order_cls(geometry))
+
+    _forbid_expansion(monkeypatch)
+    observed = measure()
+    monkeypatch.undo()
+    assert observed == measure()
+    assert all(result.passed for result in observed)
+
+
+@pytest.mark.parametrize("order_cls, bound", (
+    (RowMajorOrder, lambda elements, width: 3 * elements),
+    (ColumnMajorOrder, lambda elements, width: elements * (width + 2)),
+))
+def test_paper_scale_walk_holds_no_per_segment_array(order_cls, bound):
+    """At 4096 x 4096 a row-major walk has O(elements) shapes and a
+    column-major walk O(elements x words_per_row); no array is as long
+    as the logical segment count."""
+    geometry = ArrayGeometry(rows=4096, columns=4096)
+    walk = compile_trace(MARCH_CM, order_cls(geometry)).segment_walk()
+    assert walk.shape_count <= bound(MARCH_CM.element_count,
+                                     geometry.words_per_row)
+    assert int(walk.multiplicity.sum()) == walk.segment_count
+    for name in WALK_ARRAYS:
+        assert getattr(walk, name).size < walk.segment_count, name
