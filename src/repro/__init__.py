@@ -61,99 +61,17 @@ vectorized power campaign::
     controller = BistController(PAPER_GEOMETRY, backend="auto")
     result = controller.run(MARCH_CM, low_power=True)
     print(result.describe())
+
+Every name below resolves lazily (PEP 562): ``import repro`` loads none
+of the subsystems, and ``from repro import TestSession`` imports only
+the module that defines :class:`~repro.core.session.TestSession` and its
+own dependencies.  Each subpackage exports the same way, so a process
+imports only what it runs.
 """
 
-from .circuit import PAPER_TECHNOLOGY, TechnologyParameters, default_technology
-from .sram import (
-    ArrayGeometry,
-    OperatingMode,
-    PAPER_GEOMETRY,
-    PrechargePlan,
-    SMALL_GEOMETRY,
-    SRAM,
-    checkerboard_background,
-    solid_background,
-)
-from .power import EnergyLedger, PowerModel, PowerSource
-from .march import (
-    MARCH_CM,
-    MARCH_G,
-    MARCH_SR,
-    MARCH_SS,
-    MATS_PLUS,
-    MarchAlgorithm,
-    PAPER_TABLE1_ALGORITHMS,
-    RowMajorOrder,
-    get_algorithm,
-    parse_march,
-)
-from .core import (
-    AnalyticalPowerModel,
-    LowPowerTestPlanner,
-    ModeComparison,
-    ModifiedPrechargeController,
-    TestSession,
-    compare_modes,
-)
-from .bist import BistController, BistOrder, BistResult, POWER_BACKENDS
-from .faults import (
-    FAULT_BACKENDS,
-    FaultInjection,
-    FaultSimulator,
-    StuckAtFault,
-    build_fault_list,
-    check_order_invariance,
-    run_campaign,
-    run_coverage,
-)
-from .engine import (  # numpy-free: resolved from engine.dispatch
-    KERNEL_CHOICES,
-    EngineError,
-)
-from .sweep import (
-    CoverageCase,
-    PrrCase,
-    SweepCase,
-    SweepResult,
-    SweepRunner,
-    coverage_grid,
-    prr_grid,
-    sweep_grid,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.11.0"
-
-#: Engine classes resolved lazily (PEP 562) so that importing :mod:`repro`
-#: (or any scalar subsystem) never loads numpy; the vectorized modules load
-#: on first attribute access instead.
-_LAZY_ENGINE_EXPORTS = (
-    "VectorizedEngine",
-    "UnsupportedConfiguration",
-    "VectorizedFaultCampaign",
-    "UnsupportedFaultCampaign",
-    "VectorizedPowerCampaign",
-    # kernel-tier helpers (numpy loads on first use, numba never before
-    # the compiled tier is actually requested)
-    "KERNELS",
-    "available_kernels",
-    "resolve_kernel",
-)
-
-
-def __getattr__(name: str):
-    """Resolve the vectorized engine exports from :mod:`repro.engine` lazily."""
-    if name in _LAZY_ENGINE_EXPORTS:
-        from . import engine
-
-        value = getattr(engine, name)
-        globals()[name] = value  # cache: subsequent access skips __getattr__
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    """Advertise the lazy engine exports alongside the module globals."""
-    return sorted(set(globals()) | set(_LAZY_ENGINE_EXPORTS))
 
 #: The paper this repository reproduces.
 PAPER_REFERENCE = (
@@ -162,24 +80,69 @@ PAPER_REFERENCE = (
     "Design, Automation and Test in Europe (DATE), 2006."
 )
 
-__all__ = [
-    "PAPER_REFERENCE", "__version__",
-    "TechnologyParameters", "PAPER_TECHNOLOGY", "default_technology",
-    "ArrayGeometry", "PAPER_GEOMETRY", "SMALL_GEOMETRY", "SRAM",
-    "OperatingMode", "PrechargePlan", "solid_background", "checkerboard_background",
-    "EnergyLedger", "PowerModel", "PowerSource",
-    "MarchAlgorithm", "parse_march", "get_algorithm", "RowMajorOrder",
-    "MARCH_CM", "MARCH_SS", "MATS_PLUS", "MARCH_SR", "MARCH_G",
-    "PAPER_TABLE1_ALGORITHMS",
-    "AnalyticalPowerModel", "LowPowerTestPlanner", "ModifiedPrechargeController",
-    "TestSession", "ModeComparison", "compare_modes",
-    "BistController", "BistOrder", "BistResult", "POWER_BACKENDS",
-    "FaultInjection", "FaultSimulator", "StuckAtFault", "FAULT_BACKENDS",
-    "build_fault_list", "check_order_invariance", "run_campaign", "run_coverage",
-    "VectorizedEngine", "EngineError", "UnsupportedConfiguration",
-    "VectorizedFaultCampaign", "UnsupportedFaultCampaign",
-    "VectorizedPowerCampaign",
-    "KERNEL_CHOICES", "KERNELS", "available_kernels", "resolve_kernel",
-    "SweepRunner", "SweepCase", "CoverageCase", "PrrCase", "SweepResult",
-    "sweep_grid", "coverage_grid", "prr_grid",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "TechnologyParameters": ".circuit.technology",
+    "PAPER_TECHNOLOGY": ".circuit.technology",
+    "default_technology": ".circuit.technology",
+    "ArrayGeometry": ".sram.geometry",
+    "PAPER_GEOMETRY": ".sram.geometry",
+    "SMALL_GEOMETRY": ".sram.geometry",
+    "SRAM": ".sram.memory",
+    "OperatingMode": ".sram.modes",
+    "PrechargePlan": ".sram.modes",
+    "solid_background": ".sram.array",
+    "checkerboard_background": ".sram.array",
+    "EnergyLedger": ".power.accounting",
+    "PowerModel": ".power.model",
+    "PowerSource": ".power.sources",
+    "MarchAlgorithm": ".march.algorithm",
+    "parse_march": ".march.parser",
+    "get_algorithm": ".march.library",
+    "RowMajorOrder": ".march.ordering",
+    "MARCH_CM": ".march.library",
+    "MARCH_SS": ".march.library",
+    "MATS_PLUS": ".march.library",
+    "MARCH_SR": ".march.library",
+    "MARCH_G": ".march.library",
+    "PAPER_TABLE1_ALGORITHMS": ".march.library",
+    "AnalyticalPowerModel": ".core.prr",
+    "LowPowerTestPlanner": ".core.lowpower",
+    "ModifiedPrechargeController": ".core.precharge_controller",
+    "TestSession": ".core.session",
+    "ModeComparison": ".core.session",
+    "compare_modes": ".core.session",
+    "BistController": ".bist.controller",
+    "BistOrder": ".bist.address_generator",
+    "BistResult": ".bist.controller",
+    "POWER_BACKENDS": ".bist.backend",
+    "FaultInjection": ".faults.simulator",
+    "FaultSimulator": ".faults.simulator",
+    "StuckAtFault": ".faults.models",
+    "FAULT_BACKENDS": ".faults.backend",
+    "build_fault_list": ".faults.coverage",
+    "check_order_invariance": ".faults.coverage",
+    "run_campaign": ".faults.coverage",
+    "run_coverage": ".faults.coverage",
+    "VectorizedEngine": ".engine.vectorized",
+    "EngineError": ".engine.dispatch",
+    "UnsupportedConfiguration": ".engine.vectorized",
+    "VectorizedFaultCampaign": ".engine.fault_campaign",
+    "UnsupportedFaultCampaign": ".engine.fault_campaign",
+    "VectorizedPowerCampaign": ".engine.power_campaign",
+    "KERNEL_CHOICES": ".engine.dispatch",
+    "KERNELS": ".engine.vectorized",
+    "available_kernels": ".engine.vectorized",
+    "resolve_kernel": ".engine.vectorized",
+    "SweepRunner": ".sweep.runner",
+    "SweepCase": ".sweep.runner",
+    "CoverageCase": ".sweep.runner",
+    "PrrCase": ".sweep.runner",
+    "SweepResult": ".sweep.runner",
+    "sweep_grid": ".sweep.runner",
+    "coverage_grid": ".sweep.runner",
+    "prr_grid": ".sweep.runner",
+}
+
+__all__ = ["PAPER_REFERENCE", "__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

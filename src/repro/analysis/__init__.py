@@ -1,26 +1,24 @@
 """Experiment support: scaling methodology, circuit fixtures, table rendering."""
 
-from .scaling import ReducedRowEquivalent, ScalingError, reduced_row_equivalent
-from .fixtures import (
-    FixtureDescription,
-    bitline_discharge_fixture,
-    faulty_swap_fixture,
-    res_fight_fixture,
-    selected_column_cycle_fixture,
-)
-from .tables import (
-    coverage_table,
-    format_energy,
-    format_percent,
-    format_power,
-    prr_table,
-    render_table,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ReducedRowEquivalent", "ScalingError", "reduced_row_equivalent",
-    "FixtureDescription", "bitline_discharge_fixture", "faulty_swap_fixture",
-    "res_fight_fixture", "selected_column_cycle_fixture",
-    "coverage_table", "format_energy", "format_percent", "format_power",
-    "prr_table", "render_table",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "ReducedRowEquivalent": ".scaling",
+    "ScalingError": ".scaling",
+    "reduced_row_equivalent": ".scaling",
+    "FixtureDescription": ".fixtures",
+    "bitline_discharge_fixture": ".fixtures",
+    "faulty_swap_fixture": ".fixtures",
+    "res_fight_fixture": ".fixtures",
+    "selected_column_cycle_fixture": ".fixtures",
+    "coverage_table": ".tables",
+    "format_energy": ".tables",
+    "format_percent": ".tables",
+    "format_power": ".tables",
+    "prr_table": ".tables",
+    "render_table": ".tables",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

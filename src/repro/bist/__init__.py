@@ -14,14 +14,21 @@ controller runs either on the cycle-accurate behavioural memory
 which makes the paper-scale measured Table 1 interactive.
 """
 
-from .address_generator import AddressGenerator, BistOrder
-from .backend import POWER_BACKENDS, PowerBackend, ReferencePowerBackend
-from .comparator import Comparator, ComparatorLog
-from .controller import BistController, BistResult, BistError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressGenerator", "BistOrder",
-    "Comparator", "ComparatorLog",
-    "BistController", "BistResult", "BistError",
-    "POWER_BACKENDS", "PowerBackend", "ReferencePowerBackend",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "AddressGenerator": ".address_generator",
+    "BistOrder": ".address_generator",
+    "Comparator": ".comparator",
+    "ComparatorLog": ".comparator",
+    "BistController": ".controller",
+    "BistResult": ".controller",
+    "BistError": ".controller",
+    "POWER_BACKENDS": ".backend",
+    "PowerBackend": ".backend",
+    "ReferencePowerBackend": ".backend",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

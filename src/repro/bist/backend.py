@@ -35,10 +35,11 @@ from ..march.execution import walk
 from ..march.ordering import AddressOrder
 from ..sram.array import BackgroundFunction, solid_background
 from ..sram.geometry import ArrayGeometry
-from ..sram.memory import OperatingMode, SRAM
+from ..sram.modes import OperatingMode
 from .comparator import Comparator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..sram.memory import SRAM
     from .controller import BistResult
 
 
@@ -101,6 +102,9 @@ class ReferencePowerBackend:
     def build_memory(self, low_power: bool,
                      background: Optional[BackgroundFunction] = None) -> SRAM:
         """A fresh fault-free memory in the requested mode, background applied."""
+        # Deferred: only the reference walk loads the behavioural memory.
+        from ..sram.memory import SRAM
+
         mode = OperatingMode.LOW_POWER_TEST if low_power else OperatingMode.FUNCTIONAL
         memory = SRAM(self.geometry, tech=self.tech, mode=mode,
                       ledger_label=f"BIST [{mode.value}]")
@@ -145,16 +149,13 @@ class ReferencePowerBackend:
             comparator.check(cycle=outcome.cycle, row=step.row, word=step.word,
                              expected=step.operation.value, observed=outcome.value)
 
-        ledger = memory.ledger
-        return BistResult(
+        return BistResult.from_ledger(
+            memory.ledger,
             algorithm=algorithm.name,
             low_power_mode=low_power,
             passed=comparator.passed,
             failures=comparator.failures,
             cycles=memory.cycle,
-            total_energy=ledger.total_energy(),
-            average_power=ledger.average_power(),
-            energy_by_source=ledger.energy_by_source(),
             failure_log=list(comparator.log),
             planner=planner_name(low_power),
             backend=self.name,

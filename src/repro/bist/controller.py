@@ -23,19 +23,22 @@ reports which engine actually measured the most recent run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..circuit.technology import TechnologyParameters, default_technology
 from ..engine.dispatch import KERNEL_CHOICES, BackendDispatcher, EngineError
 from ..march.algorithm import MarchAlgorithm
 from ..march.execution import TraceCache
+from ..power.accounting import EnergyLedger
 from ..power.sources import PowerSource
 from ..sram.array import BackgroundFunction, solid_background
 from ..sram.geometry import ArrayGeometry
-from ..sram.memory import OperatingMode, SRAM
 from .address_generator import AddressGenerator, BistOrder
 from .backend import ReferencePowerBackend
 from .comparator import Comparator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sram.memory import SRAM
 
 
 class BistError(Exception):
@@ -63,6 +66,19 @@ class BistResult:
     #: concrete kernel tier of the vectorized campaign ("flat" /
     #: "segmented" / "jit"); "" on the reference engine.
     kernel: str = ""
+
+    @classmethod
+    def from_ledger(cls, ledger: EnergyLedger, **fields) -> "BistResult":
+        """The result whose energy figures are the totals of ``ledger``.
+
+        Both power backends build their results here, so the reference
+        walk's event ledger and the vectorized campaign's aggregate ledger
+        report total energy, average power and the per-source breakdown
+        identically.
+        """
+        return cls(total_energy=ledger.total_energy(),
+                   average_power=ledger.average_power(),
+                   energy_by_source=ledger.energy_by_source(), **fields)
 
     def describe(self) -> str:
         """One-line human-readable summary of the run."""

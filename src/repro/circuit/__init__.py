@@ -16,74 +16,48 @@ replacement used throughout the repository:
   pre-charge control logic of Section 4).
 """
 
-from .technology import TechnologyParameters, PAPER_TECHNOLOGY, default_technology
-from .waveform import Waveform, align_waveforms
-from .mosfet import Mosfet, MosfetParameters, nmos, pmos, equivalent_on_resistance
-from .elements import (
-    GROUND,
-    Capacitor,
-    CurrentSource,
-    Element,
-    PiecewiseLinearSource,
-    Resistor,
-    Switch,
-    always_off,
-    always_on,
-    step_control,
-)
-from .transient import Circuit, CircuitError, SourceEnergy, TransientResult
-from .gates import (
-    AND2,
-    BUFFER,
-    EvaluationResult,
-    GateInstance,
-    GateKind,
-    INVERTER,
-    LogicError,
-    LogicNetwork,
-    NAND2,
-    NOR2,
-    OR2,
-    TGATE_MUX2,
-    XOR2,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TechnologyParameters",
-    "PAPER_TECHNOLOGY",
-    "default_technology",
-    "Waveform",
-    "align_waveforms",
-    "Mosfet",
-    "MosfetParameters",
-    "nmos",
-    "pmos",
-    "equivalent_on_resistance",
-    "GROUND",
-    "Capacitor",
-    "CurrentSource",
-    "Element",
-    "PiecewiseLinearSource",
-    "Resistor",
-    "Switch",
-    "always_off",
-    "always_on",
-    "step_control",
-    "Circuit",
-    "CircuitError",
-    "SourceEnergy",
-    "TransientResult",
-    "GateKind",
-    "GateInstance",
-    "LogicNetwork",
-    "LogicError",
-    "EvaluationResult",
-    "INVERTER",
-    "BUFFER",
-    "NAND2",
-    "NOR2",
-    "AND2",
-    "OR2",
-    "XOR2",
-    "TGATE_MUX2",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "TechnologyParameters": ".technology",
+    "PAPER_TECHNOLOGY": ".technology",
+    "default_technology": ".technology",
+    "Waveform": ".waveform",
+    "align_waveforms": ".waveform",
+    "Mosfet": ".mosfet",
+    "MosfetParameters": ".mosfet",
+    "nmos": ".mosfet",
+    "pmos": ".mosfet",
+    "equivalent_on_resistance": ".mosfet",
+    "GROUND": ".elements",
+    "Capacitor": ".elements",
+    "CurrentSource": ".elements",
+    "Element": ".elements",
+    "PiecewiseLinearSource": ".elements",
+    "Resistor": ".elements",
+    "Switch": ".elements",
+    "always_off": ".elements",
+    "always_on": ".elements",
+    "step_control": ".elements",
+    "Circuit": ".transient",
+    "CircuitError": ".transient",
+    "SourceEnergy": ".transient",
+    "TransientResult": ".transient",
+    "GateKind": ".gates",
+    "GateInstance": ".gates",
+    "LogicNetwork": ".gates",
+    "LogicError": ".gates",
+    "EvaluationResult": ".gates",
+    "INVERTER": ".gates",
+    "BUFFER": ".gates",
+    "NAND2": ".gates",
+    "NOR2": ".gates",
+    "AND2": ".gates",
+    "OR2": ".gates",
+    "XOR2": ".gates",
+    "TGATE_MUX2": ".gates",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,38 +12,31 @@
   behavioural SRAM in either mode and measure the Power Reduction Ratio.
 """
 
-from .precharge_controller import (
-    ControllerDecision,
-    ControllerError,
-    ModifiedPrechargeController,
-    TRANSISTORS_PER_COLUMN,
-)
-from .lowpower import (
-    FunctionalModePlanner,
-    LowPowerTestPlanner,
-    PlannerError,
-    PlannerStatistics,
-    PrechargePlanner,
-    WordOrientedLowPowerPlanner,
-    traversal_neighbour_delta,
-)
-from .prr import AnalyticalPowerModel, AnalyticalPrediction, AnalyticalModelError
-from .session import (
-    ModeComparison,
-    ReadMismatch,
-    SessionError,
-    TestRunResult,
-    TestSession,
-    compare_modes,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ModifiedPrechargeController", "ControllerDecision", "ControllerError",
-    "TRANSISTORS_PER_COLUMN",
-    "PrechargePlanner", "FunctionalModePlanner", "LowPowerTestPlanner",
-    "WordOrientedLowPowerPlanner", "PlannerError", "PlannerStatistics",
-    "traversal_neighbour_delta",
-    "AnalyticalPowerModel", "AnalyticalPrediction", "AnalyticalModelError",
-    "TestSession", "TestRunResult", "ModeComparison", "ReadMismatch",
-    "SessionError", "compare_modes",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "ModifiedPrechargeController": ".precharge_controller",
+    "ControllerDecision": ".precharge_controller",
+    "ControllerError": ".precharge_controller",
+    "TRANSISTORS_PER_COLUMN": ".precharge_controller",
+    "PrechargePlanner": ".lowpower",
+    "FunctionalModePlanner": ".lowpower",
+    "LowPowerTestPlanner": ".lowpower",
+    "WordOrientedLowPowerPlanner": ".lowpower",
+    "PlannerError": ".lowpower",
+    "PlannerStatistics": ".lowpower",
+    "traversal_neighbour_delta": ".lowpower",
+    "AnalyticalPowerModel": ".prr",
+    "AnalyticalPrediction": ".prr",
+    "AnalyticalModelError": ".prr",
+    "TestSession": ".session",
+    "TestRunResult": ".session",
+    "ModeComparison": ".session",
+    "ReadMismatch": ".session",
+    "SessionError": ".session",
+    "compare_modes": ".session",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -29,7 +29,7 @@ from ..march.element import AddressingDirection
 from ..march.execution import AccessStep
 from ..power.model import PowerModel
 from ..sram.geometry import ArrayGeometry
-from ..sram.memory import FUNCTIONAL_PLAN, PrechargePlan
+from ..sram.modes import FUNCTIONAL_PLAN, PrechargePlan
 
 
 class PlannerError(Exception):

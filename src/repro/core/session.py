@@ -23,7 +23,7 @@ run qualifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.technology import TechnologyParameters, default_technology
 from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES, BackendDispatcher
@@ -34,8 +34,11 @@ from ..march.ordering import AddressOrder, RowMajorOrder
 from ..power.sources import PowerSource
 from ..sram.array import BackgroundFunction, solid_background
 from ..sram.geometry import ArrayGeometry
-from ..sram.memory import OperatingMode, SRAM
+from ..sram.modes import OperatingMode
 from .lowpower import FunctionalModePlanner, LowPowerTestPlanner, PrechargePlanner
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sram.memory import SRAM
 
 
 class SessionError(Exception):
@@ -193,6 +196,9 @@ class TestSession:
 
     # ------------------------------------------------------------------
     def _build_memory(self, mode: OperatingMode, label: str) -> SRAM:
+        # Deferred: only the reference walk loads the behavioural memory.
+        from ..sram.memory import SRAM
+
         memory = SRAM(self.geometry, tech=self.tech, mode=mode,
                       ledger_label=label,
                       detailed_ledger=self.detailed,

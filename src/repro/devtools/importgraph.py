@@ -11,7 +11,9 @@ executes at import time:
   ``__getattr__`` hooks themselves) do not;
 * ``if TYPE_CHECKING:`` bodies never execute and are skipped;
 * ``from pkg import name`` where ``pkg`` is a *lazy-export package*
-  (a scanned ``__init__`` with a module-level ``__getattr__`` and a
+  (a scanned ``__init__`` with a module-level ``__getattr__`` — defined
+  with ``def`` or bound from the shared helper,
+  ``__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)`` — and a
   literal name→submodule map such as ``repro.engine``'s ``_EXPORTS``)
   triggers ``__getattr__`` **eagerly** for names the package does not
   bind at top level — so the edge resolves through the seam to the
@@ -103,22 +105,34 @@ def _module_level_names(module: LintModule) -> Set[str]:
     return names
 
 
+def _binds_getattr(node: ast.stmt) -> bool:
+    """True when a module-level statement binds ``__getattr__``.
+
+    Either ``def __getattr__(name): ...`` or an assignment with
+    ``__getattr__`` among its targets, the shape the shared helper is
+    bound with (``__getattr__, __dir__ = lazy_exports(...)``).
+    """
+    if isinstance(node, ast.FunctionDef):
+        return node.name == "__getattr__"
+    if not isinstance(node, ast.Assign):
+        return False
+    for target in node.targets:
+        names = target.elts if isinstance(target, ast.Tuple) else [target]
+        if any(isinstance(name, ast.Name) and name.id == "__getattr__"
+               for name in names):
+            return True
+    return False
+
+
 def lazy_export_map(module: LintModule) -> Dict[str, str]:
     """The PEP 562 name→submodule map of a lazy-export package.
 
     Recognises the repo idiom: a module-level ``__getattr__`` plus one or
     more literal ``{"Name": ".submodule"}`` dict assignments (values are
     submodule paths relative to the package).  Returns absolute target
-    module names; empty when the module has no such seam.  Lazy-export
-    *lists* (names resolved through another package's map, like the
-    top-level ``_LAZY_ENGINE_EXPORTS``) contribute nothing here — their
-    resolution happens on attribute access, which is lazy by definition
-    unless a ``from`` import triggers it (handled by the edge resolver).
+    module names; empty when the module has no such seam.
     """
-    has_getattr = any(
-        isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
-        for node in module.tree.body)
-    if not has_getattr:
+    if not any(_binds_getattr(node) for node in module.tree.body):
         return {}
     mapping: Dict[str, str] = {}
     package = module.name if module.is_package \
@@ -221,17 +235,17 @@ class ImportGraph:
         """Eager edges out of module ``name`` (empty for external modules)."""
         return self._edges.get(name, [])
 
-    def reachable_from(self, root: str
+    def reachable_from(self, root: str, *more_roots: str
                        ) -> Dict[str, Tuple[Optional[str], ImportEdge]]:
-        """BFS closure of the eager graph from ``root``.
+        """BFS closure of the eager graph from ``root`` (and ``more_roots``).
 
         Returns ``{module: (parent_module, edge)}`` for every module
-        reached (excluding the root itself) — enough to reconstruct the
-        import chain that loads any of them.
+        reached (excluding the roots themselves) — enough to reconstruct
+        the import chain that loads any of them.
         """
         parents: Dict[str, Tuple[Optional[str], ImportEdge]] = {}
-        queue: List[str] = [root]
-        visited: Set[str] = {root}
+        queue: List[str] = [root, *more_roots]
+        visited: Set[str] = set(queue)
         while queue:
             current = queue.pop(0)
             for edge in self.edges_from(current):
@@ -244,7 +258,11 @@ class ImportGraph:
 
     def chain_to(self, parents: Dict[str, Tuple[Optional[str], ImportEdge]],
                  target: str, root: str) -> List[str]:
-        """The module chain ``root → ... → target`` for a BFS result."""
+        """The module chain ``root → ... → target`` for a BFS result.
+
+        With several BFS roots the chain starts at whichever root loaded
+        ``target``.
+        """
         chain = [target]
         current = target
         while current != root and current in parents:

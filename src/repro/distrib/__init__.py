@@ -25,35 +25,24 @@ Quickstart (single machine, 4 workers)::
     # -> campaign/merged.jsonl, verified against campaign/grid.jsonl
 """
 
-from .coordinator import (
-    Coordinator,
-    grid_digest,
-    plan_leases,
-    run_distributed,
-    spawn_worker,
-)
-from .ledger import (
-    LEDGER_FORMAT,
-    LEDGER_VERSION,
-    Lease,
-    LeaseLedger,
-    LeaseRevoked,
-    LedgerError,
-)
-from .worker import DistribWorker, default_worker_id
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "DistribWorker",
-    "LEDGER_FORMAT",
-    "LEDGER_VERSION",
-    "Lease",
-    "LeaseLedger",
-    "LeaseRevoked",
-    "LedgerError",
-    "default_worker_id",
-    "grid_digest",
-    "plan_leases",
-    "run_distributed",
-    "spawn_worker",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "Coordinator": ".coordinator",
+    "DistribWorker": ".worker",
+    "LEDGER_FORMAT": ".ledger",
+    "LEDGER_VERSION": ".ledger",
+    "Lease": ".ledger",
+    "LeaseLedger": ".ledger",
+    "LeaseRevoked": ".ledger",
+    "LedgerError": ".ledger",
+    "default_worker_id": ".worker",
+    "grid_digest": ".coordinator",
+    "plan_leases": ".coordinator",
+    "run_distributed": ".coordinator",
+    "spawn_worker": ".coordinator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

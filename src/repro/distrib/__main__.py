@@ -31,7 +31,6 @@ from ..engine.dispatch import KERNEL_CHOICES
 from ..march.ordering import ORDER_REGISTRY
 from ..sram.geometry import BANK_INTERLEAVE_MODES
 from ..sweep.journal import JournalError
-from ..sweep.merge import MergeError
 from ..sweep.runner import (
     AnyCase,
     DEFAULT_SAMPLE,
@@ -44,13 +43,12 @@ from ..sweep.runner import (
     prr_grid,
     sweep_grid,
 )
-from .coordinator import (
-    Coordinator,
+from .ledger import (
     DEFAULT_CHUNK_FACTOR,
     DEFAULT_MIN_CHUNK,
-    run_distributed,
+    LeaseLedger,
+    LedgerError,
 )
-from .ledger import LedgerError
 from .worker import DistribWorker
 
 
@@ -200,13 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code (0 ok, 2 on error)."""
     args = build_parser().parse_args(argv)
+    # Only the planning and merging subcommands load the coordinator (and
+    # with it the journal merge); a worker or a status query never does.
     try:
         if args.command == "init":
+            from .coordinator import Coordinator
+
             cases = _build_cases(args)
-            Coordinator.create(args.root, cases, args.workers,
-                               min_chunk=args.min_chunk,
-                               factor=args.factor)
-            status = Coordinator(args.root).status()
+            coordinator = Coordinator.create(args.root, cases, args.workers,
+                                             min_chunk=args.min_chunk,
+                                             factor=args.factor)
+            status = coordinator.status()
             print(f"campaign {args.root}: {len(cases)} cases across "
                   f"{status['leases']} leases (planned for "
                   f"{args.workers} workers)")
@@ -222,6 +224,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{summary['executed']} lease(s) executed, "
                   f"{len(summary['revoked'])} revoked")  # type: ignore[arg-type]
         elif args.command == "run":
+            from .coordinator import run_distributed
+
             cases = _build_cases(args)
             report = run_distributed(
                 args.root, cases, args.workers,
@@ -231,7 +235,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 supervise_deadline=args.deadline)
             print(report.summary())
         elif args.command == "status":
-            status = Coordinator(args.root).status()
+            status = LeaseLedger(args.root).status()
             if args.as_json:
                 print(json.dumps(status, sort_keys=True))
             else:
@@ -241,11 +245,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       f"{status['steals']} steal(s), "
                       f"{status['cases_done']} case(s) complete")
         elif args.command == "merge":
+            from .coordinator import Coordinator
+
             report = Coordinator(args.root).merge(
                 require_complete=not args.allow_incomplete)
             print(report.summary())
-    except (LedgerError, MergeError, SweepError, JournalError,
-            OSError) as exc:
+    except (LedgerError, SweepError, JournalError, OSError) as exc:
+        # SweepError covers the merge's MergeError, its subclass.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -40,7 +40,12 @@ from ..sweep.runner import (
     check_strategy,
     fingerprint_digest,
 )
-from .ledger import LeaseLedger, LedgerError
+from .ledger import (
+    DEFAULT_CHUNK_FACTOR,
+    DEFAULT_MIN_CHUNK,
+    LeaseLedger,
+    LedgerError,
+)
 
 __all__ = [
     "Coordinator",
@@ -49,12 +54,6 @@ __all__ = [
     "run_distributed",
     "spawn_worker",
 ]
-
-#: Guided self-scheduling divisor: each planning round leases
-#: ``remaining / (factor * workers)`` cases, so chunk sizes decay
-#: geometrically toward the tail.
-DEFAULT_CHUNK_FACTOR = 2
-DEFAULT_MIN_CHUNK = 1
 
 
 def plan_leases(n_cases: int, workers: int,

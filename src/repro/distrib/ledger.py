@@ -69,6 +69,14 @@ LEDGER_VERSION = 1
 #: Lease lifecycle states.
 LEASE_STATES = ("pending", "claimed", "done")
 
+#: Guided self-scheduling divisor of lease planning
+#: (:func:`repro.distrib.coordinator.plan_leases`): each planning round
+#: leases ``remaining / (factor * workers)`` cases, so chunk sizes decay
+#: geometrically toward the tail.
+DEFAULT_CHUNK_FACTOR = 2
+#: The smallest lease a plan cuts, in cases.
+DEFAULT_MIN_CHUNK = 1
+
 
 class LedgerError(Exception):
     """Raised on malformed, foreign or inconsistent ledger state."""

@@ -45,8 +45,9 @@ modules, so the scalar layers and the sweep orchestrator can catch
 numpy installed.
 """
 
-from importlib import import_module
 from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 
 #: Which submodule provides each lazily-exported name.
 _EXPORTS = {
@@ -94,17 +95,4 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         resolve_kernel,
     )
 
-
-def __getattr__(name: str):
-    """Resolve an exported name from its submodule on first access."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value  # cache: subsequent access skips __getattr__
-    return value
-
-
-def __dir__():
-    """Advertise the lazy exports alongside the module globals."""
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from ..march.element import AddressingDirection
 from ..march.library import get_algorithm
-from ..sram.memory import OperatingMode
+from ..sram.modes import OperatingMode
 from .dispatch import EngineError
 
 try:  # numpy is required for the stacked kernel only

@@ -44,7 +44,7 @@ from ..march.ordering import AddressOrder
 from ..power.accounting import EnergyLedger
 from ..sram.array import BackgroundFunction, solid_background
 from ..sram.geometry import ArrayGeometry
-from ..sram.memory import OperatingMode
+from ..sram.modes import OperatingMode
 from .vectorized import VectorizedEngine, _require_numpy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -199,15 +199,13 @@ class VectorizedPowerCampaign:
         ledger = EnergyLedger.from_aggregates(
             engine.clock.period, by_source, cycles=cycles,
             label=f"BIST [{mode.value}] (vectorized)")
-        return BistResult(
+        return BistResult.from_ledger(
+            ledger,
             algorithm=algorithm.name,
             low_power_mode=low_power,
             passed=failures == 0,
             failures=failures,
             cycles=cycles,
-            total_energy=ledger.total_energy(),
-            average_power=ledger.average_power(),
-            energy_by_source=ledger.energy_by_source(),
             failure_log=failure_log,
             planner=planner_name(low_power),
             backend=self.name,

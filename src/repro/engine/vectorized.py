@@ -48,7 +48,7 @@ from ..power.accounting import EnergyLedger
 from ..power.model import PowerModel
 from ..power.sources import PowerSource
 from ..sram.geometry import ArrayGeometry
-from ..sram.memory import CELL_RES_RATIO, OperatingMode, SRAM
+from ..sram.modes import CELL_RES_RATIO, DETAILED_CELL_LIMIT, OperatingMode
 from ..sram.timing import ClockCycle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -326,9 +326,9 @@ class VectorizedEngine:
     a technology, an address order (row-major by default), and the concrete
     direction ``⇕`` elements resolve to.  ``detailed`` carries the session's
     book-keeping switch: when true (the default for arrays up to
-    ``SRAM.DETAILED_CELL_LIMIT`` cells) the engine also accumulates the
-    per-cell stress statistics the reference memory would have collected,
-    exposed as :attr:`last_stress` after each run.
+    :data:`~repro.sram.modes.DETAILED_CELL_LIMIT` cells) the engine also
+    accumulates the per-cell stress statistics the reference memory would
+    have collected, exposed as :attr:`last_stress` after each run.
     """
 
     def __init__(self, geometry: ArrayGeometry,
@@ -348,7 +348,7 @@ class VectorizedEngine:
         self.order = order or RowMajorOrder(geometry)
         self.any_direction = any_direction
         self.clock = ClockCycle.from_technology(self.tech)
-        detailed_default = geometry.cell_count <= SRAM.DETAILED_CELL_LIMIT
+        detailed_default = geometry.cell_count <= DETAILED_CELL_LIMIT
         self.track_cell_stress = detailed_default if detailed is None else detailed
         #: requested execution kernel (``None`` at construction means
         #: :data:`DEFAULT_TIER`); :func:`resolve_kernel` maps it to the
@@ -1279,9 +1279,9 @@ class VectorizedEngine:
     def _flat_stress(self, unit) -> None:
         """Accumulate the per-cell RES stress of one unit, flat.
 
-        Runs only in detailed sessions (at most
-        ``SRAM.DETAILED_CELL_LIMIT`` cells), over the per-visit walks it
-        reads anyway, which also give its segment boundaries.
+        Runs only in detailed sessions (at most ``DETAILED_CELL_LIMIT``
+        cells), over the per-visit walks it reads anyway, which also give
+        its segment boundaries.
         State-independent parts (the pre-charged neighbour's full RES, the
         refloat of every visited-but-last word) run over the whole visit
         arrays; the newly-floating mask of chain-free segments is the

@@ -6,76 +6,58 @@ sequence chosen for ⇑ (Degree Of Freedom 1), which is what legitimises the
 word-line-after-word-line order of the low-power test mode.
 """
 
-from .models import (
-    ActiveNeighbourhoodPatternFault,
-    CellState,
-    CouplingFault,
-    DataRetentionFault,
-    DeceptiveReadDestructiveFault,
-    DisturbCouplingFault,
-    DynamicDeceptiveReadDestructiveFault,
-    DynamicFault,
-    DynamicIncorrectReadFault,
-    DynamicReadDestructiveFault,
-    FaultFree,
-    FaultModel,
-    FaultModelError,
-    IdempotentCouplingFault,
-    IncorrectReadFault,
-    InversionCouplingFault,
-    NeighbourhoodFault,
-    ReadDestructiveFault,
-    StateCouplingFault,
-    StaticNeighbourhoodPatternFault,
-    StuckAtFault,
-    StuckOpenFault,
-    TransitionFault,
-    WriteDestructiveFault,
-    coupling_fault_models,
-    dynamic_fault_models,
-    neighbourhood_fault_models,
-    single_cell_fault_models,
-)
-from .backend import FAULT_BACKENDS, FaultBackend, ReferenceFaultBackend
-from .simulator import (
-    DetectionResult,
-    FaultInjection,
-    FaultSimulationError,
-    FaultSimulator,
-    LogicalMemory,
-    type1_neighbourhood,
-)
-from .coverage import (
-    CampaignResult,
-    CoverageReport,
-    DEFAULT_LOCATION_SEED,
-    InvarianceReport,
-    build_fault_list,
-    check_order_invariance,
-    default_fault_locations,
-    neighbour_of,
-    run_campaign,
-    run_coverage,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CellState", "FaultModel", "FaultModelError", "FaultFree", "CouplingFault",
-    "StuckAtFault", "TransitionFault", "ReadDestructiveFault",
-    "DeceptiveReadDestructiveFault", "IncorrectReadFault", "WriteDestructiveFault",
-    "StuckOpenFault", "DataRetentionFault",
-    "StateCouplingFault", "IdempotentCouplingFault", "InversionCouplingFault",
-    "DisturbCouplingFault",
-    "DynamicFault", "DynamicReadDestructiveFault",
-    "DynamicDeceptiveReadDestructiveFault", "DynamicIncorrectReadFault",
-    "NeighbourhoodFault", "StaticNeighbourhoodPatternFault",
-    "ActiveNeighbourhoodPatternFault",
-    "single_cell_fault_models", "coupling_fault_models",
-    "dynamic_fault_models", "neighbourhood_fault_models",
-    "FAULT_BACKENDS", "FaultBackend", "ReferenceFaultBackend",
-    "DetectionResult", "FaultInjection", "FaultSimulationError", "FaultSimulator",
-    "LogicalMemory", "type1_neighbourhood",
-    "CampaignResult", "CoverageReport", "InvarianceReport",
-    "DEFAULT_LOCATION_SEED", "build_fault_list",
-    "check_order_invariance", "default_fault_locations", "neighbour_of",
-    "run_campaign", "run_coverage",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "CellState": ".models",
+    "FaultModel": ".models",
+    "FaultModelError": ".models",
+    "FaultFree": ".models",
+    "CouplingFault": ".models",
+    "StuckAtFault": ".models",
+    "TransitionFault": ".models",
+    "ReadDestructiveFault": ".models",
+    "DeceptiveReadDestructiveFault": ".models",
+    "IncorrectReadFault": ".models",
+    "WriteDestructiveFault": ".models",
+    "StuckOpenFault": ".models",
+    "DataRetentionFault": ".models",
+    "StateCouplingFault": ".models",
+    "IdempotentCouplingFault": ".models",
+    "InversionCouplingFault": ".models",
+    "DisturbCouplingFault": ".models",
+    "DynamicFault": ".models",
+    "DynamicReadDestructiveFault": ".models",
+    "DynamicDeceptiveReadDestructiveFault": ".models",
+    "DynamicIncorrectReadFault": ".models",
+    "NeighbourhoodFault": ".models",
+    "StaticNeighbourhoodPatternFault": ".models",
+    "ActiveNeighbourhoodPatternFault": ".models",
+    "single_cell_fault_models": ".models",
+    "coupling_fault_models": ".models",
+    "dynamic_fault_models": ".models",
+    "neighbourhood_fault_models": ".models",
+    "FAULT_BACKENDS": ".backend",
+    "FaultBackend": ".backend",
+    "ReferenceFaultBackend": ".backend",
+    "DetectionResult": ".simulator",
+    "FaultInjection": ".simulator",
+    "FaultSimulationError": ".simulator",
+    "FaultSimulator": ".simulator",
+    "LogicalMemory": ".simulator",
+    "type1_neighbourhood": ".simulator",
+    "CampaignResult": ".coverage",
+    "CoverageReport": ".coverage",
+    "InvarianceReport": ".coverage",
+    "DEFAULT_LOCATION_SEED": ".coverage",
+    "build_fault_list": ".coverage",
+    "check_order_invariance": ".coverage",
+    "default_fault_locations": ".coverage",
+    "neighbour_of": ".coverage",
+    "run_campaign": ".coverage",
+    "run_coverage": ".coverage",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..march.algorithm import MarchAlgorithm
 from ..march.element import AddressingDirection
 from ..march.ordering import AddressOrder
-from ..sram.geometry import ArrayGeometry
+from ..sram.geometry import DEFAULT_LOCATION_SEED, ArrayGeometry
 from .models import (
     CouplingFault,
     FaultModel,
@@ -33,10 +33,6 @@ from .models import (
     single_cell_fault_models,
 )
 from .simulator import DetectionResult, FaultInjection, FaultSimulator
-
-#: Seed of the deterministic victim-location sampler (exposed by the sweep
-#: CLI as ``--seed`` and recorded in campaign exports).
-DEFAULT_LOCATION_SEED = 2006
 
 
 @dataclass(frozen=True)

@@ -9,79 +9,71 @@ walker that expands a test into the primitive access stream consumed by the
 fault simulator and the power session.
 """
 
-from .operations import MarchOperation, MarchSyntaxError, OperationKind, R0, R1, W0, W1
-from .element import AddressingDirection, MarchElement
-from .algorithm import MarchAlgorithm, MarchValidationError
-from .parser import ParseResult, parse_march, parse_march_detailed, round_trip
-from .library import (
-    ALGORITHM_LIBRARY,
-    MARCH_A,
-    MARCH_B,
-    MARCH_C,
-    MARCH_CM,
-    MARCH_G,
-    MARCH_LR,
-    MARCH_SR,
-    MARCH_SS,
-    MARCH_U,
-    MARCH_X,
-    MARCH_Y,
-    MATS,
-    MATS_PLUS,
-    MATS_PLUS_PLUS,
-    PAPER_TABLE1_ALGORITHMS,
-    PMOVI,
-    all_algorithms,
-    get_algorithm,
-)
-from .ordering import (
-    AddressComplementOrder,
-    AddressOrder,
-    ColumnMajorOrder,
-    ORDER_REGISTRY,
-    OrderingError,
-    PseudoRandomOrder,
-    RowMajorOrder,
-    RowMajorSnakeOrder,
-    make_order,
-    verify_is_permutation,
-)
-from .execution import (
-    AccessStep,
-    OperationTrace,
-    TraceCache,
-    TraceElement,
-    compile_trace,
-    count_steps,
-    element_coordinates,
-    resolve_direction,
-    row_transition_count,
-    walk,
-)
-from .dof import (
-    AddressSequenceChoice,
-    DegreeOfFreedom,
-    all_degrees,
-    complement_data,
-    coverage_equivalence_orders,
-    paper_choice,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MarchOperation", "MarchSyntaxError", "OperationKind", "R0", "R1", "W0", "W1",
-    "AddressingDirection", "MarchElement",
-    "MarchAlgorithm", "MarchValidationError",
-    "ParseResult", "parse_march", "parse_march_detailed", "round_trip",
-    "ALGORITHM_LIBRARY", "PAPER_TABLE1_ALGORITHMS", "all_algorithms", "get_algorithm",
-    "MARCH_A", "MARCH_B", "MARCH_C", "MARCH_CM", "MARCH_G", "MARCH_LR", "MARCH_SR",
-    "MARCH_SS", "MARCH_U", "MARCH_X", "MARCH_Y", "MATS", "MATS_PLUS",
-    "MATS_PLUS_PLUS", "PMOVI",
-    "AddressOrder", "RowMajorOrder", "ColumnMajorOrder", "PseudoRandomOrder",
-    "AddressComplementOrder", "RowMajorSnakeOrder", "ORDER_REGISTRY", "OrderingError",
-    "make_order", "verify_is_permutation",
-    "AccessStep", "walk", "count_steps", "element_coordinates", "resolve_direction",
-    "row_transition_count",
-    "OperationTrace", "TraceElement", "TraceCache", "compile_trace",
-    "AddressSequenceChoice", "DegreeOfFreedom", "all_degrees", "complement_data",
-    "coverage_equivalence_orders", "paper_choice",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "MarchOperation": ".operations",
+    "MarchSyntaxError": ".operations",
+    "OperationKind": ".operations",
+    "R0": ".operations",
+    "R1": ".operations",
+    "W0": ".operations",
+    "W1": ".operations",
+    "AddressingDirection": ".element",
+    "MarchElement": ".element",
+    "MarchAlgorithm": ".algorithm",
+    "MarchValidationError": ".algorithm",
+    "ParseResult": ".parser",
+    "parse_march": ".parser",
+    "parse_march_detailed": ".parser",
+    "round_trip": ".parser",
+    "ALGORITHM_LIBRARY": ".library",
+    "PAPER_TABLE1_ALGORITHMS": ".library",
+    "all_algorithms": ".library",
+    "get_algorithm": ".library",
+    "MARCH_A": ".library",
+    "MARCH_B": ".library",
+    "MARCH_C": ".library",
+    "MARCH_CM": ".library",
+    "MARCH_G": ".library",
+    "MARCH_LR": ".library",
+    "MARCH_SR": ".library",
+    "MARCH_SS": ".library",
+    "MARCH_U": ".library",
+    "MARCH_X": ".library",
+    "MARCH_Y": ".library",
+    "MATS": ".library",
+    "MATS_PLUS": ".library",
+    "MATS_PLUS_PLUS": ".library",
+    "PMOVI": ".library",
+    "AddressOrder": ".ordering",
+    "RowMajorOrder": ".ordering",
+    "ColumnMajorOrder": ".ordering",
+    "PseudoRandomOrder": ".ordering",
+    "AddressComplementOrder": ".ordering",
+    "RowMajorSnakeOrder": ".ordering",
+    "ORDER_REGISTRY": ".ordering",
+    "OrderingError": ".ordering",
+    "make_order": ".ordering",
+    "verify_is_permutation": ".ordering",
+    "AccessStep": ".execution",
+    "walk": ".execution",
+    "count_steps": ".execution",
+    "element_coordinates": ".execution",
+    "resolve_direction": ".execution",
+    "row_transition_count": ".execution",
+    "OperationTrace": ".execution",
+    "TraceElement": ".execution",
+    "TraceCache": ".execution",
+    "compile_trace": ".execution",
+    "AddressSequenceChoice": ".dof",
+    "DegreeOfFreedom": ".dof",
+    "all_degrees": ".dof",
+    "complement_data": ".dof",
+    "coverage_equivalence_orders": ".dof",
+    "paper_choice": ".dof",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

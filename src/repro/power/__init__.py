@@ -8,19 +8,21 @@
   behavioural measurements.
 """
 
-from .sources import OVERHEAD_SOURCES, PowerSource, SAVINGS_TARGET_SOURCES
-from .accounting import (
-    AccountingError,
-    EnergyEvent,
-    EnergyLedger,
-    LedgerSummary,
-    SourceBreakdown,
-)
-from .model import OperationEnergies, PowerModel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PowerSource", "SAVINGS_TARGET_SOURCES", "OVERHEAD_SOURCES",
-    "AccountingError", "EnergyEvent", "EnergyLedger", "LedgerSummary",
-    "SourceBreakdown",
-    "OperationEnergies", "PowerModel",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "PowerSource": ".sources",
+    "SAVINGS_TARGET_SOURCES": ".sources",
+    "OVERHEAD_SOURCES": ".sources",
+    "AccountingError": ".accounting",
+    "EnergyEvent": ".accounting",
+    "EnergyLedger": ".accounting",
+    "LedgerSummary": ".accounting",
+    "SourceBreakdown": ".accounting",
+    "OperationEnergies": ".model",
+    "PowerModel": ".model",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -24,39 +24,27 @@ Quickstart::
     assert again["served"]["outcome"] == "hit"
 """
 
-from .cache import CACHE_FORMAT, CACHE_VERSION, ResultCache
-from .client import ServeClient, replay
-from .service import (
-    CampaignService,
-    DEFAULT_PORT,
-    ServeError,
-    ServiceThread,
-    running_service,
-)
-from .trace import (
-    TRACE_FORMAT,
-    TRACE_VERSION,
-    TraceError,
-    WorkloadTrace,
-    load_trace,
-    replay_cases,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_FORMAT",
-    "CACHE_VERSION",
-    "CampaignService",
-    "DEFAULT_PORT",
-    "ResultCache",
-    "ServeClient",
-    "ServeError",
-    "ServiceThread",
-    "TRACE_FORMAT",
-    "TRACE_VERSION",
-    "TraceError",
-    "WorkloadTrace",
-    "load_trace",
-    "replay",
-    "replay_cases",
-    "running_service",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "CACHE_FORMAT": ".cache",
+    "CACHE_VERSION": ".cache",
+    "CampaignService": ".service",
+    "DEFAULT_PORT": ".service",
+    "ResultCache": ".cache",
+    "ServeClient": ".client",
+    "ServeError": ".service",
+    "ServiceThread": ".service",
+    "TRACE_FORMAT": ".trace",
+    "TRACE_VERSION": ".trace",
+    "TraceError": ".trace",
+    "WorkloadTrace": ".trace",
+    "load_trace": ".trace",
+    "replay": ".client",
+    "replay_cases": ".trace",
+    "running_service": ".service",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import math
 import signal
 import sys
 
@@ -65,15 +66,15 @@ async def _serve(args: argparse.Namespace) -> int:
         cache_max_entries=args.cache_max_entries,
         cache_max_bytes=args.cache_max_bytes)
     await service.start(args.host, args.port)
-    print(f"[serve] listening on http://{service.host}:{service.port} "
-          f"(cache: {service.cache.root}, workers: {service.workers})",
-          flush=True)
-
+    # Handlers first: a SIGTERM sent on the readiness line must drain.
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
         with contextlib.suppress(NotImplementedError):  # non-POSIX loops
             loop.add_signal_handler(signum, stop.set)
+    print(f"[serve] listening on http://{service.host}:{service.port} "
+          f"(cache: {service.cache.root}, workers: {service.workers})",
+          flush=True)
     try:
         await stop.wait()
     finally:
@@ -87,8 +88,13 @@ def main(argv=None) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.coalesce_window < 0:
-        print("error: --coalesce-window must be >= 0", file=sys.stderr)
+    if not 0 <= args.port <= 65535:
+        print("error: --port must be in 0..65535", file=sys.stderr)
+        return 2
+    if not 0 <= args.coalesce_window < math.inf:
+        # NaN fails both comparisons; inf would park every miss forever.
+        print("error: --coalesce-window must be a finite number >= 0",
+              file=sys.stderr)
         return 2
     for name in ("cache_max_entries", "cache_max_bytes"):
         value = getattr(args, name)

@@ -7,49 +7,49 @@ every quantum of supply energy into an :class:`repro.power.EnergyLedger`.
 It is the measurement instrument on which the paper's experiments run.
 """
 
-from .geometry import ArrayGeometry, PAPER_GEOMETRY, SMALL_GEOMETRY
-from .cell import CellError, CellFactory, CellStressStatistics, SixTransistorCell
-from .bitline import BitLineError, BitLinePair, RestorationResult
-from .precharge import PrechargeActivity, PrechargeCircuit, PrechargeError
-from .timing import ClockCycle, CyclePhase, TestClock
-from .periphery import (
-    ColumnDecoder,
-    DecoderError,
-    RowDecoder,
-    SenseAmplifier,
-    WriteDriver,
-)
-from .column import Column, ColumnError, FloatingContext
-from .array import (
-    ArrayError,
-    BackgroundFunction,
-    CellArray,
-    checkerboard_background,
-    column_stripe_background,
-    row_stripe_background,
-    solid_background,
-)
-from .memory import (
-    AccessOutcome,
-    FUNCTIONAL_PLAN,
-    MemoryError_,
-    OperatingMode,
-    PrechargePlan,
-    SRAM,
-    StressCounters,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArrayGeometry", "PAPER_GEOMETRY", "SMALL_GEOMETRY",
-    "CellError", "CellFactory", "CellStressStatistics", "SixTransistorCell",
-    "BitLineError", "BitLinePair", "RestorationResult",
-    "PrechargeActivity", "PrechargeCircuit", "PrechargeError",
-    "ClockCycle", "CyclePhase", "TestClock",
-    "ColumnDecoder", "DecoderError", "RowDecoder", "SenseAmplifier", "WriteDriver",
-    "Column", "ColumnError", "FloatingContext",
-    "ArrayError", "BackgroundFunction", "CellArray",
-    "checkerboard_background", "column_stripe_background",
-    "row_stripe_background", "solid_background",
-    "AccessOutcome", "FUNCTIONAL_PLAN", "MemoryError_", "OperatingMode",
-    "PrechargePlan", "SRAM", "StressCounters",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "ArrayGeometry": ".geometry",
+    "PAPER_GEOMETRY": ".geometry",
+    "SMALL_GEOMETRY": ".geometry",
+    "CellError": ".cell",
+    "CellFactory": ".cell",
+    "CellStressStatistics": ".cell",
+    "SixTransistorCell": ".cell",
+    "BitLineError": ".bitline",
+    "BitLinePair": ".bitline",
+    "RestorationResult": ".bitline",
+    "PrechargeActivity": ".precharge",
+    "PrechargeCircuit": ".precharge",
+    "PrechargeError": ".precharge",
+    "ClockCycle": ".timing",
+    "CyclePhase": ".timing",
+    "TestClock": ".timing",
+    "ColumnDecoder": ".periphery",
+    "DecoderError": ".periphery",
+    "RowDecoder": ".periphery",
+    "SenseAmplifier": ".periphery",
+    "WriteDriver": ".periphery",
+    "Column": ".column",
+    "ColumnError": ".column",
+    "FloatingContext": ".column",
+    "ArrayError": ".array",
+    "BackgroundFunction": ".array",
+    "CellArray": ".array",
+    "checkerboard_background": ".array",
+    "column_stripe_background": ".array",
+    "row_stripe_background": ".array",
+    "solid_background": ".array",
+    "AccessOutcome": ".memory",
+    "FUNCTIONAL_PLAN": ".modes",
+    "MemoryError_": ".modes",
+    "OperatingMode": ".modes",
+    "PrechargePlan": ".modes",
+    "SRAM": ".memory",
+    "StressCounters": ".memory",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

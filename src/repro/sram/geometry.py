@@ -17,6 +17,13 @@ from typing import Iterator, Tuple
 #: Row-to-bank interleave modes supported by banked organisations.
 BANK_INTERLEAVE_MODES = ("blocked", "interleaved")
 
+#: Seed of the deterministic victim-location sampler of fault-coverage
+#: campaigns (:func:`repro.faults.coverage.default_fault_locations`),
+#: exposed by the sweep CLI as ``--seed`` and recorded in campaign
+#: exports.  Defined with the array geometry, not in :mod:`repro.faults`,
+#: so the sweep layer can default it without loading the fault models.
+DEFAULT_LOCATION_SEED = 2006
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:

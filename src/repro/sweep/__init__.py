@@ -23,79 +23,47 @@ only the cases missing from the journal), and a grid splits across
 machines with ``shard_cases(cases, index, total)``.
 """
 
-from .journal import JournalEntry, JournalError, RunJournal, load_journal
-from .merge import (
-    MergeError,
-    MergeReport,
-    load_grid_fingerprints,
-    merge_journals,
-)
-from .runner import (
-    CoverageCase,
-    CoverageRecord,
-    DEFAULT_SAMPLE,
-    INVARIANCE_ORDERS,
-    PRR_BRACKET_SLACK,
-    PrrCase,
-    PrrRecord,
-    SweepCase,
-    SweepError,
-    SweepRecord,
-    SweepResult,
-    SweepRunner,
-    case_fingerprint,
-    case_from_dict,
-    case_kind,
-    coverage_grid,
-    execute_case,
-    fingerprint_digest,
-    paper_coverage_cases,
-    paper_prr_cases,
-    paper_table1_cases,
-    parse_geometry,
-    prr_grid,
-    run_case,
-    run_coverage_case,
-    run_prr_case,
-    shard_cases,
-    sweep_grid,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JournalEntry",
-    "JournalError",
-    "MergeError",
-    "MergeReport",
-    "RunJournal",
-    "load_grid_fingerprints",
-    "load_journal",
-    "merge_journals",
-    "CoverageCase",
-    "CoverageRecord",
-    "DEFAULT_SAMPLE",
-    "INVARIANCE_ORDERS",
-    "PRR_BRACKET_SLACK",
-    "PrrCase",
-    "PrrRecord",
-    "SweepCase",
-    "SweepError",
-    "SweepRecord",
-    "SweepResult",
-    "SweepRunner",
-    "case_fingerprint",
-    "case_from_dict",
-    "case_kind",
-    "coverage_grid",
-    "execute_case",
-    "fingerprint_digest",
-    "paper_coverage_cases",
-    "paper_prr_cases",
-    "paper_table1_cases",
-    "parse_geometry",
-    "prr_grid",
-    "run_case",
-    "run_coverage_case",
-    "run_prr_case",
-    "shard_cases",
-    "sweep_grid",
-]
+#: The submodule that defines each exported name, imported on first access.
+_EXPORTS = {
+    "JournalEntry": ".journal",
+    "JournalError": ".journal",
+    "MergeError": ".merge",
+    "MergeReport": ".merge",
+    "RunJournal": ".journal",
+    "load_grid_fingerprints": ".merge",
+    "load_journal": ".journal",
+    "merge_journals": ".merge",
+    "CoverageCase": ".runner",
+    "CoverageRecord": ".runner",
+    "DEFAULT_SAMPLE": ".runner",
+    "INVARIANCE_ORDERS": ".runner",
+    "PRR_BRACKET_SLACK": ".runner",
+    "PrrCase": ".runner",
+    "PrrRecord": ".runner",
+    "SweepCase": ".runner",
+    "SweepError": ".runner",
+    "SweepRecord": ".runner",
+    "SweepResult": ".runner",
+    "SweepRunner": ".runner",
+    "case_fingerprint": ".runner",
+    "case_from_dict": ".runner",
+    "case_kind": ".runner",
+    "coverage_grid": ".runner",
+    "execute_case": ".runner",
+    "fingerprint_digest": ".runner",
+    "paper_coverage_cases": ".runner",
+    "paper_prr_cases": ".runner",
+    "paper_table1_cases": ".runner",
+    "parse_geometry": ".runner",
+    "prr_grid": ".runner",
+    "run_case": ".runner",
+    "run_coverage_case": ".runner",
+    "run_prr_case": ".runner",
+    "shard_cases": ".runner",
+    "sweep_grid": ".runner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

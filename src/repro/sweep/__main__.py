@@ -44,13 +44,10 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.session import BACKENDS
-from ..engine import EngineError
-from ..engine.dispatch import KERNEL_CHOICES
-from ..faults import DEFAULT_LOCATION_SEED
+from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES, EngineError
 from ..march.library import PAPER_TABLE1_ALGORITHMS
 from ..march.ordering import ORDER_REGISTRY
-from ..sram.geometry import BANK_INTERLEAVE_MODES
+from ..sram.geometry import BANK_INTERLEAVE_MODES, DEFAULT_LOCATION_SEED
 from .journal import JournalError
 from .runner import (
     DEFAULT_SAMPLE,
@@ -88,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="address order, repeatable (default: row-major "
                              "for power sweeps; row-major + column-major + "
                              "pseudo-random for coverage campaigns)")
-    parser.add_argument("--backend", default="auto", choices=BACKENDS,
+    parser.add_argument("--backend", default="auto", choices=BACKEND_CHOICES,
                         help="execution engine (default: auto)")
     parser.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
                         help="vectorized-engine kernel tier: 'flat' (the "

@@ -167,13 +167,20 @@ def merge_journals(output: Union[str, Path],
     """Merge shard journals into one verified journal at ``output``.
 
     See the module docstring for the verification contract.  Raises
-    :class:`MergeError` on any conflict, :class:`JournalError` on a
-    corrupt or foreign source journal.  The output write is atomic — an
-    interrupted merge leaves either the previous artifact or the new
-    one, never a torn hybrid.
+    :class:`MergeError` on any conflict or on a source journal that does
+    not exist (a mistyped shard path must not merge as an empty shard),
+    :class:`JournalError` on a corrupt or foreign source journal.  The
+    output write is atomic — an interrupted merge leaves either the
+    previous artifact or the new one, never a torn hybrid.
     """
     if not journal_paths:
         raise MergeError("merge needs at least one source journal")
+    sources = [Path(path) for path in journal_paths]
+    missing_sources = [str(source) for source in sources
+                       if not source.exists()]
+    if missing_sources:
+        raise MergeError(
+            f"source journal(s) not found: {', '.join(missing_sources)}")
     if require_complete and grid is None:
         raise MergeError("require_complete needs the campaign grid")
     grid_digests: Optional[Dict[str, int]] = None
@@ -191,7 +198,6 @@ def merge_journals(output: Union[str, Path],
     # digest -> (global index, entry, source path) of the kept recording
     merged: Dict[str, Tuple[int, JournalEntry, Path]] = {}
     duplicates = 0
-    sources = [Path(path) for path in journal_paths]
     for source in sources:
         journal = RunJournal(source)
         mapping = _header_mapping(journal)

@@ -53,15 +53,14 @@ Design notes:
 
 from __future__ import annotations
 
-import hashlib
 import json
-import multiprocessing
 import os
 import threading
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     ClassVar,
     Dict,
@@ -74,27 +73,26 @@ from typing import (
     Union,
 )
 
-from ..analysis.tables import render_table
-from ..bist import BistController, POWER_BACKENDS
+from ..bist.controller import BistController
 from ..core.prr import AnalyticalPowerModel
-from ..core.session import BACKENDS, ModeComparison, TestSession
 from ..durable import atomic_write_bytes, atomic_write_text
-from ..engine.dispatch import KERNEL_CHOICES
-from ..faults import (
-    DEFAULT_LOCATION_SEED,
-    FAULT_BACKENDS,
-    FaultSimulator,
-    build_fault_list,
-    default_fault_locations,
-    run_campaign,
-)
+from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES
 from ..march.element import AddressingDirection
 from ..march.execution import TraceCache
 from ..march.library import PAPER_TABLE1_ALGORITHMS, get_algorithm
 from ..march.ordering import ORDER_REGISTRY, make_order
-from ..sram.geometry import ArrayGeometry
-from ..sram.memory import OperatingMode
+from ..sram.geometry import DEFAULT_LOCATION_SEED, ArrayGeometry
+from ..sram.modes import OperatingMode
 from .journal import JournalEntry, RunJournal
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.session import TestSession
+    from ..faults.simulator import FaultSimulator
+
+# Imports that serve one path only live in the functions on that path:
+# the power session, the fault models and the table renderer load with the
+# first case (or rendering) that needs them, hashlib with the first digest
+# and multiprocessing with the first pool.  A PRR sweep loads none of them.
 
 
 class SweepError(Exception):
@@ -260,9 +258,10 @@ class SweepCase:
             raise SweepError(
                 f"unknown address order {self.order!r}; "
                 f"available: {sorted(ORDER_REGISTRY)}")
-        if self.backend not in BACKENDS:
+        if self.backend not in BACKEND_CHOICES:
             raise SweepError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
+                f"unknown backend {self.backend!r}; "
+                f"expected one of {BACKEND_CHOICES}")
         if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
             raise SweepError(
                 f"unknown kernel {self.kernel!r}; "
@@ -331,6 +330,8 @@ def power_record(case: SweepCase, functional, low_power, backend_used: str,
     strategies derive records from raw mode measurements identically —
     the field-for-field equivalence the batched strategy guarantees.
     """
+    from ..core.session import ModeComparison
+
     geometry = case.geometry()
     algorithm = get_algorithm(case.algorithm)
     comparison = ModeComparison(algorithm=algorithm.name,
@@ -475,9 +476,10 @@ class CoverageCase:
                 raise SweepError(
                     f"unknown address order {order!r}; "
                     f"available: {sorted(ORDER_REGISTRY)}")
-        if self.backend not in FAULT_BACKENDS:
+        if self.backend not in BACKEND_CHOICES:
             raise SweepError(
-                f"unknown backend {self.backend!r}; expected one of {FAULT_BACKENDS}")
+                f"unknown backend {self.backend!r}; "
+                f"expected one of {BACKEND_CHOICES}")
         if not (self.include_single or self.include_coupling):
             raise SweepError("a coverage case needs at least one fault battery")
         get_algorithm(self.algorithm)  # fail fast on unknown names
@@ -504,6 +506,8 @@ class CoverageCase:
         reported under the first order and the invariance verdict compares
         every order pair-wise against it.
         """
+        from ..faults.coverage import build_fault_list, default_fault_locations
+
         geometry = self.geometry()
         algorithm = get_algorithm(self.algorithm)
         orders = [state.order_for(name, geometry) for name in self.orders]
@@ -539,6 +543,17 @@ class CoverageCase:
             disagreements=len(invariance.disagreements),
             elapsed_s=elapsed,
         )
+
+
+def run_campaign(*args, **kwargs):
+    """:func:`repro.faults.coverage.run_campaign`, imported on first use.
+
+    Coverage cases simulate through this module attribute, so a process
+    that runs only power or PRR cases never loads :mod:`repro.faults`.
+    """
+    from ..faults.coverage import run_campaign as campaign
+
+    return campaign(*args, **kwargs)
 
 
 def coverage_grid(geometries: Iterable[GeometryLike],
@@ -692,10 +707,10 @@ class PrrCase:
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in POWER_BACKENDS:
+        if self.backend not in BACKEND_CHOICES:
             raise SweepError(
                 f"unknown backend {self.backend!r}; "
-                f"expected one of {POWER_BACKENDS}")
+                f"expected one of {BACKEND_CHOICES}")
         if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
             raise SweepError(
                 f"unknown kernel {self.kernel!r}; "
@@ -873,6 +888,8 @@ def fingerprint_digest(fingerprint: Dict[str, object]) -> str:
     The serving layer keys its on-disk result cache and its request
     coalescing on this digest.
     """
+    import hashlib
+
     canonical = json.dumps(fingerprint, sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -993,6 +1010,8 @@ class _WorkerState:
     def session_for(self, case: SweepCase) -> TestSession:
         """The memoised power-measurement session for ``case``'s axes."""
         def build() -> TestSession:
+            from ..core.session import TestSession
+
             geometry = case.geometry()
             return TestSession(
                 geometry, order=self.order_for(case.order, geometry),
@@ -1006,6 +1025,8 @@ class _WorkerState:
 
     def simulator_for(self, case: CoverageCase) -> FaultSimulator:
         """The memoised fault simulator for ``case``'s axes."""
+        from ..faults.simulator import FaultSimulator
+
         return self._memoised(
             ("simulator", case.rows, case.columns, case.any_direction,
              case.backend),
@@ -1085,6 +1106,8 @@ class SweepResult:
         A homogeneous sweep renders as one table; a mixed sweep renders
         one table per record kind (the kinds have different columns).
         """
+        from ..analysis.tables import render_table
+
         sections = [(cls.kind, [record.table_row() for record in self.records
                                 if type(record) is cls.record_class])
                     for cls in CASE_TYPES]
@@ -1419,6 +1442,8 @@ class SweepRunner:
             finally:
                 _set_worker_state(previous)
             return
+        import multiprocessing
+
         with multiprocessing.get_context().Pool(
                 processes=workers, initializer=_init_worker) as pool:
             for index, record in pool.imap_unordered(_execute_indexed,

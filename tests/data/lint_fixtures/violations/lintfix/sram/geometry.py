@@ -1,0 +1,2 @@
+class ArrayGeometry:
+    rows = columns = 64

@@ -41,6 +41,7 @@ CLEAN = FIXTURES / "clean"
 EXPECTED_VIOLATIONS = {
     ("RPR001", "violations/lintfix/eager_numpy.py", 1),
     ("RPR001", "violations/lintseam/engine/impl.py", 1),
+    ("RPR001", "violations/lintfix/sweep/__main__.py", 3),
     ("RPR002", "violations/lintfix/engine/dispatch.py", 10),
     ("RPR002", "violations/lintfix/engine/dispatch.py", 14),
     ("RPR002", "violations/lintfix/engine/dispatch.py", 18),
@@ -92,6 +93,18 @@ class TestFixtureCorpus:
         [finding] = [f for f in run_lint(VIOLATIONS)
                      if f.rule == "RPR001" and "lintseam" in f.path]
         assert "lintseam -> lintseam.engine.impl -> numpy" in finding.message
+
+    def test_rpr001_entry_point_resolves_the_helper_seam(self):
+        """An entry point's eager ``from`` import of a name that a
+        helper-bound ``_EXPORTS`` map sends to a deferred module is a
+        finding; the clean mirror imports a non-deferred name from the
+        same seam and defers the other into its function."""
+        [finding] = [f for f in run_lint(VIOLATIONS)
+                     if f.rule == "RPR001" and "__main__" in f.path]
+        assert finding.message.startswith(
+            "'python -m lintfix.sweep' eagerly loads 'lintfix.sram.memory'")
+        assert "lintfix.sweep.__main__ -> lintfix.sram.memory" \
+            in finding.message
 
     def test_per_rule_selection(self):
         for rule in ALL_RULES:

@@ -663,6 +663,18 @@ class TestMerge:
         with pytest.raises(MergeError, match="duplicate-free"):
             merge_journals(tmp_path / "merged.jsonl", paths, grid=grid)
 
+    def test_missing_source_journal_is_rejected(self, tmp_path):
+        """A mistyped shard path is an error naming every missing
+        source, not an empty shard merged into a short artifact."""
+        cases, paths = self._shards(tmp_path)
+        absent = [tmp_path / "shard7.jsonl", tmp_path / "shard8.jsonl"]
+        output = tmp_path / "merged.jsonl"
+        with pytest.raises(MergeError, match="not found") as caught:
+            merge_journals(output, [*paths, *absent])
+        for path in absent:
+            assert str(path) in str(caught.value)
+        assert not output.exists()
+
     def test_merged_artifact_is_itself_mergeable(self, tmp_path):
         cases, paths = self._shards(tmp_path)
         grid = [case_fingerprint(case) for case in cases]
@@ -712,6 +724,16 @@ class TestMergeCli:
         code = sweep_main(["merge", str(output), paths[0],
                            "--require-complete"])
         assert code == 2
+
+    def test_merge_subcommand_rejects_a_missing_source(self, tmp_path,
+                                                       capsys):
+        output = tmp_path / "merged.jsonl"
+        missing = tmp_path / "missing.jsonl"
+        code = sweep_main(["merge", str(output), str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+        assert not output.exists()
 
     def test_grid_loader_validates(self, tmp_path):
         bad = tmp_path / "grid.jsonl"

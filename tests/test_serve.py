@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -277,6 +280,33 @@ def test_serve_cli_cache_flags(tmp_path):
     assert build_parser().parse_args([]).cache_max_entries is None
     assert serve_main(["--cache-max-entries", "0"]) == 2
     assert serve_main(["--cache-max-bytes", "-5"]) == 2
+
+
+def test_serve_cli_rejects_a_port_outside_the_tcp_range(capsys):
+    from repro.serve.__main__ import main as serve_main
+
+    for port in ("70000", "65536", "-1"):
+        assert serve_main(["--port", port]) == 2
+        assert "--port" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["inf", "nan"])
+def test_serve_cli_rejects_a_non_finite_coalesce_window(tmp_path, window):
+    """An infinite window would park the first cache miss forever; the
+    flag must fail like the other bad flags, before the socket binds.
+    Run as a child process so an accepted flag times out, not hangs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         env.get("PYTHONPATH", "")])
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.serve", "--port", "0",
+         "--cache-dir", str(tmp_path / "cache"),
+         "--coalesce-window", window],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 2
+    assert "--coalesce-window" in completed.stderr
+    assert "listening" not in completed.stdout
 
 
 # ----------------------------------------------------------------------
