@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -197,6 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code (0 ok, 2 on error)."""
+    # No repro module calls BLAS (no dot, matmul or linalg), so the thread
+    # pool OpenBLAS starts when numpy loads is start-up cost only.  This
+    # module's imports load no numpy, so this runs before anything does; a
+    # value the user set wins, and every process this one spawns inherits it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     # Only the planning and merging subcommands load the coordinator (and
     # with it the journal merge); a worker or a status query never does.

@@ -45,6 +45,7 @@ from .ledger import (
     DEFAULT_MIN_CHUNK,
     LeaseLedger,
     LedgerError,
+    check_seconds,
 )
 
 __all__ = [
@@ -218,10 +219,13 @@ def run_distributed(root: Union[str, Path], cases: Sequence[AnyCase],
     done (stealing from any child that dies), merges, and reaps the
     children.  The convenience wrapper behind ``python -m repro.distrib
     run``, the benchmark and the integration tests.  An unknown
-    ``strategy`` raises :class:`repro.sweep.SweepError` before anything
-    is published: a worker would reject it only after claiming a lease.
+    ``strategy`` raises :class:`repro.sweep.SweepError`, and a lease
+    timeout that is not a finite number of seconds > 0
+    :class:`LedgerError`, before anything is published: a worker would
+    reject either only after claiming a lease.
     """
     check_strategy(strategy)
+    check_seconds("lease timeout", lease_timeout)
     coordinator = Coordinator.create(root, cases, workers,
                                      min_chunk=min_chunk, factor=factor)
     children = [spawn_worker(root, worker_id=f"worker-{number}",

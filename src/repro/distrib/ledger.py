@@ -42,6 +42,7 @@ written by an incompatible ledger is how grids get corrupted.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -84,6 +85,22 @@ class LedgerError(Exception):
 
 class LeaseRevoked(LedgerError):
     """The caller's lease generation was superseded (its chunk stolen)."""
+
+
+def check_seconds(name: str, seconds: float) -> float:
+    """``seconds`` when it is a finite duration > 0, else
+    :class:`LedgerError` naming ``name``.
+
+    Every timing knob of a campaign passes through here: a NaN lease
+    timeout would expire every live lease (no age compares below NaN), a
+    zero heartbeat interval would spin the heartbeat thread, and a
+    negative poll interval would crash the first idle sleep.
+    """
+    if not (isinstance(seconds, (int, float)) and math.isfinite(seconds)
+            and seconds > 0):
+        raise LedgerError(
+            f"{name} must be a finite number of seconds > 0, got {seconds!r}")
+    return seconds
 
 
 def _load_document(path: Path, role: str) -> Dict[str, object]:
@@ -448,8 +465,7 @@ class LeaseLedger:
         — and appends to the lease's ``steals`` audit trail.  Returns
         the ids of the re-leased chunks.
         """
-        if timeout <= 0:
-            raise LedgerError(f"lease timeout must be > 0, got {timeout}")
+        check_seconds("lease timeout", timeout)
         moment = time.time() if now is None else now
         released: List[str] = []
         for lease in self.leases():

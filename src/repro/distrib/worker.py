@@ -39,11 +39,13 @@ from typing import Dict, List, Optional, Union
 from ..sweep.runner import (
     AnyCase,
     AnyRecord,
+    SweepError,
     SweepRunner,
     case_from_dict,
     check_strategy,
+    stale_permutation,
 )
-from .ledger import Lease, LeaseLedger, LeaseRevoked
+from .ledger import Lease, LeaseLedger, LeaseRevoked, check_seconds
 
 __all__ = ["DistribWorker", "default_worker_id"]
 
@@ -63,7 +65,9 @@ class DistribWorker:
     silent that long.  ``None`` disables stealing from this worker
     (useful when only a supervising coordinator should declare death).
     An unknown ``strategy`` raises :class:`repro.sweep.SweepError` here,
-    before any lease is claimed.
+    before any lease is claimed, and a poll interval, heartbeat interval
+    or lease timeout that is not a finite number of seconds > 0 raises
+    :class:`~repro.distrib.ledger.LedgerError`.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -74,6 +78,11 @@ class DistribWorker:
                  heartbeat_interval: Optional[float] = None,
                  lease_timeout: Optional[float] = None) -> None:
         self.strategy = check_strategy(strategy)
+        check_seconds("poll interval", poll_interval)
+        if heartbeat_interval is not None:
+            check_seconds("heartbeat interval", heartbeat_interval)
+        if lease_timeout is not None:
+            check_seconds("lease timeout", lease_timeout)
         self.ledger = LeaseLedger(root)
         self.worker_id = worker_id or default_worker_id()
         self.processes = processes
@@ -84,14 +93,33 @@ class DistribWorker:
         self.completed: List[str] = []
         #: lease ids revoked out from under this worker mid-run
         self.revoked: List[str] = []
+        self._grid: Optional[List[Dict[str, object]]] = None
         self._cases: Optional[List[AnyCase]] = None
 
     # ------------------------------------------------------------------
+    def _campaign_grid(self) -> List[Dict[str, object]]:
+        """The campaign's case fingerprints, read once from ``grid.jsonl``.
+
+        A grid published with another pseudo-random permutation raises
+        :class:`repro.sweep.SweepError`: its merge would refuse every
+        result this version makes.
+        """
+        if self._grid is None:
+            grid = self.ledger.load_grid()
+            for index, fingerprint in enumerate(grid):
+                if stale_permutation(fingerprint):
+                    raise SweepError(
+                        f"grid case {index} of {self.ledger.grid_path} names "
+                        "another pseudo-random permutation; publish the "
+                        "campaign again with this version")
+            self._grid = grid
+        return self._grid
+
     def _campaign_cases(self) -> List[AnyCase]:
-        """The full campaign grid, rebuilt once from ``grid.jsonl``."""
+        """The full campaign grid as cases, rebuilt once."""
         if self._cases is None:
             self._cases = [case_from_dict(fingerprint)
-                           for fingerprint in self.ledger.load_grid()]
+                           for fingerprint in self._campaign_grid()]
         return self._cases
 
     def _resolved_heartbeat_interval(self) -> float:
@@ -183,6 +211,7 @@ class DistribWorker:
         ``lease_timeout``), else sleeps ``poll_interval`` and re-scans —
         some other worker's chunk may yet expire.
         """
+        self._campaign_grid()  # refuse a foreign grid before any claim
         executed = 0
         while True:
             status = self.ledger.status()

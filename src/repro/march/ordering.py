@@ -16,7 +16,7 @@ exact reverse of ascending traversal, as DOF 1 requires.
 
 from __future__ import annotations
 
-import random
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -408,34 +408,55 @@ class ColumnMajorOrder(AddressOrder):
                        word_changes=width - 1, unit_step=True)
 
 
+#: Names the stream :class:`PseudoRandomOrder` draws its permutation from.
+#: Case fingerprints that name the pseudo-random order carry it
+#: (:func:`repro.sweep.runner.case_fingerprint`), so a result made with
+#: another permutation never matches a case made with this one.  Change
+#: it whenever the permutation of a given seed changes.
+PERMUTATION_TAG = "numpy-randomstate-1"
+
+
 class PseudoRandomOrder(AddressOrder):
     """A fixed pseudo-random permutation of the address space.
 
     Used to demonstrate that fault coverage is independent of the address
     sequence (DOF 1) even for an arbitrary permutation; it is of course the
     worst case for pre-charge predictability.
+
+    The permutation is ``numpy.random.RandomState(seed).permutation`` of
+    the word addresses, stored as an ``int64`` array.  NumPy keeps the
+    ``RandomState`` stream fixed across releases (NEP 19), so a seed names
+    the same order everywhere; :data:`PERMUTATION_TAG` versions it.
     """
 
     name = "pseudo-random permutation"
 
     def __init__(self, geometry: ArrayGeometry, seed: int = 2006) -> None:
+        import numpy as np
+
         super().__init__(geometry)
-        self.seed = seed
-        rng = random.Random(seed)
-        self._permutation = list(range(geometry.word_count))
-        rng.shuffle(self._permutation)
+        try:
+            checked = operator.index(seed)
+        except TypeError:
+            checked = -1  # not an integer: rejected with the range below
+        if not 0 <= checked < 2 ** 32:  # the seeds RandomState accepts
+            raise OrderingError(
+                f"pseudo-random seed must be an integer in [0, 2**32), "
+                f"got {seed!r}")
+        self.seed = checked
+        self._permutation = np.random.RandomState(checked).permutation(
+            geometry.word_count).astype(np.int64, copy=False)
 
     def coordinate_at(self, position: int) -> Coordinate:
         if not 0 <= position < len(self):
             raise OrderingError(f"position {position} out of range [0, {len(self)})")
-        return self.geometry.coordinates_of(self._permutation[position])
+        return self.geometry.coordinates_of(int(self._permutation[position]))
 
     def _build_coordinate_arrays(self):
         """Bulk expansion of the stored permutation (one divmod pass)."""
         import numpy as np
 
-        addresses = np.asarray(self._permutation, dtype=np.int64)
-        return np.divmod(addresses, self.geometry.words_per_row)
+        return np.divmod(self._permutation, self.geometry.words_per_row)
 
 
 class AddressComplementOrder(AddressOrder):

@@ -16,6 +16,7 @@ import argparse
 import asyncio
 import contextlib
 import math
+import os
 import signal
 import sys
 
@@ -84,6 +85,11 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    # No repro module calls BLAS (no dot, matmul or linalg), so the thread
+    # pool OpenBLAS starts when numpy loads is start-up cost only.  This
+    # module's imports load no numpy, so this runs before anything does; a
+    # value the user set wins, and every process this one spawns inherits it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)

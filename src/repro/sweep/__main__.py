@@ -41,6 +41,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -287,6 +288,11 @@ def _build_cases(args: argparse.Namespace):
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code (0 ok, 2 on bad input)."""
+    # No repro module calls BLAS (no dot, matmul or linalg), so the thread
+    # pool OpenBLAS starts when numpy loads is start-up cost only.  This
+    # module's imports load no numpy, so this runs before anything does; a
+    # value the user set wins, and every process this one spawns inherits it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
     if arguments and arguments[0] == "merge":
         # Journal merging is a subcommand (it unions *finished* shard

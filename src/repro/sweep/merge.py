@@ -19,6 +19,9 @@ entries are *verified*, not merely concatenated:
   agree **bit-identically on every field except** ``elapsed_s`` — wall
   clock is environment, everything else is physics; any other
   disagreement is a :class:`MergeError`, never a silent pick;
+* an entry that names the pseudo-random order must carry this
+  version's permutation tag (:data:`repro.sweep.runner.PERMUTATION_FIELD`):
+  results of two permutations are never merged;
 * against a campaign grid, every entry's fingerprint must equal the
   grid's fingerprint at its global index, entries outside the grid are
   errors, and ``require_complete=True`` additionally demands every grid
@@ -51,7 +54,13 @@ from .journal import (
     JournalError,
     RunJournal,
 )
-from .runner import SweepError, _record_class, fingerprint_digest
+from .runner import (
+    PERMUTATION_FIELD,
+    SweepError,
+    _record_class,
+    fingerprint_digest,
+    stale_permutation,
+)
 
 __all__ = [
     "MergeError",
@@ -205,6 +214,12 @@ def merge_journals(output: Union[str, Path],
             # validate the schema
             _record_class(entry.kind, source, MergeError).from_dict(
                 entry.record)
+            if stale_permutation(entry.case):
+                raise MergeError(
+                    f"{source} records case {entry.case_index} with another "
+                    "pseudo-random permutation (permutation "
+                    f"{entry.case.get(PERMUTATION_FIELD)!r}); re-run it "
+                    "rather than merge results of two permutations")
             digest = fingerprint_digest(entry.case)
             index = _global_index(entry, mapping, source)
             if grid_digests is not None:

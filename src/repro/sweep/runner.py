@@ -80,7 +80,7 @@ from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES
 from ..march.element import AddressingDirection
 from ..march.execution import TraceCache
 from ..march.library import PAPER_TABLE1_ALGORITHMS, get_algorithm
-from ..march.ordering import ORDER_REGISTRY, make_order
+from ..march.ordering import ORDER_REGISTRY, PERMUTATION_TAG, make_order
 from ..sram.geometry import DEFAULT_LOCATION_SEED, ArrayGeometry
 from ..sram.modes import OperatingMode
 from .journal import JournalEntry, RunJournal
@@ -868,16 +868,44 @@ def case_kind(case: AnyCase) -> str:
     return case.kind
 
 
+#: The fingerprint field that versions the pseudo-random permutation.  A
+#: case that names the pseudo-random order carries
+#: :data:`repro.march.ordering.PERMUTATION_TAG` there; no other case has
+#: the field, so their fingerprints and digests never change with it.
+PERMUTATION_FIELD = "permutation"
+
+
+def _names_pseudo_random(flat: Dict[str, object]) -> bool:
+    """Whether a complete flat case names the pseudo-random order: a
+    power ``order`` or any entry of a coverage ``orders``."""
+    orders = flat.get("orders") or [flat.get("order")]
+    return isinstance(orders, (list, tuple)) and "pseudo-random" in orders
+
+
+def stale_permutation(fingerprint: Dict[str, object]) -> bool:
+    """True when a stored fingerprint (a journal entry, a grid line) names
+    the pseudo-random order without this version's
+    :data:`~repro.march.ordering.PERMUTATION_TAG`: its result was, or
+    would be, made with another permutation."""
+    return _names_pseudo_random(fingerprint) and \
+        fingerprint.get(PERMUTATION_FIELD) != PERMUTATION_TAG
+
+
 def case_fingerprint(case: AnyCase) -> Dict[str, object]:
     """The kind-tagged, JSON-normalised flat form of a case.
 
     This is what the run journal stores next to each record and what
     resume matches against: two fingerprints are equal exactly when the
     cases describe the same scenario (tuples are normalised to lists, so a
-    fingerprint round-trips through JSON unchanged).
+    fingerprint round-trips through JSON unchanged).  A case that names
+    the pseudo-random order also carries the permutation tag
+    (:data:`PERMUTATION_FIELD`), so resume, merge, distrib grids and the
+    serve cache never match a result made with another permutation.
     """
-    return json.loads(json.dumps({"kind": case_kind(case), **asdict(case)},
-                                 sort_keys=True))
+    flat = {"kind": case_kind(case), **asdict(case)}
+    if _names_pseudo_random(flat):
+        flat[PERMUTATION_FIELD] = PERMUTATION_TAG
+    return json.loads(json.dumps(flat, sort_keys=True))
 
 
 def fingerprint_digest(fingerprint: Dict[str, object]) -> str:
@@ -903,7 +931,9 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
     and rejects unknown kinds and unknown or missing fields with
     :class:`SweepError` — a served request must fail loudly, not half
     parse.  ``case_from_dict(case_fingerprint(case)) == case`` for every
-    case kind.
+    case kind.  The permutation tag (:data:`PERMUTATION_FIELD`) is
+    optional, but if present it must hold this version's value and sit on
+    a case that names the pseudo-random order.
     """
     if not isinstance(data, dict):
         raise SweepError(
@@ -911,6 +941,8 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
             f"{type(data).__name__}")
     payload = dict(data)
     kind = payload.pop("kind", "power")
+    tagged = PERMUTATION_FIELD in payload
+    permutation = payload.pop(PERMUTATION_FIELD, None)
     cls = _CASE_TYPE_OF_KIND.get(kind)
     if cls is None:
         raise SweepError(
@@ -923,9 +955,19 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
             f"unknown field(s) {unknown} for a {kind!r} case; expected a "
             f"subset of {sorted(allowed)}")
     try:
-        return cls(**payload)
+        case = cls(**payload)
     except TypeError as exc:  # missing required fields
         raise SweepError(f"invalid {kind!r} case: {exc}") from exc
+    if tagged and not _names_pseudo_random(asdict(case)):
+        raise SweepError(
+            f"field {PERMUTATION_FIELD!r} belongs only to cases that name "
+            "the pseudo-random order")
+    if tagged and permutation != PERMUTATION_TAG:
+        raise SweepError(
+            f"{PERMUTATION_FIELD} {permutation!r} is not this version's "
+            f"pseudo-random permutation {PERMUTATION_TAG!r}; its results "
+            "cannot be reused")
+    return case
 
 
 def _record_class(kind: str, source: object,

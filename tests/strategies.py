@@ -31,12 +31,13 @@ algorithms = st.builds(
 
 
 @st.composite
-def banked_geometries(draw, max_rows: int = 16, max_columns: int = 24):
-    """Small geometries over every word width and bank map the engines
-    support: ``bits_per_word`` and ``banks`` in {1, 2, 4}, both
-    interleaves, at most ``max_rows`` x ``max_columns`` cells."""
+def banked_geometries(draw, max_rows: int = 16, max_columns: int = 24,
+                      word_widths=(1, 2, 4)):
+    """Small geometries over every bank map the engines support: ``banks``
+    in {1, 2, 4}, both interleaves, ``bits_per_word`` from
+    ``word_widths``, at most ``max_rows`` x ``max_columns`` cells."""
     banks = draw(st.sampled_from((1, 2, 4)))
-    bits = draw(st.sampled_from((1, 2, 4)))
+    bits = draw(st.sampled_from(word_widths))
     return ArrayGeometry(
         rows=banks * draw(st.integers(1, max_rows // banks)),
         columns=bits * draw(st.integers(1, max_columns // bits)),

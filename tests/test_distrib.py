@@ -248,6 +248,18 @@ class TestLedger:
         assert ledger.release_expired(timeout=3600.0) == []
         assert ledger.read_lease(lease_id).generation == 1
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_release_expired_rejects_a_timeout_that_is_no_duration(
+            self, tmp_path, timeout):
+        # No age compares below NaN, so a NaN timeout used to expire
+        # every live lease.
+        ledger, _ = self._campaign(tmp_path)
+        lease_id = ledger.lease_ids()[0]
+        ledger.heartbeat(ledger.claim(lease_id, "alive"))
+        with pytest.raises(LedgerError, match="finite number of seconds"):
+            ledger.release_expired(timeout)
+        assert ledger.read_lease(lease_id).generation == 1
+
     def test_orphaned_claim_token_is_recovered(self, tmp_path):
         # A claimer that died after winning the token but before
         # publishing the claimed state: the lease looks pending, but its
@@ -791,6 +803,40 @@ class TestDistribCli:
                           "--strategy", "turbo"])
         assert exited.value.code == 2
         assert "invalid choice: 'turbo'" in capsys.readouterr().err
+        status = coordinator.status()
+        assert status["claimed"] == 0
+        assert status["pending"] == status["leases"]
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-5"])
+    def test_run_with_a_bad_lease_timeout_exits_2_unpublished(
+            self, tmp_path, capsys, timeout):
+        from repro.distrib.__main__ import main as distrib_main
+
+        root = tmp_path / "camp"
+        assert distrib_main(["run", str(root), "--workers", "2",
+                             "--lease-timeout", timeout, "--prr-grid",
+                             "--geometry", "16x64", "--algorithm", "MATS+",
+                             "--algorithm", "March C-"]) == 2
+        assert "lease timeout must be a finite number of seconds > 0" \
+            in capsys.readouterr().err
+        assert not root.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lease-timeout", "nan"), ("--lease-timeout", "0"),
+        ("--heartbeat-interval", "0"), ("--heartbeat-interval", "-1"),
+        ("--heartbeat-interval", "nan"), ("--poll-interval", "-1"),
+        ("--poll-interval", "0"), ("--poll-interval", "inf"),
+    ])
+    def test_worker_with_a_bad_timing_flag_exits_2_unclaimed(
+            self, tmp_path, capsys, flag, value):
+        from repro.distrib.__main__ import main as distrib_main
+
+        coordinator = Coordinator.create(tmp_path / "camp", _tiny_cases(2),
+                                         workers=1)
+        assert distrib_main(["worker", str(tmp_path / "camp"),
+                             flag, value]) == 2
+        assert "must be a finite number of seconds > 0" \
+            in capsys.readouterr().err
         status = coordinator.status()
         assert status["claimed"] == 0
         assert status["pending"] == status["leases"]

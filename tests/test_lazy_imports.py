@@ -13,6 +13,8 @@ process imports only the modules it runs.  Two layers of assertions:
   library, the behavioural SRAM and its component models, the analysis
   helpers, the fault models or the power session.  A cold PRR pass
   imports after set-up exactly the two engine modules it always did.
+  The same processes, started without ``OPENBLAS_NUM_THREADS``, have it
+  set to 1 before numpy loads; a value the user set is kept.
 
 Static twin: rule RPR001 of :mod:`repro.devtools` proves the same for
 the eager import graphs of ``python -m repro.sweep``, ``repro.serve``
@@ -80,21 +82,40 @@ ALSO_DEFERRED = {
 }
 
 
-def _env() -> dict:
-    env = dict(os.environ)
+def _env(**extra: str) -> dict:
+    """This process's environment without ``OPENBLAS_NUM_THREADS`` (the
+    entry points set it), plus ``extra``, with ``src`` on the path."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), env.get("PYTHONPATH", "")])
+    env.update(extra)
     return env
 
 
 #: Runs ``python -m MODULE ARGS`` (through :mod:`runpy`, as ``-m`` does)
-#: and writes every module the process loaded to OUT when it exits.
-#: ``-X importtime`` cannot replace it: it does not itemise modules that
+#: and writes to OUT when the process exits: every module it loaded
+#: (``modules``) and ``OPENBLAS_NUM_THREADS`` at exit and, if numpy
+#: loaded, at its first import (``blas``).  ``-X importtime`` cannot
+#: replace it: it does not itemise modules that
 #: ``importlib.import_module`` loads, which is how lazy exports resolve.
 RUN_MODULE = """
-import atexit, json, runpy, sys
+import atexit, json, os, runpy, sys
 out, module, *argv = sys.argv[1:]
-atexit.register(lambda: open(out, "w").write(json.dumps(sorted(sys.modules))))
+blas = {}
+
+class NumpyWatch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            blas.setdefault("at_numpy", os.environ.get("OPENBLAS_NUM_THREADS"))
+
+def dump():
+    blas["at_exit"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    with open(out, "w") as handle:
+        json.dump({"modules": sorted(sys.modules), "blas": blas}, handle)
+
+sys.meta_path.insert(0, NumpyWatch())
+atexit.register(dump)
 sys.argv = [module, *argv]
 runpy.run_module(module, run_name="__main__", alter_sys=True)
 """
@@ -103,6 +124,15 @@ runpy.run_module(module, run_name="__main__", alter_sys=True)
 def _run_module(out: Path, module: str, *argv: str) -> List[str]:
     """The ``python -c RUN_MODULE`` command line."""
     return [sys.executable, "-c", RUN_MODULE, str(out), module, *argv]
+
+
+def _loaded(dump: Path) -> List[str]:
+    """The modules a ``RUN_MODULE`` process loaded, after checking that
+    it ran, and loaded numpy if at all, with one OpenBLAS thread."""
+    dumped = json.loads(dump.read_text())
+    assert dumped["blas"]["at_exit"] == "1", dumped["blas"]
+    assert dumped["blas"].get("at_numpy", "1") == "1", dumped["blas"]
+    return dumped["modules"]
 
 
 def _loaded_within(modules: Iterable[str], prefixes: Iterable[str]
@@ -190,7 +220,7 @@ def test_prr_sweep_loads_only_what_it_runs(tmp_path):
         timeout=300)
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert len(json.loads(out.read_text())["records"]) == 1
-    modules = json.loads(loaded.read_text())
+    modules = _loaded(loaded)
     assert "repro.engine.power_campaign" in modules  # it really ran
     assert _loaded_within(modules, NEVER_LOADED + ALSO_DEFERRED["sweep"]) \
         == []
@@ -212,7 +242,7 @@ def test_service_start_loads_only_what_it_runs(tmp_path):
         _, stderr = process.communicate(timeout=60)
     assert line.startswith("[serve] listening on"), stderr[-2000:]
     assert process.returncode == 0, stderr[-2000:]
-    modules = json.loads(loaded.read_text())
+    modules = _loaded(loaded)
     assert "repro.serve.service" in modules
     assert _loaded_within(modules, NEVER_LOADED + ALSO_DEFERRED["serve"]) \
         == []
@@ -234,10 +264,22 @@ def test_distrib_worker_loads_only_what_it_runs(tmp_path):
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert "0 revoked" in completed.stdout
     assert Coordinator(root).status()["complete"]
-    modules = json.loads(loaded.read_text())
+    modules = _loaded(loaded)
     assert "repro.engine.power_campaign" in modules
     assert _loaded_within(modules, NEVER_LOADED + ALSO_DEFERRED["distrib"]) \
         == []
+
+
+@pytest.mark.parametrize("module", ["repro.sweep", "repro.serve",
+                                    "repro.distrib"])
+def test_entry_point_keeps_an_explicit_blas_thread_count(tmp_path, module):
+    """A value the user set wins over the entry point's default of 1."""
+    dump = tmp_path / "dump.json"
+    completed = subprocess.run(_run_module(dump, module, "--help"),
+                               env=_env(OPENBLAS_NUM_THREADS="3"),
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert json.loads(dump.read_text())["blas"]["at_exit"] == "3"
 
 
 def test_cold_prr_pass_imports_only_the_engine_after_setup():
