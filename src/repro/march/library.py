@@ -162,20 +162,27 @@ ALGORITHM_LIBRARY: Dict[str, MarchAlgorithm] = {
 }
 
 
-def get_algorithm(name: str) -> MarchAlgorithm:
-    """Look up an algorithm by name (case-insensitive, ignoring spaces/dashes)."""
-    def canonical(text: str) -> str:
-        # Keep '+' and '-' so that e.g. "March C-" and "March C", or "MATS"
-        # and "MATS+", stay distinct.
-        return "".join(ch for ch in text.lower() if ch.isalnum() or ch in "+-")
+def _canonical(text: str) -> str:
+    # Keep '+' and '-' so that e.g. "March C-" and "March C", or "MATS"
+    # and "MATS+", stay distinct.
+    return "".join(ch for ch in text.lower() if ch.isalnum() or ch in "+-")
 
-    wanted = canonical(name)
-    for algorithm in ALGORITHM_LIBRARY.values():
-        if canonical(algorithm.name) == wanted:
-            return algorithm
-    raise KeyError(
-        f"unknown March algorithm {name!r}; available: {sorted(ALGORITHM_LIBRARY)}"
-    )
+
+#: Canonical name -> algorithm, the map :func:`get_algorithm` looks up.
+_BY_CANONICAL_NAME: Dict[str, MarchAlgorithm] = {
+    _canonical(name): algorithm for name, algorithm in ALGORITHM_LIBRARY.items()
+}
+
+
+def get_algorithm(name: str) -> MarchAlgorithm:
+    """Look up an algorithm by name, ignoring case and every character but
+    letters, digits, ``+`` and ``-`` (so ``"marchc-"`` is March C-)."""
+    algorithm = _BY_CANONICAL_NAME.get(_canonical(name))
+    if algorithm is None:
+        raise KeyError(
+            f"unknown March algorithm {name!r}; available: {sorted(ALGORITHM_LIBRARY)}"
+        )
+    return algorithm
 
 
 def all_algorithms() -> List[MarchAlgorithm]:

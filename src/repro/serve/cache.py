@@ -24,6 +24,15 @@ so a restarted service rebuilds the same LRU order from the directory
 alone.  Eviction is atomic per entry — an unlink of the oldest entry,
 never a rewrite — so a concurrent reader of a victim entry sees a
 well-formed document or a miss, nothing in between.
+
+Every entry an instance reads or stores is also kept, parsed, in an
+in-process LRU of at most :data:`MEMORY_ENTRIES` entries, so a repeated
+hit is a dictionary lookup rather than a file read and a JSON parse.
+Disk stays the durable copy: a store replaces the memory copy, an
+eviction drops it, and a restarted service (or another process) sees
+exactly the entry files.  A memory hit still refreshes the recency
+index and the file mtime, so the LRU order a restart rebuilds is the
+same.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ from ..durable import atomic_write_text
 CACHE_FORMAT = "repro-serve-cache"
 #: The entry schema version this module writes.
 CACHE_VERSION = 1
+#: Parsed entries each :class:`ResultCache` keeps in memory (~4 KB each).
+MEMORY_ENTRIES = 1024
 
 
 class ResultCache:
@@ -55,6 +66,9 @@ class ResultCache:
     whenever a store pushes either total past its cap, least-recently-used
     entries are unlinked until both fit again.  All index bookkeeping is
     lock-guarded — the serving layer stores from concurrent pool threads.
+
+    Entries returned by :meth:`get` and :meth:`store` are shared with the
+    in-memory tier and with every later hit: treat them as read-only.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -71,7 +85,12 @@ class ResultCache:
         self.max_bytes = max_bytes
         #: entries unlinked by LRU eviction over this instance's lifetime
         self.evictions = 0
+        #: gets answered from the in-memory tier without reading a file
+        self.memory_hits = 0
         self._lock = threading.Lock()
+        # digest -> parsed entry, least-recently-used first; at most
+        # MEMORY_ENTRIES long, and never holding an entry disk evicted.
+        self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         # digest -> entry size in bytes, least-recently-used first.
         # Built lazily from the directory (mtime order) when a cap is
         # set; not maintained at all for an unbounded cache.
@@ -87,7 +106,7 @@ class ResultCache:
         return self.root / digest[:2] / f"{digest}.json"
 
     # ------------------------------------------------------------------
-    # LRU index (only maintained when a cap is set)
+    # LRU index (only maintained when a cap is set) and memory tier
     # ------------------------------------------------------------------
     def _ensure_index(self) -> "OrderedDict[str, int]":
         """The recency index, rebuilt from file mtimes on first use."""
@@ -105,30 +124,46 @@ class ResultCache:
                 (digest, size) for _, digest, size in entries)
         return self._index
 
-    def _touch(self, digest: str) -> None:
-        """Record a hit: back of the index, and mirror to the file mtime."""
-        if not self.bounded:
-            return
-        with self._lock:
-            index = self._ensure_index()
-            if digest in index:
-                index.move_to_end(digest)
-        try:
-            os.utime(self.path_for(digest))
-        except OSError:
-            pass  # evicted between read and touch: the read still served
+    def _refresh(self, digest: str) -> bool:
+        """Move ``digest`` to the back of the recency index (lock held).
 
-    def _account_store(self, digest: str, size: int) -> None:
-        """Index a stored entry, then evict LRU victims past the caps."""
+        False when a bounded cache does not index ``digest`` (evicted
+        while it was read, or written by another process after the index
+        was built): such an entry is served but not kept in memory, so
+        memory never holds an entry the index does not.
+        """
         if not self.bounded:
-            return
+            return True
+        index = self._ensure_index()
+        if digest not in index:
+            return False
+        index.move_to_end(digest)
+        return True
+
+    def _remember(self, digest: str, entry: Dict[str, object]) -> None:
+        """Put ``entry`` at the back of the memory tier (lock held)."""
+        self._memory[digest] = entry
+        self._memory.move_to_end(digest)
+        while len(self._memory) > MEMORY_ENTRIES:
+            self._memory.popitem(last=False)
+
+    def _account_store(self, digest: str, size: int,
+                       entry: Dict[str, object]) -> None:
+        """Remember and index a stored entry, then evict LRU victims past
+        the caps."""
         with self._lock:
+            if self.bounded and not self.path_for(digest).exists():
+                return  # a re-store evicted while written: keep nothing
+            self._remember(digest, entry)
+            if not self.bounded:
+                return
             index = self._ensure_index()
             index.pop(digest, None)  # re-store: replace the old size
             index[digest] = size
             while len(index) > 1 and self._over_capacity(index):
                 victim, _ = next(iter(index.items()))
                 index.pop(victim)
+                self._memory.pop(victim, None)
                 try:
                     self.path_for(victim).unlink()
                 except OSError:
@@ -147,13 +182,37 @@ class ResultCache:
     def get(self, digest: str) -> Optional[Dict[str, object]]:
         """The stored entry of ``digest``, or ``None`` on any miss.
 
-        A corrupt, torn or foreign file reads as a miss by design: the
+        The memory tier answers first; otherwise the file is read.  A
+        corrupt, torn or foreign file reads as a miss by design: the
         serving layer re-executes the scenario and overwrites the entry,
         which is self-healing — a kill mid-store never poisons the cache.
+        The returned entry is shared: do not mutate it.
         """
-        path = self.path_for(digest)
+        with self._lock:
+            entry = self._memory.get(digest)
+            if entry is not None:
+                self._memory.move_to_end(digest)
+                self._refresh(digest)
+                self.memory_hits += 1
+        if entry is None:
+            entry = self._read(digest)
+            if entry is None:
+                return None
+            with self._lock:
+                # A store that raced this read holds the newer copy.
+                if self._refresh(digest) and digest not in self._memory:
+                    self._remember(digest, entry)
+        if self.bounded:
+            try:
+                os.utime(self.path_for(digest))
+            except OSError:
+                pass  # evicted between read and touch: the read still served
+        return entry
+
+    def _read(self, digest: str) -> Optional[Dict[str, object]]:
+        """The entry file of ``digest`` parsed, or ``None`` if unusable."""
         try:
-            text = path.read_text(encoding="utf-8")
+            text = self.path_for(digest).read_text(encoding="utf-8")
         except OSError:
             return None
         try:
@@ -165,7 +224,6 @@ class ResultCache:
                 or entry.get("version") != CACHE_VERSION \
                 or not isinstance(entry.get("record"), dict):
             return None
-        self._touch(digest)
         return entry
 
     def store(self, digest: str, fingerprint: Dict[str, object],
@@ -191,7 +249,7 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(entry, sort_keys=True)
         atomic_write_text(path, payload)
-        self._account_store(digest, len(payload.encode("utf-8")))
+        self._account_store(digest, len(payload.encode("utf-8")), entry)
         return entry
 
     # ------------------------------------------------------------------
@@ -217,6 +275,8 @@ class ResultCache:
             "max_entries": self.max_entries,
             "max_bytes": self.max_bytes,
             "evictions": self.evictions,
+            "memory_entries": len(self._memory),
+            "memory_hits": self.memory_hits,
         }
 
     def __len__(self) -> int:

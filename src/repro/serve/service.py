@@ -30,6 +30,10 @@ The protocol (all bodies JSON):
 * ``GET /v1/stats`` → request/hit/miss/coalesce/engine-pass counters;
 * ``GET /healthz`` → ``{"status": "ok"}``.
 
+A malformed request line or ``Content-Length``, or a request line or
+header past the stream reader's 64 KiB line limit, gets 400 and
+``Connection: close``.
+
 Everything here is stdlib: ``asyncio`` for the front,
 ``concurrent.futures.ThreadPoolExecutor`` for the engine work (NumPy
 kernels release the GIL, so pool threads genuinely overlap), and a
@@ -190,7 +194,15 @@ class CampaignService:
             self._connections.add(task)
         try:
             while True:
-                request_line = await reader.readline()
+                try:
+                    request_line, headers = await self._read_head(reader)
+                except ValueError:  # a line past the reader's 64 KiB limit
+                    await self._respond(
+                        writer, 400,
+                        {"error": "request line or header too long"},
+                        keep_alive=False)
+                    await self._linger(reader, writer)
+                    break
                 if not request_line:
                     break
                 try:
@@ -201,13 +213,6 @@ class CampaignService:
                                         {"error": "malformed request line"},
                                         keep_alive=False)
                     break
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
                 length_field = headers.get("content-length", "0") or "0"
                 if not length_field.isdecimal():  # digits only, as HTTP says
                     await self._respond(writer, 400,
@@ -234,6 +239,37 @@ class CampaignService:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
+
+    @staticmethod
+    async def _read_head(reader: asyncio.StreamReader
+                         ) -> Tuple[bytes, Dict[str, str]]:
+        """The request line (``b""`` at end of stream) and the headers of
+        the next request; ``ValueError`` when a line overruns the
+        reader's limit."""
+        request_line = await reader.readline()
+        headers: Dict[str, str] = {}
+        if request_line:
+            while (line := await reader.readline()) \
+                    not in (b"\r\n", b"\n", b""):
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        return request_line, headers
+
+    @staticmethod
+    async def _linger(reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        """Half-close, then discard what the client still sends until it
+        closes too (at most a second): closing on unread bytes would reset
+        the connection and could destroy the reply before it is read."""
+        async def discard() -> None:
+            while await reader.read(65536):
+                pass
+
+        writer.write_eof()
+        try:
+            await asyncio.wait_for(discard(), timeout=1.0)
+        except asyncio.TimeoutError:
+            pass
 
     @staticmethod
     async def _respond(writer: asyncio.StreamWriter, status: int,

@@ -891,6 +891,12 @@ def stale_permutation(fingerprint: Dict[str, object]) -> bool:
         fingerprint.get(PERMUTATION_FIELD) != PERMUTATION_TAG
 
 
+def _case_fields(case: AnyCase) -> Dict[str, object]:
+    """The fields of ``case`` by name, uncopied: every case field is a
+    scalar or a tuple of strings, so ``asdict``'s deep copy buys nothing."""
+    return {spec.name: getattr(case, spec.name) for spec in fields(case)}
+
+
 def case_fingerprint(case: AnyCase) -> Dict[str, object]:
     """The kind-tagged, JSON-normalised flat form of a case.
 
@@ -902,7 +908,7 @@ def case_fingerprint(case: AnyCase) -> Dict[str, object]:
     (:data:`PERMUTATION_FIELD`), so resume, merge, distrib grids and the
     serve cache never match a result made with another permutation.
     """
-    flat = {"kind": case_kind(case), **asdict(case)}
+    flat = {"kind": case_kind(case), **_case_fields(case)}
     if _names_pseudo_random(flat):
         flat[PERMUTATION_FIELD] = PERMUTATION_TAG
     return json.loads(json.dumps(flat, sort_keys=True))
@@ -958,7 +964,7 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
         case = cls(**payload)
     except TypeError as exc:  # missing required fields
         raise SweepError(f"invalid {kind!r} case: {exc}") from exc
-    if tagged and not _names_pseudo_random(asdict(case)):
+    if tagged and not _names_pseudo_random(_case_fields(case)):
         raise SweepError(
             f"field {PERMUTATION_FIELD!r} belongs only to cases that name "
             "the pseudo-random order")

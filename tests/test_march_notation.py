@@ -174,13 +174,20 @@ class TestLibraryLookup:
         assert get_algorithm("march c-") is MARCH_CM
         assert get_algorithm("MATS+") is MATS_PLUS
         assert get_algorithm("marchss") is MARCH_SS
+        for name, algorithm in ALGORITHM_LIBRARY.items():
+            assert get_algorithm(name) is algorithm
+            assert get_algorithm(name.lower()) is algorithm
+            assert get_algorithm(name.replace(" ", "")) is algorithm
+        assert get_algorithm("March C") is not get_algorithm("March C-")
+        assert get_algorithm("MATS") is not get_algorithm("MATS+")
 
     def test_c_and_c_minus_are_distinct(self):
         assert get_algorithm("March C").operation_count == 11
         assert get_algorithm("March C-").operation_count == 10
 
     def test_unknown_algorithm(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"unknown March algorithm "
+                           r"'March ZZZ'; available: \['MATS', "):
             get_algorithm("March ZZZ")
 
     def test_library_has_reasonable_breadth(self):

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import os
 import socket
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -256,6 +259,155 @@ def test_cache_rejects_nonpositive_caps(tmp_path):
         ResultCache(tmp_path / "cache", max_bytes=0)
 
 
+# ----------------------------------------------------------------------
+# Result cache: the in-memory tier
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("max_entries", [None, 4])
+def test_cache_memory_tier_outlives_its_file_but_not_a_restart(
+        tmp_path, max_entries):
+    root = tmp_path / "cache"
+    digest = _fill(ResultCache(root), 1)
+    cache = ResultCache(root, max_entries=max_entries)
+    entry = cache.get(digest)  # read from disk, then kept in memory
+    assert entry["record"] == {"n": 1} and cache.memory_hits == 0
+    cache.path_for(digest).write_text('{"format": "repro-serve-cache", "ver')
+    assert cache.get(digest) is entry
+    assert ResultCache(root, max_entries=max_entries).get(digest) is None
+    cache.path_for(digest).unlink()
+    assert cache.get(digest) is entry
+    assert ResultCache(root, max_entries=max_entries).get(digest) is None
+    assert cache.memory_hits == 2
+
+
+def test_cache_memory_tier_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.serve.cache.MEMORY_ENTRIES", 2)
+    cache = ResultCache(tmp_path / "cache")
+    first, second, third = (_fill(cache, n) for n in range(3))
+    assert cache.stats()["memory_entries"] == 2
+    assert cache.get(first)["record"] == {"n": 0}  # out of memory: disk
+    assert cache.memory_hits == 0
+    assert cache.get(third)["record"] == {"n": 2}
+    assert cache.memory_hits == 1
+    assert cache.get(second)["record"] == {"n": 1}  # pushed out by first
+    assert cache.memory_hits == 1
+    stats = cache.stats()
+    assert stats["memory_entries"] == 2 and stats["memory_hits"] == 1
+
+
+def test_cache_entry_evicted_while_read_is_served_but_not_kept(
+        tmp_path, monkeypatch):
+    root = tmp_path / "cache"
+    first = _fill(ResultCache(root), 0)  # on disk, not in this memory
+    cache = ResultCache(root, max_entries=2)
+    read = cache._read
+
+    def read_then_evict(digest):
+        entry = read(digest)
+        _fill(cache, 1)
+        _fill(cache, 2)  # over the cap: first, the oldest, is unlinked
+        return entry
+
+    monkeypatch.setattr(cache, "_read", read_then_evict)
+    assert cache.get(first)["record"] == {"n": 0}
+    monkeypatch.undo()
+    assert not cache.path_for(first).exists()
+    assert cache.get(first) is None
+
+
+def test_cache_read_racing_a_store_keeps_the_stored_entry(tmp_path,
+                                                          monkeypatch):
+    root = tmp_path / "cache"
+    digest = _fill(ResultCache(root), 0)
+    cache = ResultCache(root)
+    read = cache._read
+
+    def read_then_store(wanted):
+        entry = read(wanted)
+        _fill(cache, 0, record={"n": 0, "rewritten": True})
+        return entry
+
+    monkeypatch.setattr(cache, "_read", read_then_store)
+    assert cache.get(digest)["record"] == {"n": 0}  # what it read
+    monkeypatch.undo()
+    assert cache.get(digest)["record"] == {"n": 0, "rewritten": True}
+    assert cache.memory_hits == 1
+
+
+def test_cache_restore_evicted_while_written_is_not_kept(tmp_path,
+                                                         monkeypatch):
+    import repro.serve.cache as cache_module
+
+    cache = ResultCache(tmp_path / "cache", max_entries=2)
+    first = _fill(cache, 0)
+    _fill(cache, 1)
+    write = cache_module.atomic_write_text
+    restoring = []
+
+    def write_then_evict(path, text):
+        write(path, text)
+        if path == cache.path_for(first) and not restoring:
+            restoring.append(path)
+            _fill(cache, 2)  # first is the LRU entry: its new file goes
+
+    monkeypatch.setattr(cache_module, "atomic_write_text", write_then_evict)
+    _fill(cache, 0, record={"n": 0, "rewritten": True})
+    assert restoring and not cache.path_for(first).exists()
+    assert cache.get(first) is None
+    assert cache.stats()["entries"] == 2
+
+
+def test_cache_memory_tier_stays_in_step_with_disk_under_threads(
+        tmp_path, monkeypatch):
+    # Stores run on pool threads while the loop thread reads: memory must
+    # never keep an entry that eviction took off disk, and no reader may
+    # see another digest's record.
+    import random
+
+    monkeypatch.setattr("repro.serve.cache.MEMORY_ENTRIES", 5)
+    root = tmp_path / "cache"
+    cache = ResultCache(root, max_entries=8)
+    digests = [_digest(n) for n in range(20)]
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(80):
+                n = rng.randrange(len(digests))
+                if rng.random() < 0.3:
+                    _fill(cache, n)
+                else:
+                    entry = cache.get(digests[n])
+                    if entry is not None and entry["record"] != {"n": n}:
+                        wrong.append((n, entry["record"]))
+        except Exception as exc:  # noqa: BLE001 - surfaced by the assert
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    on_disk = {path.stem for path in root.glob("??/*.json")}
+    stats = cache.stats()
+    assert stats["entries"] == len(on_disk) <= 8
+    assert stats["memory_entries"] <= 5
+    for n, digest in enumerate(digests):
+        entry = cache.get(digest)
+        if digest in on_disk:
+            assert entry["record"] == {"n": n}
+        else:
+            assert entry is None, n  # evicted from disk, so from memory
+
+
 def test_service_surfaces_cache_stats_and_evicts(tmp_path):
     with running_service(tmp_path / "cache", cache_max_entries=2) \
             as (service, host, port):
@@ -439,6 +591,27 @@ def test_cache_survives_a_service_restart(tmp_path):
     assert _drop_elapsed(again["record"]) == _drop_elapsed(first["record"])
 
 
+def test_memory_hit_serves_what_a_restarted_service_reads_from_disk(
+        tmp_path):
+    case = _prr_case()
+    with running_service(tmp_path / "cache") as (service, host, port):
+        with ServeClient(host, port) as client:
+            client.submit(case)  # miss: executes and stores
+            from_memory = client.submit(case)
+            running = client.stats()["cache"]
+    with running_service(tmp_path / "cache") as (service, host, port):
+        with ServeClient(host, port) as client:
+            from_disk = client.submit(case)
+            restarted = client.stats()["cache"]
+    assert from_memory["served"]["outcome"] == "hit"
+    assert from_disk["served"]["outcome"] == "hit"
+    assert running["memory_hits"] == 1 and running["memory_entries"] == 1
+    assert restarted["memory_hits"] == 0
+    assert from_memory["kind"] == from_disk["kind"] == "prr"
+    assert json.dumps(from_memory["record"], sort_keys=True) \
+        == json.dumps(from_disk["record"], sort_keys=True)
+
+
 def test_torn_cache_entry_is_reexecuted_and_healed(tmp_path):
     # Kill-during-store round trip: a torn cache entry must read as a
     # miss (re-execute) and the store must heal the slot for later hits.
@@ -510,6 +683,35 @@ def test_malformed_content_length_is_a_400(tmp_path, length):
             assert client.health() == {"status": "ok"}
 
 
+@pytest.mark.parametrize("request_head", [
+    "GET /healthz HTTP/1.1\r\nX-Big: " + "x" * 70_000 + "\r\n\r\n",
+    "GET /" + "a" * 70_000 + " HTTP/1.1\r\n\r\n",
+    # Still arriving when the service answers: it must read the rest
+    # before closing, or the reset destroys the reply.
+    "GET /" + "a" * 200_000 + " HTTP/1.1\r\n\r\n",
+], ids=["header", "request-line", "request-line-past-socket-buffers"])
+def test_overlong_request_line_or_header_is_a_400(tmp_path, caplog,
+                                                  request_head):
+    # asyncio's StreamReader refuses lines past 64 KiB with a ValueError;
+    # the service must answer it, not let the handler die with a traceback.
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    with running_service(tmp_path / "cache") as (service, host, port):
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.sendall(request_head.encode("latin-1"))
+            reply = b""
+            while chunk := raw.recv(4096):  # the service closes after it
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == {"error": "request line or header too long"}
+        with ServeClient(host, port) as client:
+            assert client.health() == {"status": "ok"}
+    assert [record.getMessage() for record in caplog.records
+            if record.name == "asyncio"
+            and record.levelno >= logging.ERROR] == []
+
+
 def test_stats_and_health_endpoints(tmp_path):
     with running_service(tmp_path / "cache") as (service, host, port):
         with ServeClient(host, port) as client:
@@ -535,3 +737,113 @@ def test_served_records_carry_truthful_provenance(tmp_path):
         record = response["record"]
         assert record["backend_used"] == "vectorized"
         assert record["kernel_used"] in ("flat", "jit")
+
+
+# ----------------------------------------------------------------------
+# ServeClient against a scripted server (canned replies, exact framing)
+# ----------------------------------------------------------------------
+def _reply(status, body, close=False, length=None):
+    data = body if isinstance(body, bytes) else json.dumps(body).encode()
+    head = (f"HTTP/1.1 {status} Canned\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(data) if length is None else length}\r\n"
+            f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n")
+    return head.encode("latin-1") + data
+
+
+@contextmanager
+def _scripted_server(*connections):
+    """A server thread that answers each accepted connection from its
+    script — one canned reply per request read — and then closes it.
+
+    Yields ``((host, port), seen)``; ``seen`` lists ``(connection number,
+    request target)`` in arrival order."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(30)
+    seen = []
+
+    def serve():
+        for number, replies in enumerate(connections):
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # the test is over
+            with conn, conn.makefile("rb") as reader:
+                for reply in replies:
+                    request_line = reader.readline()
+                    length = 0
+                    while (line := reader.readline()) not in (b"\r\n", b""):
+                        name, _, value = line.partition(b":")
+                        if name.strip().lower() == b"content-length":
+                            length = int(value)
+                    reader.read(length)
+                    seen.append((number, request_line.split()[1].decode()))
+                    conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2], seen
+    finally:
+        try:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes a pending accept
+        except OSError:
+            pass
+        listener.close()
+        thread.join(timeout=30)
+
+
+def test_client_reconnects_after_a_connection_close_reply():
+    with _scripted_server([_reply(200, {"n": 1}, close=True)],
+                          [_reply(200, {"n": 2}), _reply(200, {"n": 3})]) \
+            as ((host, port), seen):
+        with ServeClient(host, port, timeout=10) as client:
+            assert client.submit(_prr_case()) == {"n": 1}
+            assert client.submit(_prr_case()) == {"n": 2}
+            assert client.health() == {"n": 3}  # same keep-alive socket
+    assert seen == [(0, "/v1/run"), (1, "/v1/run"), (1, "/healthz")]
+
+
+def test_client_truncated_body_is_an_error_and_the_next_call_reconnects():
+    with _scripted_server([_reply(200, b'{"n": 1', length=50)],
+                          [_reply(200, {"n": 2})]) as ((host, port), seen):
+        with ServeClient(host, port, timeout=10) as client:
+            with pytest.raises(ServeError, match="truncated: 7 of 50 bytes"):
+                client.submit(_prr_case())
+            assert client.submit(_prr_case()) == {"n": 2}
+    assert [number for number, _ in seen] == [0, 1]
+
+
+def test_client_non_json_body_names_the_status():
+    with _scripted_server([_reply(502, b"<html>bad gateway</html>")]) \
+            as ((host, port), _):
+        with ServeClient(host, port, timeout=10) as client:
+            with pytest.raises(ServeError,
+                               match=r"non-JSON body \(status 502\)"):
+                client.submit(_prr_case())
+
+
+def test_client_times_out_on_a_server_that_never_answers():
+    # The kernel completes the handshake from the listen backlog; nobody
+    # ever reads the request or answers it.
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        host, port = silent.getsockname()[:2]
+        with ServeClient(host, port, timeout=0.3) as client:
+            started = time.monotonic()
+            with pytest.raises(ServeError, match="timed out"):
+                client.submit(_prr_case())
+            assert time.monotonic() - started < 10
+
+
+def test_client_does_not_load_http_client():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         env.get("PYTHONPATH", "")])
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.serve.client; "
+         "print(sorted(name for name in sys.modules if name == 'http' "
+         "or name.startswith('http.')))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
