@@ -13,17 +13,13 @@ name):
   ``factor x committed + margin``.  The additive margin (not a floor that
   could swallow the factor on sub-second workloads) absorbs scheduler
   noise on shared runners;
-Comparisons are like-for-like on the kernel tier: when both entries carry
-a ``kernel`` field and the tiers differ (e.g. a fresh flat-tier smoke run
-against a committed jit-tier baseline), the workload is skipped instead of
-mis-gated; entries without the field predate it and match anything.
-
 * **speedup ratio** — when both entries record a measured ``speedup``
-  (the grid benchmark measures batched against its own in-session PR 4
-  baseline), fails when the fresh speedup drops below
+  (the grid benchmark measures batched against the per-case strategy in
+  the same session), fails when the fresh speedup drops below
   ``committed / factor``.  Both sides of that ratio run on the same
   machine in the same session, so this check is hardware-independent and
-  catches kernel regressions even when absolute wall clocks are noisy.
+  catches regressions of the batched path even when absolute wall clocks
+  are noisy.
 
 CI runs this after the bench job: the committed ``BENCH_<id>.json`` *is*
 the perf contract, so a paper-scale grid regression fails the build
@@ -74,18 +70,6 @@ def main(argv=None) -> int:
         committed = baseline.get(workload)
         if committed is None:
             print(f"[gate] {workload}: no committed baseline — skipped")
-            continue
-        # Like-for-like kernel tiers only: a fresh flat-tier measurement
-        # must not be gated against a committed jit-tier baseline (or
-        # vice versa).  An entry without a tier predates the field and
-        # matches anything.
-        fresh_tier = entry.get("kernel")
-        committed_tier = committed.get("kernel")
-        if fresh_tier is not None and committed_tier is not None \
-                and fresh_tier != committed_tier:
-            print(f"[gate] {workload}: kernel tier differs "
-                  f"(fresh {fresh_tier!r} vs committed {committed_tier!r}) "
-                  "— skipped")
             continue
         allowed = args.factor * float(committed["wall_clock_s"]) + args.margin
         observed = float(entry["wall_clock_s"])

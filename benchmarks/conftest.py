@@ -43,8 +43,6 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.engine.vectorized import DEFAULT_TIER
-
 #: Series id recorded in the perf-trajectory file.
 BENCH_SERIES = os.environ.get("REPRO_BENCH_ID", "9")
 
@@ -92,11 +90,6 @@ class BenchTrajectory:
         if speedup is not None:
             entry["speedup"] = round(float(speedup), 3)
         entry.update(extra)
-        # Entries that don't name their tier ran on the engine's default
-        # one; stamping it lets ``check_regression.py`` compare
-        # like-for-like tiers across trajectories.
-        if entry.get("kernel") is None:
-            entry["kernel"] = DEFAULT_TIER
         # Last write wins per workload (a bench may refine its entry).
         self.entries = [existing for existing in self.entries
                         if existing["workload"] != workload]

@@ -1,38 +1,46 @@
-"""Experiment ``grid_batched`` — flat-kernel batched grids vs the PR 4 path.
+"""Experiment ``grid_batched`` — batched grids vs the per-case strategy.
 
 The paper's measured workloads are grid-shaped — Table 1 is
 *(algorithm x planner)* on one geometry, the scaling studies add array
-size — and PR 4's orchestrator evaluated them one case at a time on the
-segmented kernel (a Python loop over row segments inside every run).
-This experiment measures the two layers this series replaced that with:
+size — and the **batched grid strategy** evaluates all algorithms, orders
+and both planners of a geometry in one stacked flat-kernel pass.  This
+experiment times it against the **per-case strategy** (one scenario at a
+time, one process) on the same kernel, in the same session, and asserts
+that the two produce field-for-field identical records (``elapsed_s``
+aside).  The measurement is recorded in ``BENCH_<id>.json`` as the
+committed perf trajectory (medians of :data:`ROUNDS` interleaved rounds
+per strategy); ``check_regression.py`` gates its wall clock and its
+speedup ratio (both sides measured on one machine, so the ratio is
+hardware-independent).
 
-* the **flat kernel** — whole-run NumPy reductions over the compiled
-  segment structure, memoised on the shared operation trace;
-* the **batched grid strategy** — all algorithms, orders and both
-  planners of a geometry evaluated in one stacked kernel pass.
+No speedup bar is asserted: on the flat kernel, batching is a modest gain
+(about 1.0-1.2x on these grids on a 2-vCPU VM), since each case already
+costs little more than its own record assembly.  The bars this benchmark used
+to assert (>= 5x, >= 2x on the quick grid) compared against the PR 4
+path — the per-case strategy on the deleted segmented kernel, a Python
+loop over row segments.  Its last measurement, one round each on a
+2-vCPU VM just before the segmented kernel was deleted:
 
-The baseline is the PR 4 configuration reproduced exactly: per-case
-strategy on the segmented kernel (the same cases with
-``kernel="segmented"``, which reaches the engines inside the facades).
-The claim asserted here is the series' acceptance bar: the batched
-paper-scale grid beats that baseline by >= 5x wall-clock with records
-that are field-for-field identical (``elapsed_s`` aside), and the
-measurement is recorded in ``BENCH_<id>.json`` as the committed perf
-trajectory.
+========================  ========  ===========  ========
+grid                      PR 4 (s)  batched (s)  speedup
+========================  ========  ===========  ========
+512x512 (10 cases)        3.175     0.018        175x
+512x512, 4 banks (5)      1.669     0.008        219x
+64x512 (10 cases)         0.279     0.010        27x
+64x512, 4 banks (5)       0.142     0.004        32x
+========================  ========  ===========  ========
 
 Environment knobs:
 
-* ``REPRO_BENCH_QUICK=1`` — a 64-row grid for smoke jobs (the identity
-  assertion is unchanged; the speedup bar drops to 2x, fixed costs
-  dominate tiny grids);
+* ``REPRO_BENCH_QUICK=1`` — a 64-row grid for smoke jobs;
 * default — the full paper-scale grid: the measured 512 x 512 Table 1
   through the BIST path plus the session power sweep, both planners each.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
+import statistics
 import time
 
 import pytest
@@ -41,12 +49,12 @@ from repro.analysis import render_table
 from repro.sweep import SweepRunner
 from repro.sweep.runner import paper_prr_cases, paper_table1_cases, prr_grid, sweep_grid
 
-#: Acceptance bar on the full paper-scale grid (PR 4 baseline / batched).
-MINIMUM_GRID_SPEEDUP = 5.0
-#: Smoke-tier bar: fixed per-run costs dominate 64-row grids.
-MINIMUM_QUICK_SPEEDUP = 2.0
-
 ALGORITHMS = ("March C-", "March SS", "MATS+", "March SR", "March G")
+
+#: Timed rounds per strategy, interleaved; entries record the medians.
+#: A grid takes milliseconds on the flat kernel, so one round is mostly
+#: scheduler noise.
+ROUNDS = 5
 
 
 def _grid_cases():
@@ -57,100 +65,6 @@ def _grid_cases():
     return paper_prr_cases() + paper_table1_cases(), "512x512"
 
 
-def _drop_elapsed(record):
-    row = record.as_dict()
-    row.pop("elapsed_s")
-    return row
-
-
-def _segmented(cases):
-    """The same cases pinned to the segmented kernel (the baseline path)."""
-    return [dataclasses.replace(case, kernel="segmented") for case in cases]
-
-
-def _drop_kernel_provenance(row):
-    """The cross-kernel baseline comparison: ``kernel`` / ``kernel_used``
-    record the requested and executed tiers, which differ *by design*
-    between the segmented-kernel baseline and today's kernel — every
-    physical field must still agree."""
-    row = dict(row)
-    row.pop("kernel")
-    row.pop("kernel_used")
-    return row
-
-
-@pytest.mark.benchmark(group="grid-batched")
-def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
-                                                     bench_record):
-    cases, geometry = _grid_cases()
-
-    # --- PR 4 baseline: per-case strategy on the segmented kernel -------
-    started = time.perf_counter()
-    baseline = SweepRunner(_segmented(cases), processes=1,
-                           strategy="percase").run()
-    baseline_s = time.perf_counter() - started
-
-    # --- this series: one stacked flat-kernel pass per geometry ---------
-    timing = {}
-
-    def run_batched():
-        started = time.perf_counter()
-        result = SweepRunner(cases, strategy="batched").run()
-        timing["batched"] = time.perf_counter() - started
-        return result
-
-    batched = once(benchmark, run_batched)
-    batched_s = timing["batched"]
-    speedup = baseline_s / batched_s
-
-    print()
-    print(render_table(
-        [{"Path": "PR 4 baseline (percase + segmented kernel)",
-          "Wall clock (s)": f"{baseline_s:.3f}", "Cases": len(cases)},
-         {"Path": "batched grid (stacked flat kernel)",
-          "Wall clock (s)": f"{batched_s:.3f}", "Cases": len(cases)}],
-        title=f"Paper-scale grid on {geometry} — batched speedup "
-              f"{speedup:.1f}x"))
-
-    # Records are the experiment's ground truth.  Against the PR 4
-    # baseline the energies agree to floating-point summation order (the
-    # flat kernel evaluates the same physics with closed-form sums);
-    # against the per-case strategy on today's kernel they are identical
-    # bit for bit.
-    assert len(batched) == len(baseline)
-    for expected, observed in zip(baseline, batched):
-        left = _drop_kernel_provenance(_drop_elapsed(expected))
-        right = _drop_kernel_provenance(_drop_elapsed(observed))
-        assert set(left) == set(right)
-        for field, value in left.items():
-            if isinstance(value, float):
-                assert right[field] == pytest.approx(value, rel=1e-9), field
-            else:
-                assert right[field] == value, field
-    percase_flat = SweepRunner(cases, processes=1, strategy="percase").run()
-    for expected, observed in zip(percase_flat, batched):
-        assert _drop_elapsed(observed) == _drop_elapsed(expected)
-
-    minimum = (MINIMUM_QUICK_SPEEDUP if os.environ.get("REPRO_BENCH_QUICK")
-               else MINIMUM_GRID_SPEEDUP)
-    assert speedup >= minimum, (
-        f"batched grid speedup {speedup:.1f}x under the {minimum}x bar "
-        f"(baseline {baseline_s:.3f}s, batched {batched_s:.3f}s)")
-
-    bench_record(
-        f"paper-grid-batched[{geometry}]",
-        wall_clock_s=batched_s,
-        baseline_s=baseline_s,
-        speedup=speedup,
-        cases=len(cases),
-        geometry=geometry,
-        baseline="percase strategy + segmented kernel (PR 4)",
-    )
-
-
-# ----------------------------------------------------------------------
-# Banked variant: the beyond-paper 4-bank grid through the same layers
-# ----------------------------------------------------------------------
 def _banked_grid_cases():
     if os.environ.get("REPRO_BENCH_QUICK"):
         return (prr_grid(["64x512"], ALGORITHMS, backend="vectorized",
@@ -159,69 +73,92 @@ def _banked_grid_cases():
                      banks=(4,)), "512x512")
 
 
-@pytest.mark.benchmark(group="grid-batched")
-def test_banked_batched_grid_speedup_over_percase_segmented(benchmark, once,
-                                                            bench_record):
-    """The 4-bank Table 1 grid: per-bank pre-charge accounting (bank-select
-    transition counting, bank-height bit lines) must ride the stacked flat
-    kernel at the same speedup class as the monolithic grid, with records
-    identical to the per-case strategy."""
-    cases, geometry = _banked_grid_cases()
+def _drop_elapsed(record):
+    row = record.as_dict()
+    row.pop("elapsed_s")
+    return row
 
+
+def _timed(cases, **runner):
     started = time.perf_counter()
-    baseline = SweepRunner(_segmented(cases), processes=1,
-                           strategy="percase").run()
-    baseline_s = time.perf_counter() - started
+    result = SweepRunner(cases, **runner).run()
+    return result, time.perf_counter() - started
 
-    timing = {}
 
-    def run_batched():
-        started = time.perf_counter()
-        result = SweepRunner(cases, strategy="batched").run()
-        timing["batched"] = time.perf_counter() - started
+def _measure(benchmark, once, cases):
+    """Time the per-case and the batched strategy on one grid and check
+    that their records are identical; returns both median wall clocks and
+    the batched records."""
+    # An untimed pass first: imports and other once-per-process costs
+    # would otherwise land on whichever strategy happened to run first.
+    percase = SweepRunner(cases, processes=1, strategy="percase").run()
+    times = {"percase": [], "batched": []}
+
+    def run_rounds():
+        for _ in range(ROUNDS):
+            _, seconds = _timed(cases, processes=1, strategy="percase")
+            times["percase"].append(seconds)
+            result, seconds = _timed(cases, strategy="batched")
+            times["batched"].append(seconds)
         return result
 
-    batched = once(benchmark, run_batched)
-    batched_s = timing["batched"]
-    speedup = baseline_s / batched_s
+    batched = once(benchmark, run_rounds)
+    # Records are the experiment's ground truth: the kernel's per-slot
+    # reductions are stacking-invariant, so the strategies agree bit for
+    # bit.
+    assert len(batched) == len(percase) == len(cases)
+    for expected, observed in zip(percase, batched):
+        assert _drop_elapsed(observed) == _drop_elapsed(expected)
+    return (statistics.median(times["percase"]),
+            statistics.median(times["batched"]), batched)
 
+
+def _report(title, cases, percase_s, batched_s):
     print()
     print(render_table(
-        [{"Path": "percase + segmented kernel",
-          "Wall clock (s)": f"{baseline_s:.3f}", "Cases": len(cases)},
+        [{"Path": "per-case strategy (one process)",
+          "Wall clock (s)": f"{percase_s:.3f}", "Cases": len(cases)},
          {"Path": "batched grid (stacked flat kernel)",
           "Wall clock (s)": f"{batched_s:.3f}", "Cases": len(cases)}],
-        title=f"Banked (4-bank) grid on {geometry} — batched speedup "
-              f"{speedup:.1f}x"))
+        title=f"{title} — batched speedup {percase_s / batched_s:.2f}x"))
 
-    assert len(batched) == len(baseline)
-    for expected, observed in zip(baseline, batched):
-        left = _drop_kernel_provenance(_drop_elapsed(expected))
-        right = _drop_kernel_provenance(_drop_elapsed(observed))
-        assert set(left) == set(right)
-        for field, value in left.items():
-            if isinstance(value, float):
-                assert right[field] == pytest.approx(value, rel=1e-9), field
-            else:
-                assert right[field] == value, field
-        assert left["banks"] == 4
-    percase_flat = SweepRunner(cases, processes=1, strategy="percase").run()
-    for expected, observed in zip(percase_flat, batched):
-        assert _drop_elapsed(observed) == _drop_elapsed(expected)
 
-    minimum = (MINIMUM_QUICK_SPEEDUP if os.environ.get("REPRO_BENCH_QUICK")
-               else MINIMUM_GRID_SPEEDUP)
-    assert speedup >= minimum, (
-        f"banked batched grid speedup {speedup:.1f}x under the {minimum}x "
-        f"bar (baseline {baseline_s:.3f}s, batched {batched_s:.3f}s)")
+@pytest.mark.benchmark(group="grid-batched")
+def test_batched_grid_speedup_over_percase(benchmark, once, bench_record):
+    cases, geometry = _grid_cases()
+    percase_s, batched_s, _ = _measure(benchmark, once, cases)
+    _report(f"Paper-scale grid on {geometry}", cases, percase_s, batched_s)
+    bench_record(
+        f"paper-grid-batched[{geometry}]",
+        wall_clock_s=batched_s,
+        baseline_s=percase_s,
+        speedup=percase_s / batched_s,
+        cases=len(cases),
+        geometry=geometry,
+        rounds=ROUNDS,
+        baseline="percase strategy, same kernel",
+    )
 
+
+@pytest.mark.benchmark(group="grid-batched")
+def test_banked_batched_grid_speedup_over_percase(benchmark, once,
+                                                  bench_record):
+    """The 4-bank Table 1 grid: per-bank pre-charge accounting (bank-select
+    transition counting, bank-height bit lines) rides the same stacked
+    pass, with records identical to the per-case strategy."""
+    cases, geometry = _banked_grid_cases()
+    percase_s, batched_s, batched = _measure(benchmark, once, cases)
+    assert {record.banks for record in batched} == {4}
+    _report(f"Banked (4-bank) grid on {geometry}", cases, percase_s,
+            batched_s)
     bench_record(
         f"paper-grid-batched[{geometry},banks=4]",
         wall_clock_s=batched_s,
-        baseline_s=baseline_s,
-        speedup=speedup,
+        baseline_s=percase_s,
+        speedup=percase_s / batched_s,
         cases=len(cases),
         geometry=geometry,
         banks=4,
-        baseline="percase strategy + segmented kernel",
+        rounds=ROUNDS,
+        baseline="percase strategy, same kernel",
     )

@@ -1,30 +1,29 @@
-"""Experiment ``kernel_tiers`` — cold and warm PRR latency per kernel tier.
+"""Experiment ``kernel_tiers`` — cold and warm PRR latency of the flat kernel.
 
 Two acceptance bars on a full 4096 x 4096 PRR measurement (both
 operating modes through the BIST path):
 
-* **warm under 100 ms** on every tier that can run here.  "Warm" means
-  the controller's caches are populated — the compiled operation trace,
-  the segment walk, the BIST order memo and (for ``kernel="jit"``)
-  numba's on-disk function cache — exactly the steady state of a sweep
-  evaluating many algorithms on one geometry;
-* **cold under 250 ms** on the ``flat`` tier: the first measurement on a
-  fresh controller, which compiles the trace and its segment walk from
-  the row-major order's closed-form row runs.  The ``jit`` tier's cold
-  time includes numba compilation, so the bar does not apply to it.
+* **warm under 100 ms**.  "Warm" means the controller's caches are
+  populated — the compiled operation trace, the segment walk and the
+  BIST order memo — exactly the steady state of a sweep evaluating many
+  algorithms on one geometry;
+* **cold under 250 ms**: the first measurement on a fresh controller,
+  which compiles the trace and its segment walk from the row-major
+  order's closed-form row runs.
 
-Each tier lands two entries in ``BENCH_<id>.json``:
-``paper-prr-<size>-cold[<tier>]`` (the first measurement) and
-``paper-prr-<size>-warm[<tier>]`` (the median of :data:`WARM_ROUNDS`
-warm measurements), and ``check_regression.py`` gates each against its
-own committed entry (like-for-like via the ``kernel`` field).
+They land two entries in ``BENCH_<id>.json``:
+``paper-prr-<size>-cold[flat]`` (the first measurement) and
+``paper-prr-<size>-warm[flat]`` (the median of :data:`WARM_ROUNDS` warm
+measurements), and ``check_regression.py`` gates each against its own
+committed entry.  The ``[flat]`` suffix names the engine's one kernel;
+it dates from when other tiers existed and stays so the committed
+baselines keep matching.
 
 A third bar covers the fast-row (column-major) order, which makes every
 visit its own segment: a **cold 2048 x 2048 column-major power case**
-(both modes through a fresh session) **under 100 ms** on the ``flat``
-tier, recorded as ``paper-power-column-major-<size>-cold[flat]``.  The
-shape-compressed segment walk makes its cost independent of the
-segment count.
+(both modes through a fresh session) **under 100 ms**, recorded as
+``paper-power-column-major-<size>-cold[flat]``.  The shape-compressed
+segment walk makes its cost independent of the segment count.
 
 Environment knobs:
 
@@ -41,6 +40,9 @@ import time
 
 import pytest
 
+# Loaded up front: a module import is a once-per-process cost, not part of
+# a cold measurement on a fresh controller or session.
+import repro.engine.power_campaign  # noqa: F401
 from repro import TestSession
 from repro.analysis import render_table
 from repro.bist import BistController
@@ -48,29 +50,16 @@ from repro.march.library import get_algorithm
 from repro.march.ordering import ColumnMajorOrder
 from repro.sram import ArrayGeometry
 
-#: Warm 4096 x 4096 PRR under 100 ms, on every tier.
+#: Warm 4096 x 4096 PRR under 100 ms.
 WARM_BUDGET_S = 0.1
-#: Cold 4096 x 4096 PRR (first measurement) under 250 ms, flat tier only.
+#: Cold 4096 x 4096 PRR (first measurement) under 250 ms.
 COLD_BUDGET_S = 0.25
-#: Warm measurements per tier; the entry records their median.
+#: Warm measurements; the entry records their median.
 WARM_ROUNDS = 5
-#: Cold 2048 x 2048 column-major power case under 100 ms, flat tier.
+#: Cold 2048 x 2048 column-major power case under 100 ms.
 COLD_POWER_BUDGET_S = 0.1
 
 ALGORITHM = "March C-"
-
-
-def _tiers():
-    """Every tier that can execute a PRR campaign here, fastest-first.
-
-    The segmented kernel is excluded: it is the differential oracle (a
-    chunked Python loop), not a performance tier, and the <100 ms bar is
-    not a claim about it.
-    """
-    from repro.engine import available_kernels
-
-    return tuple(tier for tier in available_kernels()
-                 if tier != "segmented")
 
 
 def _workload_geometry():
@@ -80,14 +69,12 @@ def _workload_geometry():
 
 
 @pytest.mark.benchmark(group="kernel-tiers")
-@pytest.mark.parametrize("tier", _tiers())
-def test_prr_warm_latency_per_tier(benchmark, bench_record, tier):
+def test_prr_cold_and_warm_latency(benchmark, bench_record):
     geometry, label, enforce_budget = _workload_geometry()
     algorithm = get_algorithm(ALGORITHM)
-    controller = BistController(geometry, backend="vectorized", kernel=tier)
+    controller = BistController(geometry, backend="vectorized")
 
-    # Cold: trace compilation + first kernel pass (for jit, loading or
-    # building numba's cached machine code) + the first measurement.
+    # Cold: trace compilation + the first kernel pass and measurement.
     started = time.perf_counter()
     cold_functional = controller.run(algorithm, low_power=False)
     cold_low_power = controller.run(algorithm, low_power=True)
@@ -108,35 +95,29 @@ def test_prr_warm_latency_per_tier(benchmark, bench_record, tier):
         run_warm, rounds=WARM_ROUNDS, iterations=1, warmup_rounds=0)
     warm_s = statistics.median(warm_times)
     assert functional.passed and low_power.passed
-    # Truthful tier provenance on the results themselves.
-    assert functional.kernel in {tier, "flat"}
+    assert functional.kernel == low_power.kernel == "flat"
 
     measured_prr = 1.0 - low_power.average_power / functional.average_power
     print()
     print(render_table(
-        [{"Tier": tier, "Cold (s)": f"{cold_s:.3f}",
-          "Warm (s)": f"{warm_s:.4f}",
-          "PRR": f"{100.0 * measured_prr:.1f} %",
-          "Ran on": functional.kernel}],
-        title=f"{ALGORITHM} PRR @ {label} — kernel tier {tier!r}"))
+        [{"Cold (s)": f"{cold_s:.3f}", "Warm (s)": f"{warm_s:.4f}",
+          "PRR": f"{100.0 * measured_prr:.1f} %"}],
+        title=f"{ALGORITHM} PRR @ {label} — flat kernel"))
 
     if enforce_budget:
         assert warm_s < WARM_BUDGET_S, (
-            f"warm {label} PRR on tier {tier!r} took {warm_s:.3f}s "
+            f"warm {label} PRR took {warm_s:.3f}s "
             f"(budget {WARM_BUDGET_S}s)")
-        if tier == "flat":
-            assert cold_s < COLD_BUDGET_S, (
-                f"cold {label} PRR on tier {tier!r} took {cold_s:.3f}s "
-                f"(budget {COLD_BUDGET_S}s)")
+        assert cold_s < COLD_BUDGET_S, (
+            f"cold {label} PRR took {cold_s:.3f}s "
+            f"(budget {COLD_BUDGET_S}s)")
 
     for phase, seconds in (("cold", cold_s), ("warm", warm_s)):
         bench_record(
-            f"paper-prr-{label}-{phase}[{tier}]",
+            f"paper-prr-{label}-{phase}[flat]",
             wall_clock_s=seconds,
             cases=1,
             geometry=label,
-            kernel=functional.kernel,   # the tier that actually executed
-            requested_kernel=tier,
             algorithm=ALGORITHM,
         )
 
@@ -152,7 +133,7 @@ def test_column_major_power_cold_latency(bench_record):
     geometry, label, enforce_budget = _power_geometry()
     algorithm = get_algorithm(ALGORITHM)
     session = TestSession(geometry, order=ColumnMajorOrder(geometry),
-                          backend="vectorized", kernel="flat")
+                          backend="vectorized")
 
     # Cold: the order's row runs, the trace and its segment walk are all
     # built by this first comparison.
@@ -166,8 +147,7 @@ def test_column_major_power_cold_latency(bench_record):
     print()
     print(render_table(
         [{"Cold (s)": f"{cold_s:.4f}",
-          "PRR": f"{100.0 * comparison.prr:.1f} %",
-          "Ran on": low_power.kernel}],
+          "PRR": f"{100.0 * comparison.prr:.1f} %"}],
         title=f"{ALGORITHM} column-major power @ {label} — cold"))
 
     if enforce_budget:
@@ -179,8 +159,6 @@ def test_column_major_power_cold_latency(bench_record):
         wall_clock_s=cold_s,
         cases=1,
         geometry=label,
-        kernel=low_power.kernel,
-        requested_kernel="flat",
         algorithm=ALGORITHM,
         order="column-major",
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import format_percent, reduced_row_equivalent, render_table
+from repro.analysis import format_percent, render_table
 from repro.core import TestSession
 from repro.march import MARCH_CM
 from repro.power import PowerSource
@@ -25,8 +25,7 @@ from repro.sram.geometry import PAPER_GEOMETRY
 
 
 def run_breakdown():
-    equivalent = reduced_row_equivalent(PAPER_GEOMETRY, rows=8)
-    session = TestSession(equivalent.reduced, tech=equivalent.tech, detailed=False)
+    session = TestSession(PAPER_GEOMETRY, backend="vectorized", detailed=False)
     functional = session.run(MARCH_CM, OperatingMode.FUNCTIONAL)
     low_power = session.run(MARCH_CM, OperatingMode.LOW_POWER_TEST)
     return functional, low_power

@@ -4,9 +4,10 @@ Reproduces the Power Reduction Ratio of the five March algorithms
 (March C-, March SS, MATS+, March SR, March G) on the paper's 512 x 512,
 0.13 µm, 1.6 V, 3 ns SRAM:
 
-* *measured*: cycle-accurate behavioural simulation in both modes on a
-  reduced-row stand-in (full 512-column width, full-length bit-line
-  capacitance, 8 instantiated rows — see ``repro.analysis.scaling``);
+* *measured*: both modes on the full 512 x 512 array through the
+  vectorized engine (equivalent to the cycle-accurate behavioural
+  simulation up to summation order; ``tests/test_table1_golden.py`` pins
+  the figures);
 * *analytical*: the paper's Section 5 equations on the full 512 x 512 array.
 
 Paper values for reference: March C- 47.3 %, March SS 50.0 %, MATS+ 48.1 %,
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import reduced_row_equivalent, render_table
+from repro.analysis import render_table
 from repro.core import AnalyticalPowerModel, TestSession
 from repro.march import PAPER_TABLE1_ALGORITHMS
 from repro.sram.geometry import PAPER_GEOMETRY
@@ -32,8 +33,7 @@ PAPER_PRR = {
 
 
 def reproduce_table1():
-    equivalent = reduced_row_equivalent(PAPER_GEOMETRY, rows=8)
-    session = TestSession(equivalent.reduced, tech=equivalent.tech, detailed=False)
+    session = TestSession(PAPER_GEOMETRY, backend="vectorized", detailed=False)
     analytical = AnalyticalPowerModel(PAPER_GEOMETRY)
     rows = []
     for algorithm in PAPER_TABLE1_ALGORITHMS:
@@ -64,8 +64,8 @@ def test_table1_power_reduction_ratio(benchmark, once):
     print(render_table(
         rows,
         title="Table 1 — PRR for different March algorithms "
-              "(512x512 SRAM, 0.13um, 1.6V, 3ns; measured on an 8-row "
-              "full-width stand-in with full-length bit lines)"))
+              "(512x512 SRAM, 0.13um, 1.6V, 3ns; measured on the full "
+              "array)"))
     # Shape checks: the low-power test mode always wins, by a large factor,
     # for every algorithm, and the analytical model sits in the paper's band.
     for row in rows:

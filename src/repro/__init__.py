@@ -12,7 +12,7 @@ The package is organised as one subpackage per subsystem:
   low-power test mode planning, analytical PRR model, test sessions
 * :mod:`repro.bist`     — a BIST engine that deploys the low-power test mode,
   with backend-pluggable power measurement
-* :mod:`repro.analysis` — experiment methodology helpers (scaling, fixtures, tables)
+* :mod:`repro.analysis` — experiment support: circuit fixtures and table rendering
 * :mod:`repro.engine`   — NumPy-vectorized batch backends: power measurement,
   fault campaigns and BIST power campaigns
 * :mod:`repro.sweep`    — scenario-grid sweep runner (power + coverage +
@@ -71,7 +71,7 @@ imports only what it runs.
 
 from ._lazy import lazy_exports
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 #: The paper this repository reproduces.
 PAPER_REFERENCE = (
@@ -130,10 +130,6 @@ _EXPORTS = {
     "VectorizedFaultCampaign": ".engine.fault_campaign",
     "UnsupportedFaultCampaign": ".engine.fault_campaign",
     "VectorizedPowerCampaign": ".engine.power_campaign",
-    "KERNEL_CHOICES": ".engine.dispatch",
-    "KERNELS": ".engine.vectorized",
-    "available_kernels": ".engine.vectorized",
-    "resolve_kernel": ".engine.vectorized",
     "SweepRunner": ".sweep.runner",
     "SweepCase": ".sweep.runner",
     "CoverageCase": ".sweep.runner",

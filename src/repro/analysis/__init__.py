@@ -1,12 +1,9 @@
-"""Experiment support: scaling methodology, circuit fixtures, table rendering."""
+"""Experiment support: circuit fixtures and table rendering."""
 
 from .._lazy import lazy_exports
 
 #: The submodule that defines each exported name, imported on first access.
 _EXPORTS = {
-    "ReducedRowEquivalent": ".scaling",
-    "ScalingError": ".scaling",
-    "reduced_row_equivalent": ".scaling",
     "FixtureDescription": ".fixtures",
     "bitline_discharge_fixture": ".fixtures",
     "faulty_swap_fixture": ".fixtures",

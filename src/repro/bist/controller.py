@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..circuit.technology import TechnologyParameters, default_technology
-from ..engine.dispatch import KERNEL_CHOICES, BackendDispatcher, EngineError
+from ..engine.dispatch import BackendDispatcher, EngineError
 from ..march.algorithm import MarchAlgorithm
 from ..march.execution import TraceCache
 from ..power.accounting import EnergyLedger
@@ -63,8 +63,8 @@ class BistResult:
     planner: str = ""
     #: execution engine that measured the run ("reference"/"vectorized").
     backend: str = "reference"
-    #: concrete kernel tier of the vectorized campaign ("flat" /
-    #: "segmented" / "jit"); "" on the reference engine.
+    #: kernel of the vectorized campaign ("flat", its one kernel); "" on
+    #: the reference engine.
     kernel: str = ""
 
     @classmethod
@@ -111,9 +111,7 @@ class BistController:
     Both engines produce equivalent :class:`BistResult` measurements —
     energy totals and per-source breakdowns, pass/fail and the bounded
     comparator log; the differential test-suite asserts this on the whole
-    algorithm library.  ``kernel`` picks the vectorized campaign's kernel
-    tier (``None``: the flat tier); backend and kernel are fixed at
-    construction.
+    algorithm library.  The backend is fixed at construction.
     """
 
     def __init__(self, geometry: ArrayGeometry,
@@ -121,17 +119,10 @@ class BistController:
                  order: BistOrder = BistOrder.WORDLINE_SEQUENTIAL,
                  background: Optional[BackgroundFunction] = None,
                  backend: str = "reference",
-                 trace_cache: Optional[TraceCache] = None,
-                 kernel: Optional[str] = None) -> None:
+                 trace_cache: Optional[TraceCache] = None) -> None:
         self._dispatch = BackendDispatcher(self._make_engine,
                                            error=BistError)
         self.backend = self._dispatch.validate(backend)
-        if kernel is not None and kernel not in KERNEL_CHOICES:
-            raise BistError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
-        #: kernel tier of the vectorized power campaign (``None``: the
-        #: flat tier).
-        self.kernel = kernel
         self.geometry = geometry
         self.tech = tech or default_technology()
         self.address_generator = AddressGenerator(geometry, order)
@@ -227,8 +218,7 @@ class BistController:
         from ..engine import VectorizedPowerCampaign  # deferred: numpy optional
 
         return VectorizedPowerCampaign(
-            self.geometry, tech=self.tech, trace_cache=self._trace_cache,
-            kernel=self.kernel)
+            self.geometry, tech=self.tech, trace_cache=self._trace_cache)
 
     def warm(self, algorithm: MarchAlgorithm) -> None:
         """Pre-compile ``algorithm``'s operation trace (no measurement).
@@ -236,10 +226,8 @@ class BistController:
         On the vectorized backend this populates the campaign's trace
         cache — including the compiled segment structure, built from the
         order's row runs (closed-form for the word-line-sequential order)
-        — and warms the resolved kernel
-        tier (loading numba's on-disk cache for ``kernel="jit"``), so the
-        first :meth:`run` measures instead of compiling.  Callers that
-        want the first measurement warm call this up front; the sweep
+        — so the first :meth:`run` measures instead of compiling.  Callers
+        that want the first measurement warm call this up front; the sweep
         orchestrator does not — its workers compile each trace on first
         use.  A no-op on the reference backend (which walks fresh each
         run) and when the engine is unavailable.

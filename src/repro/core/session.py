@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.technology import TechnologyParameters, default_technology
-from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES, BackendDispatcher
+from ..engine.dispatch import BACKEND_CHOICES, BackendDispatcher
 from ..march.algorithm import MarchAlgorithm
 from ..march.element import AddressingDirection
 from ..march.execution import walk
@@ -78,9 +78,8 @@ class TestRunResult:
     full_res_column_cycles: int = 0
     floating_column_cycles: int = 0
     bank_transitions: int = 0
-    #: Concrete kernel tier that measured this run on the vectorized
-    #: backend ("flat" / "segmented" / "jit"); "" on the
-    #: reference backend, which has no kernel seam.
+    #: Kernel that measured this run: "flat" on the vectorized backend
+    #: (its one kernel), "" on the reference backend.
     kernel: str = ""
 
     @property
@@ -151,10 +150,7 @@ class TestSession:
     Both engines produce equivalent :class:`TestRunResult` measurements
     (energy totals and per-source breakdowns, stress counters, fault
     detections); the test-suite asserts this on every Table 1 algorithm.
-
-    ``kernel`` picks the vectorized engine's kernel tier
-    (:data:`repro.engine.dispatch.KERNEL_CHOICES`; ``None`` is the flat
-    tier).  Backend and kernel are fixed here, at construction.
+    The backend is fixed here, at construction.
     """
 
     def __init__(self, geometry: ArrayGeometry,
@@ -163,8 +159,7 @@ class TestSession:
                  background: Optional[BackgroundFunction] = None,
                  any_direction: AddressingDirection = AddressingDirection.UP,
                  detailed: Optional[bool] = None,
-                 backend: str = "reference",
-                 kernel: Optional[str] = None) -> None:
+                 backend: str = "reference") -> None:
         self._dispatch = BackendDispatcher(self._make_engine,
                                            error=SessionError)
         self.backend = self._dispatch.validate(backend)
@@ -174,12 +169,6 @@ class TestSession:
         self.background = background if background is not None else solid_background(0)
         self.any_direction = any_direction
         self.detailed = detailed
-        #: kernel tier of the vectorized engine (``None``: the flat tier).
-        #: Validated eagerly — the engine itself is built lazily.
-        if kernel is not None and kernel not in KERNEL_CHOICES:
-            raise SessionError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
-        self.kernel = kernel
 
     @property
     def last_backend_used(self) -> Optional[str]:
@@ -222,8 +211,7 @@ class TestSession:
 
         return VectorizedEngine(
             self.geometry, tech=self.tech, order=self.order,
-            any_direction=self.any_direction, detailed=self.detailed,
-            kernel=self.kernel)
+            any_direction=self.any_direction, detailed=self.detailed)
 
     # ------------------------------------------------------------------
     def run(self, algorithm: MarchAlgorithm, mode: OperatingMode,

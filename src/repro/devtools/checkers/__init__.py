@@ -18,7 +18,6 @@ from .export_schema import ExportSchemaChecker
 from .format_version import FormatVersionChecker
 from .global_state import GlobalStateChecker
 from .lazy_import import LazyImportChecker
-from .warn_once import WarnOnceChecker
 
 __all__ = [
     "AtomicWriteChecker",
@@ -27,7 +26,6 @@ __all__ = [
     "FormatVersionChecker",
     "GlobalStateChecker",
     "LazyImportChecker",
-    "WarnOnceChecker",
     "all_checkers",
 ]
 
@@ -39,7 +37,6 @@ def all_checkers() -> List[Checker]:
         GlobalStateChecker(),
         AtomicWriteChecker(),
         DispatchRegistryChecker(),
-        WarnOnceChecker(),
         ExportSchemaChecker(),
         FormatVersionChecker(),
     ]

@@ -6,7 +6,7 @@ numerics stacks (numpy, numba, cupy) load behind the PEP 562
 time.  The dynamic tests (``tests/test_lazy_imports.py``) prove it for
 real interpreter runs; this rule proves it for the whole *static* eager
 import graph, including edges that only materialise through lazy-export
-maps (``from repro.engine import KERNEL_CHOICES`` eagerly loads
+maps (``from repro.engine import BACKEND_CHOICES`` eagerly loads
 ``repro.engine.dispatch``).
 
 The same graph keeps each command-line entry point's start-up small: the

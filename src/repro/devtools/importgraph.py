@@ -17,7 +17,7 @@ executes at import time:
   literal name→submodule map such as ``repro.engine``'s ``_EXPORTS``)
   triggers ``__getattr__`` **eagerly** for names the package does not
   bind at top level — so the edge resolves through the seam to the
-  submodule that really loads (``from repro.engine import KERNEL_CHOICES``
+  submodule that really loads (``from repro.engine import BACKEND_CHOICES``
   is an eager import of ``repro.engine.dispatch``).
 
 The graph is over dotted module names; edges into modules outside the

@@ -28,7 +28,6 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from ..engine.dispatch import KERNEL_CHOICES
 from ..march.ordering import ORDER_REGISTRY
 from ..sram.geometry import BANK_INTERLEAVE_MODES
 from ..sweep.journal import JournalError
@@ -76,8 +75,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
                       help="address order (repeatable; power grids)")
     grid.add_argument("--backend", default="auto",
                       help="engine backend for every case")
-    grid.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
-                      help="flat-kernel tier for power/PRR cases")
     grid.add_argument("--banks", action="append", type=int, default=[],
                       metavar="N", help="bank count axis (repeatable)")
     grid.add_argument("--bank-interleave", default="blocked",
@@ -97,11 +94,11 @@ def _build_cases(args: argparse.Namespace) -> List[AnyCase]:
     cases: List[AnyCase] = []
     seeds = args.seed or [0]
     if args.paper_table1:
-        cases += paper_table1_cases(kernel=args.kernel)
+        cases += paper_table1_cases()
     if args.paper_coverage:
         cases += paper_coverage_cases()
     if args.paper_prr:
-        cases += paper_prr_cases(kernel=args.kernel)
+        cases += paper_prr_cases()
     if args.geometry:
         if not args.algorithm:
             raise SweepError("a custom grid needs at least one --algorithm")
@@ -116,14 +113,12 @@ def _build_cases(args: argparse.Namespace) -> List[AnyCase]:
                 cases += prr_grid(args.geometry, args.algorithm,
                                   backend=args.backend, seed=seed,
                                   banks=banks,
-                                  bank_interleave=args.bank_interleave,
-                                  kernel=args.kernel)
+                                  bank_interleave=args.bank_interleave)
         else:
             cases += sweep_grid(args.geometry, args.algorithm,
                                 orders=args.order or ("row-major",),
                                 backends=(args.backend,), banks=banks,
-                                bank_interleave=args.bank_interleave,
-                                kernel=args.kernel)
+                                bank_interleave=args.bank_interleave)
     if not cases:
         raise SweepError(
             "no campaign cases: pass a preset (--paper-table1 / "

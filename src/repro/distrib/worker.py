@@ -116,7 +116,13 @@ class DistribWorker:
         return self._grid
 
     def _campaign_cases(self) -> List[AnyCase]:
-        """The full campaign grid as cases, rebuilt once."""
+        """The full campaign grid as cases, rebuilt once.
+
+        A grid line this version cannot build (an unknown algorithm, a
+        kernel choice, another pseudo-random permutation) raises
+        :class:`repro.sweep.SweepError`; :meth:`run_once` builds the cases
+        before it claims, so such a grid strands no lease.
+        """
         if self._cases is None:
             self._cases = [case_from_dict(fingerprint)
                            for fingerprint in self._campaign_grid()]
@@ -192,6 +198,7 @@ class DistribWorker:
     # ------------------------------------------------------------------
     def run_once(self) -> bool:
         """Claim and execute at most one lease; True when one was run."""
+        self._campaign_cases()  # refuse an unbuildable grid before any claim
         for lease_summary in self.ledger.leases():
             if lease_summary.state != "pending":
                 continue
@@ -211,7 +218,6 @@ class DistribWorker:
         ``lease_timeout``), else sleeps ``poll_interval`` and re-scans —
         some other worker's chunk may yet expire.
         """
-        self._campaign_grid()  # refuse a foreign grid before any claim
         executed = 0
         while True:
             status = self.ledger.status()

@@ -43,14 +43,6 @@ class EngineError(Exception):
 #: The backend switch values every facade accepts.
 BACKEND_CHOICES: Tuple[str, ...] = ("reference", "vectorized", "auto")
 
-#: The kernel-tier switch shared by every vectorized engine: the two
-#: numpy tiers (``"flat"``, ``"segmented"``), the optional compiled tier
-#: (``"jit"`` via numba — it falls back to ``"flat"`` when numba is
-#: absent), and ``"auto"`` (the compiled tier when available, else
-#: ``"flat"``).  Defined here — NumPy-free — so the sweep CLI
-#: can enumerate the axis without loading any engine module.
-KERNEL_CHOICES: Tuple[str, ...] = ("flat", "segmented", "jit", "auto")
-
 
 _T = TypeVar("_T")
 
@@ -126,12 +118,11 @@ class BackendDispatcher:
     def warm(self, *args: object, **kwargs: object) -> bool:
         """Best-effort warm-up of the cached vectorized engine.
 
-        Builds the engine (importing numpy, and — for compiled kernel
-        tiers — triggering the one-time JIT compile / cache load) and
-        forwards ``*args`` to the engine's own ``warm`` method when it has
-        one.  Returns ``True`` when warming ran to completion and
-        ``False`` on any failure: warming is an amortization hint, never a
-        correctness step, so it must not fail a run.
+        Builds the engine (importing numpy) and forwards ``*args`` to
+        the engine's own ``warm`` method when it has one.  Returns
+        ``True`` when warming ran to completion and ``False`` on any
+        failure: warming is an amortization hint, never a correctness
+        step, so it must not fail a run.
         """
         try:
             engine = self.engine

@@ -181,8 +181,7 @@ class BatchedGridEngine:
         geometry = first_case.geometry()
         direction = AddressingDirection(first_case.any_direction)
         engine = VectorizedEngine(geometry, any_direction=direction,
-                                  detailed=False, trace_cache=state.traces,
-                                  kernel=first_case.kernel)
+                                  detailed=False, trace_cache=state.traces)
         requests = []
         orders = []
         for _, case in members:

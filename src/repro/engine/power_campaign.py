@@ -72,15 +72,11 @@ class VectorizedPowerCampaign:
     def __init__(self, geometry: ArrayGeometry,
                  tech: TechnologyParameters | None = None,
                  any_direction: AddressingDirection = AddressingDirection.UP,
-                 trace_cache: Optional[TraceCache] = None,
-                 kernel: Optional[str] = None) -> None:
+                 trace_cache: Optional[TraceCache] = None) -> None:
         _require_numpy()
         self.geometry = geometry
         self.tech = tech or default_technology()
         self.any_direction = any_direction
-        #: kernel tier of the per-order aggregate engines (``None``:
-        #: :data:`repro.engine.vectorized.DEFAULT_TIER`).
-        self.kernel = kernel
         #: compiled traces shared across runs (and optionally across tools).
         self.traces = trace_cache if trace_cache is not None else TraceCache()
         self._engines: Dict[int, Tuple[AddressOrder, VectorizedEngine]] = {}
@@ -97,8 +93,7 @@ class VectorizedPowerCampaign:
         if entry is None:
             engine = VectorizedEngine(self.geometry, tech=self.tech, order=order,
                                       any_direction=self.any_direction,
-                                      detailed=False, trace_cache=self.traces,
-                                      kernel=self.kernel)
+                                      detailed=False, trace_cache=self.traces)
             self._engines[id(order)] = (order, engine)
             return engine
         return entry[1]
@@ -110,10 +105,9 @@ class VectorizedPowerCampaign:
 
     def warm(self, algorithm: MarchAlgorithm, order: AddressOrder
              ) -> "VectorizedPowerCampaign":
-        """Amortize one run's cold costs: compile (or load from cache) the
-        resolved kernel tier and this campaign's trace + segment structure
-        for ``(algorithm, order)``.  Best-effort companion of
-        :meth:`repro.engine.dispatch.BackendDispatcher.warm`."""
+        """Amortize one run's cold costs: compile this campaign's trace
+        and segment structure for ``(algorithm, order)``.  Best-effort
+        companion of :meth:`repro.engine.dispatch.BackendDispatcher.warm`."""
         self._engine_for(order).warm(algorithm)
         return self
 
@@ -209,7 +203,7 @@ class VectorizedPowerCampaign:
             failure_log=failure_log,
             planner=planner_name(low_power),
             backend=self.name,
-            kernel=engine.last_kernel_used or "",
+            kernel="flat",
         )
 
     # ------------------------------------------------------------------

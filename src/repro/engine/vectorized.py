@@ -7,39 +7,40 @@ inspecting individual events, but it caps measured experiments at toy
 geometries: the paper's full 512 x 512 array needs millions of cycles per
 mode and minutes of wall clock per algorithm.
 
-This module re-derives the *same measurements* as whole-array operations:
+This module re-derives the *same measurements* as whole-run reductions over
+the compiled segment structure of a trace
+(:meth:`repro.march.execution.OperationTrace.segment_walk`):
 
-* **functional mode** collapses to closed-form vector reductions — every
+* **functional mode** collapses to closed-form per-element sums — every
   access spends constant operation/decode/RES/leakage energy, and the only
-  sequence-dependent quantity (word-line recharges at row transitions) is a
-  count over the coordinate arrays of the address order;
-* **low-power test mode** is processed one *row segment* at a time (a
-  maximal run of accesses on one word line).  Within a segment the paper's
-  pre-charge policy is strictly structured — the selected column and its
-  traversal neighbour are held, every other column floats and decays
-  exponentially, and the one functional-mode restoration cycle closes the
-  row — so background state, pre-charge activity masks, RES stress counts
-  and the decay-dependent restoration energies are all computed as NumPy
-  array expressions over the segment instead of per-cell Python loops.
+  sequence-dependent quantity (word-line recharges at row transitions) is
+  read from the walk's segment counts;
+* **low-power test mode** is evaluated per distinct *row segment* shape (a
+  maximal run of accesses on one word line), weighted by its multiplicity.
+  Within a segment the paper's pre-charge policy is strictly structured —
+  the selected column and its traversal neighbour are held, every other
+  column floats and decays exponentially, and the one functional-mode
+  restoration cycle closes the row — so the decayed-recharge and
+  restoration energies are geometric series with closed forms, and only
+  the rare chains of segments that skip a restoration are walked.
 
-Equivalence with the reference backend is exact by construction (the same
-per-event formulas evaluated in bulk, see ``tests/test_engine_equivalence.py``);
-configurations the bulk replay cannot represent — injected faults, custom
-planners, address orders whose next access is not the traversal neighbour —
-raise :class:`UnsupportedConfiguration` so callers can fall back to the
-reference backend instead of silently measuring something else.
+Equivalence with the reference backend is exact up to floating-point
+summation order (the same per-event formulas evaluated in bulk, see
+``tests/test_engine_equivalence.py`` and the generated differential
+``tests/test_power_generated.py``); configurations the bulk replay cannot
+represent — injected faults, custom planners, address orders whose next
+access is not the traversal neighbour — raise
+:class:`UnsupportedConfiguration` so callers can fall back to the reference
+backend instead of silently measuring something else.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
-from importlib import import_module
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..circuit.technology import TechnologyParameters, default_technology
-from ..core.lowpower import traversal_neighbour_delta
 from ..march.algorithm import MarchAlgorithm
 from ..march.element import AddressingDirection
 from ..march.execution import OperationTrace, SegmentWalk, TraceCache
@@ -59,7 +60,7 @@ try:  # numpy is required for this backend only; the scalar path runs without it
 except ImportError:  # pragma: no cover - the container ships numpy
     np = None  # type: ignore[assignment]
 
-from .dispatch import EngineError, KERNEL_CHOICES
+from .dispatch import EngineError
 
 
 class UnsupportedConfiguration(EngineError):
@@ -81,133 +82,6 @@ def _require_numpy() -> None:
         )
 
 
-#: Execution kernels of the vectorized backend.  ``"flat"`` (the default)
-#: evaluates the whole run as flat NumPy reductions over the compiled
-#: segment structure (:meth:`repro.march.execution.OperationTrace.segment_walk`)
-#: with closed-form decay sums — no per-row/per-segment Python loop on the
-#: hot path.  ``"segmented"`` is the original one-row-segment-at-a-time
-#: evaluation, retained as the differential oracle for the flat kernel and
-#: as the measured baseline of the grid benchmarks.  ``"jit"`` is the
-#: *compiled tier*: the same per-(unit, element) slot reductions executed
-#: by a numba ``@njit(parallel=True, cache=True)`` kernel
-#: (:mod:`repro.engine.compiled`).  ``"auto"`` resolves to ``"jit"`` when
-#: it is available, else ``"flat"``.  The compiled tier is optional: when
-#: numba is absent a ``"jit"`` request falls back to ``"flat"`` with a
-#: single :class:`RuntimeWarning` (see :func:`resolve_kernel`), and
-#: importing :mod:`repro` (or this module) never loads numba.
-KERNELS = KERNEL_CHOICES
-
-#: The tier an engine built with ``kernel=None`` runs.
-DEFAULT_TIER = "flat"
-
-#: Guards ``_TIER_CACHE`` below: the serving layer resolves kernels from
-#: concurrent worker threads, and unguarded writes to process-wide kernel
-#: state are the RPR002 bug class.
-_KERNEL_STATE_LOCK = threading.Lock()
-
-#: Optional compiled-tier implementation modules, imported lazily on first
-#: resolution (never at ``import repro`` time — the PEP 562 contract).
-_TIER_MODULES: Dict[str, str] = {"jit": ".compiled"}
-
-#: Lazily-imported tier modules: name -> module, or ``None`` when the
-#: import failed (dependency absent).  :func:`reset_kernel_state` clears it.
-_TIER_CACHE: Dict[str, Optional[object]] = {}
-
-#: Tiers whose fallback has already been warned about (warn once per tier
-#: per process; cleared by :func:`reset_kernel_state`).  Guarded by
-#: ``_FALLBACK_LOCK``: the serving layer resolves kernels from concurrent
-#: worker threads, and an unguarded check-and-add could warn twice or —
-#: worse — interleave with :func:`reset_kernel_state`.
-_FALLBACK_WARNED: set = set()
-_FALLBACK_LOCK = threading.Lock()
-
-
-def _claim_fallback_warning(tier: str) -> bool:
-    """Atomically claim the once-per-process warning for ``tier``."""
-    with _FALLBACK_LOCK:
-        if tier in _FALLBACK_WARNED:
-            return False
-        _FALLBACK_WARNED.add(tier)
-        return True
-
-
-def kernel_module(tier: str):
-    """The implementation module of a compiled tier, or ``None``.
-
-    Imports :mod:`repro.engine.compiled` on first request and memoises
-    the outcome — including the *failed* outcome, so an absent
-    dependency is probed exactly once per process.
-    Returns ``None`` for the built-in numpy tiers (they live here).
-    """
-    if tier not in _TIER_MODULES:
-        return None
-    with _KERNEL_STATE_LOCK:
-        if tier in _TIER_CACHE:
-            return _TIER_CACHE[tier]
-    # Probe outside the lock — importing a compiled tier can be slow and
-    # takes the interpreter's import lock; a racing duplicate probe is
-    # idempotent and setdefault keeps the first outcome.
-    try:
-        module: Optional[object] = import_module(
-            _TIER_MODULES[tier], __package__)
-    except ImportError:
-        module = None
-    with _KERNEL_STATE_LOCK:
-        return _TIER_CACHE.setdefault(tier, module)
-
-
-def kernel_available(tier: str) -> bool:
-    """Whether a kernel tier can actually execute in this process."""
-    if tier in _TIER_MODULES:
-        return kernel_module(tier) is not None
-    return tier in ("flat", "segmented")
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Every concrete kernel tier runnable in this process (no ``"auto"``)."""
-    return tuple(tier for tier in KERNELS
-                 if tier != "auto" and kernel_available(tier))
-
-
-def resolve_kernel(kernel: str, warn: bool = True) -> str:
-    """Map a requested kernel to the tier that will actually run.
-
-    ``"auto"`` picks the best available compiled tier (``"jit"`` when
-    numba is importable) and otherwise ``"flat"`` — silently, since auto
-    explicitly delegates the choice.  An *explicitly* requested compiled
-    tier whose dependency is absent falls back to ``"flat"`` and warns
-    once per tier per process (:class:`RuntimeWarning`), so a script that
-    asked for ``"jit"`` on a numba-less machine still runs — truthfully
-    reported through ``last_kernel_used`` and the sweep records.
-    """
-    if kernel == "auto":
-        if kernel_available("jit"):
-            return "jit"
-        if warn and _claim_fallback_warning("auto"):
-            warnings.warn(
-                "kernel 'auto': no compiled tier is available (numba is "
-                "not importable); using the 'flat' numpy kernel",
-                RuntimeWarning, stacklevel=3)
-        return "flat"
-    if kernel in _TIER_MODULES and not kernel_available(kernel):
-        if warn and _claim_fallback_warning(kernel):
-            warnings.warn(
-                f"kernel {kernel!r} is unavailable (numba is not "
-                "importable); falling back to the 'flat' numpy kernel",
-                RuntimeWarning, stacklevel=3)
-        return "flat"
-    return kernel
-
-
-def reset_kernel_state() -> None:
-    """Forget tier-availability probes and fallback warnings (test hook:
-    lets a suite patch ``sys.modules`` and re-probe from scratch)."""
-    with _KERNEL_STATE_LOCK:
-        _TIER_CACHE.clear()
-    with _FALLBACK_LOCK:
-        _FALLBACK_WARNED.clear()
-
-
 #: Segment shapes evaluated per flat-kernel tile; bounds the size of the
 #: per-shape temporaries.  A compressed walk has few shapes (column-major
 #: at 4096 x 4096 holds ~4096 per element), so one tile usually covers a
@@ -225,10 +99,9 @@ def _reduce_tile_arrays(slots, m, first, last, carry, chained, mult,
     The decay-sum and bincount core of the flat kernel, factored out of
     :meth:`VectorizedEngine._low_power_flat` as a pure function of the
     segment-shape arrays: each shape is evaluated once and weighted by its
-    multiplicity ``mult``.  :mod:`repro.engine.compiled` re-derives the
-    identical scalar recurrence under numba.  Returns the five per-slot
-    accumulator tiles ``(wl_count, enabled_sum, prc, recharge, restore)``
-    — integer counts exact, energies subject only to summation order.
+    multiplicity ``mult``.  Returns the five per-slot accumulator tiles
+    ``(wl_count, enabled_sum, prc, recharge, restore)`` — integer counts
+    exact, energies subject only to summation order.
     """
     weight = mult.astype(np.float64)
     out_word = last + delta_seg
@@ -336,13 +209,8 @@ class VectorizedEngine:
                  order: Optional[AddressOrder] = None,
                  any_direction: AddressingDirection = AddressingDirection.UP,
                  detailed: Optional[bool] = None,
-                 trace_cache: Optional[TraceCache] = None,
-                 kernel: Optional[str] = None) -> None:
+                 trace_cache: Optional[TraceCache] = None) -> None:
         _require_numpy()
-        kernel = DEFAULT_TIER if kernel is None else kernel
-        if kernel not in KERNELS:
-            raise EngineError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         self.geometry = geometry
         self.tech = tech or default_technology()
         self.order = order or RowMajorOrder(geometry)
@@ -350,10 +218,6 @@ class VectorizedEngine:
         self.clock = ClockCycle.from_technology(self.tech)
         detailed_default = geometry.cell_count <= DETAILED_CELL_LIMIT
         self.track_cell_stress = detailed_default if detailed is None else detailed
-        #: requested execution kernel (``None`` at construction means
-        #: :data:`DEFAULT_TIER`); :func:`resolve_kernel` maps it to the
-        #: tier that runs.
-        self.kernel = kernel
         #: compiled traces of this engine's own runs (shared when the
         #: caller passes one, e.g. the batched grid engine or a facade
         #: that already owns a cache) — the walks and segment structure a
@@ -363,11 +227,11 @@ class VectorizedEngine:
         # scales with the bank height, not the whole array.
         self._tau = self.tech.floating_discharge_tau(geometry.rows_per_bank)
         self._k = self._derive_constants()
-        # Per-run provenance (last_stress / last_counters /
-        # last_kernel_used) is thread-local: the serving layer drives one
-        # engine from a pool of worker threads, and a facade-global slot
-        # would let one request's run overwrite another's provenance
-        # between its measurement and its record assembly.
+        # Per-run provenance (last_stress / last_counters) is thread-local:
+        # the serving layer drives one engine from a pool of worker
+        # threads, and a facade-global slot would let one request's run
+        # overwrite another's provenance between its measurement and its
+        # record assembly.
         self._run_state = threading.local()
 
     @property
@@ -390,18 +254,6 @@ class VectorizedEngine:
     @last_counters.setter
     def last_counters(self, counters: Dict[str, int]) -> None:
         self._run_state.counters = counters
-
-    @property
-    def last_kernel_used(self) -> Optional[str]:
-        """Concrete kernel tier of the calling thread's most recent run
-        (``"flat"``, ``"segmented"`` or ``"jit"`` — never
-        ``"auto"``): the tier that actually executed, after availability
-        fallback."""
-        return getattr(self._run_state, "kernel_used", None)
-
-    @last_kernel_used.setter
-    def last_kernel_used(self, tier: Optional[str]) -> None:
-        self._run_state.kernel_used = tier
 
     # ------------------------------------------------------------------
     # Constant derivation — every value comes from the shared power model /
@@ -499,7 +351,7 @@ class VectorizedEngine:
             full_res_column_cycles=counters["full_res_column_cycles"],
             floating_column_cycles=counters["floating_column_cycles"],
             bank_transitions=counters.get("bank_transitions", 0),
-            kernel=self.last_kernel_used or "",
+            kernel="flat",
         )
 
     def trace_for(self, algorithm: MarchAlgorithm) -> OperationTrace:
@@ -512,20 +364,13 @@ class VectorizedEngine:
              ) -> "VectorizedEngine":
         """Amortize the one-time costs of a run up front.
 
-        Two warm-up layers: the resolved kernel tier's compiled artefacts
-        (numba's ``cache=True`` on-disk cache is loaded — or the kernel
-        compiled — by a tiny dummy reduction), and, when ``algorithm`` is
-        given, this engine's memoised trace plus its compiled segment
-        structure (built from the order's cached row runs, so only
-        orders without closed-form runs expand coordinates for it).
-        Idempotent and cheap when already
-        warm; reached facade-first through
+        When ``algorithm`` is given, compiles this engine's memoised trace
+        of it plus its segment structure (built from the order's cached
+        row runs, so only orders without closed-form runs expand
+        coordinates for it).  Idempotent and cheap when already warm;
+        reached facade-first through
         :meth:`repro.engine.dispatch.BackendDispatcher.warm`.
         """
-        tier = resolve_kernel(self.kernel, warn=False)
-        module = kernel_module(tier)
-        if module is not None:
-            module.warm()
         if algorithm is not None:
             self.trace_for(algorithm).segment_walk()
         return self
@@ -545,18 +390,8 @@ class VectorizedEngine:
         algorithm.validate()
         if trace is None:
             trace = self.trace_for(algorithm)
-        if resolve_kernel(self.kernel) != "segmented":
-            result = self.run_aggregates_batch([(algorithm, mode, trace)])[0]
-            by_source, counters, cycles, stress = result
-        else:
-            walks = trace.element_walks()
-            if mode is OperatingMode.LOW_POWER_TEST:
-                by_source, counters, cycles, stress = \
-                    self._run_low_power(algorithm, walks)
-            else:
-                by_source, counters, cycles, stress = \
-                    self._run_functional(algorithm, walks)
-            self.last_kernel_used = "segmented"
+        by_source, counters, cycles, stress = self.run_aggregates_batch(
+            [(algorithm, mode, trace)])[0]
         self.last_stress = stress
         self.last_counters = counters
         return by_source, counters, cycles, stress
@@ -581,16 +416,7 @@ class VectorizedEngine:
         ``collect_errors=True``, yields the exception instance in its
         result slot so a grid driver can reroute just that unit to a
         fallback backend.
-
-        The batch path *is* the flat orchestration, so an engine on the
-        ``"segmented"`` kernel runs the ``"flat"`` tier here; the compiled
-        tier (``"jit"``) swaps in its own implementation of the
-        per-segment slot reductions and is availability-checked through
-        :func:`resolve_kernel` first.
         """
-        tier = resolve_kernel(self.kernel)
-        if tier == "segmented":
-            tier = "flat"
         prepared = []
         for algorithm, mode, trace in requests:
             algorithm.validate()
@@ -609,12 +435,9 @@ class VectorizedEngine:
                 results[index] = self._functional_flat(algorithm, trace)
         if low_power_units:
             units = [prepared[index] for index in low_power_units]
-            for index, outcome in zip(low_power_units,
-                                      self._low_power_flat(units,
-                                                           collect_errors,
-                                                           tier)):
+            outcomes = self._low_power_flat(units, collect_errors)
+            for index, outcome in zip(low_power_units, outcomes):
                 results[index] = outcome
-        self.last_kernel_used = tier
         return results
 
     def compare_modes(self, algorithm: MarchAlgorithm) -> "ModeComparison":
@@ -627,296 +450,17 @@ class VectorizedEngine:
                               functional=functional, low_power=low_power)
 
     # ------------------------------------------------------------------
-    # Functional mode: closed-form vector reductions
-    # ------------------------------------------------------------------
-    def _run_functional(self, algorithm: MarchAlgorithm, walks):
-        geo, k = self.geometry, self._k
-        bits = geo.bits_per_word
-        per_access_decode = k.row_decode + k.col_decode
-        unselected = geo.columns - bits
-
-        by_source: Dict[PowerSource, float] = {}
-        counters = {"row_transitions": 0, "full_restores": 0,
-                    "full_res_column_cycles": 0, "floating_column_cycles": 0,
-                    "partial_res_column_cycles": 0, "bank_transitions": 0}
-        track = self.track_cell_stress and geo.columns <= 128
-        stress_uniform = 0
-        prev_row: Optional[int] = None
-        prev_bank: Optional[int] = None
-        banked = geo.is_banked
-        cycles = 0
-
-        for element, (_, rows_arr, _) in zip(algorithm.elements, walks):
-            n_addr = int(rows_arr.size)
-            ops = element.operation_count
-            n_access = n_addr * ops
-
-            # Operation + decode energy (booked per access under its own kind).
-            self._add(by_source, PowerSource.OPERATION_READ,
-                      n_addr * element.read_count
-                      * (per_access_decode + bits * k.read_col))
-            self._add(by_source, PowerSource.OPERATION_WRITE,
-                      n_addr * element.write_count
-                      * (per_access_decode + bits * k.write_col))
-
-            # Word-line recharges: one per row change, attributed to the kind
-            # of the first operation of the element (the access that lands on
-            # the new row).
-            changes = int(np.count_nonzero(np.diff(rows_arr)))
-            new_row_at_boundary = prev_row is None or int(rows_arr[0]) != prev_row
-            # A boundary onto a different row recharges the word line; it
-            # only counts as a row *transition* when a row was active before.
-            counters["row_transitions"] += changes
-            if new_row_at_boundary and prev_row is not None:
-                counters["row_transitions"] += 1
-            recharges = changes + (1 if new_row_at_boundary else 0)
-            wl_source = (PowerSource.OPERATION_READ if element.operations[0].is_read
-                         else PowerSource.OPERATION_WRITE)
-            self._add(by_source, wl_source, recharges * k.wordline)
-            prev_row = int(rows_arr[-1])
-
-            # Bank-select transitions (banked arrays only): one per access
-            # whose row lives in a different bank than the previous access's.
-            if banked:
-                banks_arr = self._bank_of(rows_arr)
-                bank_changes = int(np.count_nonzero(np.diff(banks_arr)))
-                if prev_bank is not None and int(banks_arr[0]) != prev_bank:
-                    bank_changes += 1
-                counters["bank_transitions"] += bank_changes
-                prev_bank = int(banks_arr[-1])
-
-            # Every unselected column keeps its pre-charge ON: aggregate RES.
-            res_energy = n_access * unselected * k.res_per_column
-            self._add(by_source, PowerSource.PRECHARGE_UNSELECTED, res_energy)
-            self._add(by_source, PowerSource.CELL_RES, res_energy * CELL_RES_RATIO)
-            counters["full_res_column_cycles"] += n_access * unselected
-
-            self._add(by_source, PowerSource.LEAKAGE, n_access * k.leakage)
-            if track:
-                stress_uniform += ops * (geo.words_per_row - 1)
-            cycles += n_access
-
-        # Booked once as count x constant (not per element) so both kernels
-        # compute the identical floating-point sum.
-        self._add(by_source, PowerSource.BANK_SELECT,
-                  counters["bank_transitions"] * k.bank_select)
-
-        stress = None
-        if self.track_cell_stress:
-            shape = (geo.rows, geo.words_per_row)
-            full = np.zeros(shape, dtype=np.int64)
-            if track:
-                full += stress_uniform
-            stress = CellStressTotals(
-                full_res=full,
-                partial_res=np.zeros(shape, dtype=np.int64),
-                reads_per_cell=algorithm.read_count,
-                writes_per_cell=algorithm.write_count,
-            )
-        return by_source, counters, cycles, stress
-
-    # ------------------------------------------------------------------
-    # Low-power test mode: per-row-segment vectorization
-    # ------------------------------------------------------------------
-    def _run_low_power(self, algorithm: MarchAlgorithm, walks):
-        geo, k = self.geometry, self._k
-        bits = geo.bits_per_word
-        n_words = geo.words_per_row
-        per_access_decode = k.row_decode + k.col_decode
-        track = self.track_cell_stress
-
-        by_source: Dict[PowerSource, float] = {}
-        counters = {"row_transitions": 0, "full_restores": 0,
-                    "full_res_column_cycles": 0, "floating_column_cycles": 0,
-                    "bank_transitions": 0}
-        partial_res_cycles = 0
-        control_events = 0
-        lptest_toggles = 0
-        banked = geo.is_banked
-        prev_bank: Optional[int] = None
-
-        shape = (geo.rows, n_words)
-        stress_full = np.zeros(shape, dtype=np.int64) if track else None
-        stress_partial = np.zeros(shape, dtype=np.int64) if track else None
-
-        #: per-word cycle index at which the word's bit lines started to
-        #: float (pre-charge OFF, lines at VDD at that instant); -1 while the
-        #: word is attached to a pre-charge circuit.
-        float_start = np.full(n_words, -1, dtype=np.int64)
-
-        prev_word = -1
-        prev_row: Optional[int] = None
-        cycle = 0
-
-        for index, element in enumerate(algorithm.elements):
-            direction, rows_arr, words_arr = walks[index]
-            ops = element.operation_count
-            delta = traversal_neighbour_delta(direction)
-            if index + 1 < len(walks):
-                next_first_row: Optional[int] = int(walks[index + 1][1][0])
-            else:
-                next_first_row = None
-            wl_source = (PowerSource.OPERATION_READ if element.operations[0].is_read
-                         else PowerSource.OPERATION_WRITE)
-
-            boundaries = np.flatnonzero(np.diff(rows_arr)) + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [rows_arr.size]))
-
-            for start, end in zip(starts, ends):
-                start, end = int(start), int(end)
-                row = int(rows_arr[start])
-                seg = words_arr[start:end]
-                m = int(seg.size)
-                base = cycle + start * ops
-
-                # -- support checks: the planner keeps the *traversal
-                # neighbour* pre-charged, so the bulk replay is exact only
-                # when that neighbour is the next selected word and the
-                # selected word's lines are held at VDD when it is selected.
-                if m > 1 and not np.array_equal(seg[1:], seg[:-1] + delta):
-                    raise UnsupportedConfiguration(
-                        f"order {self.order.name!r} does not follow the "
-                        "pre-charged traversal neighbour within a row; use the "
-                        "reference backend")
-                first_word = int(seg[0])
-                if float_start[first_word] >= 0:
-                    raise UnsupportedConfiguration(
-                        "selected word's bit lines are floating at selection "
-                        "time; use the reference backend")
-
-                neighbours = seg + delta
-                valid = (neighbours >= 0) & (neighbours < n_words)
-                n_enabled = int(np.count_nonzero(valid))
-
-                # -- word line / row transition accounting.
-                if prev_row is None or row != prev_row:
-                    if prev_row is not None:
-                        counters["row_transitions"] += 1
-                    self._add(by_source, wl_source, k.wordline)
-                    if banked:
-                        bank = geo.bank_of_row(row)
-                        if prev_bank is not None and bank != prev_bank:
-                            counters["bank_transitions"] += 1
-                        prev_bank = bank
-                prev_row = row
-
-                # -- control elements: one switching event per column change
-                # (plus the very first cycle of the run).
-                control_events += (m - 1)
-                if prev_word < 0 or prev_word != first_word:
-                    control_events += 1
-                prev_word = int(seg[-1])
-
-                # -- operations on the selected words (held at VDD, so the
-                # per-access energies are the same constants as functional
-                # mode).
-                self._add(by_source, PowerSource.OPERATION_READ,
-                          m * element.read_count
-                          * (per_access_decode + bits * k.read_col))
-                self._add(by_source, PowerSource.OPERATION_WRITE,
-                          m * element.write_count
-                          * (per_access_decode + bits * k.write_col))
-                self._add(by_source, PowerSource.LEAKAGE, m * ops * k.leakage)
-
-                # -- newly floating words at the segment's first access:
-                # everything previously attached except the selected word and
-                # its pre-charged neighbour.
-                newly = float_start < 0
-                newly[first_word] = False
-                if bool(valid[0]):
-                    newly[int(neighbours[0])] = False
-                n_newly = int(np.count_nonzero(newly))
-                partial_res_cycles += (n_newly + (m - 1)) * bits
-                if track:
-                    stress_partial[row][newly] += 1
-                    if m > 1:
-                        np.add.at(stress_partial[row], seg[:-1], 1)
-                float_start[newly] = base
-
-                # -- the pre-charged neighbour of each visit: sustains a full
-                # RES every cycle and recharges whatever its floating lines
-                # lost (nonzero only on the visit's first cycle).
-                enabled_words = neighbours[valid]
-                sustain = n_enabled * ops * bits * k.res_per_column
-                self._add(by_source, PowerSource.PRECHARGE_UNSELECTED, sustain)
-                self._add(by_source, PowerSource.CELL_RES, sustain * CELL_RES_RATIO)
-                counters["full_res_column_cycles"] += n_enabled * ops * bits
-                if track and n_enabled:
-                    np.add.at(stress_full[row], enabled_words, ops)
-                if n_enabled:
-                    visit_cycles = base + np.flatnonzero(valid) * ops
-                    fs = float_start[enabled_words]
-                    floating = fs >= 0
-                    if np.any(floating):
-                        self._add(by_source, PowerSource.PRECHARGE_UNSELECTED,
-                                  self._decayed_restore_energy(
-                                      visit_cycles[floating] - fs[floating]))
-
-                # -- post-segment floating state: each visited word refloats
-                # one visit after its own selection; the last visited word
-                # and its neighbour stay attached.
-                if m > 1:
-                    float_start[seg[:-1]] = base + np.arange(1, m) * ops
-                float_start[int(seg[-1])] = -1
-                if bool(valid[-1]):
-                    float_start[int(neighbours[-1])] = -1
-
-                counters["floating_column_cycles"] += ops * (
-                    m * (geo.columns - bits) - n_enabled * bits)
-
-                # -- the paper's one functional-mode cycle per row: restore
-                # every bit line during the last access before the traversal
-                # leaves this row (or the test ends).
-                if end < rows_arr.size:
-                    restore_now = True  # next segment of this element = new row
-                elif next_first_row is None:
-                    restore_now = True  # last access of the whole test
-                else:
-                    restore_now = next_first_row != row
-                if restore_now:
-                    last_cycle = base + m * ops - 1
-                    floating = float_start >= 0
-                    if np.any(floating):
-                        self._add(by_source, PowerSource.ROW_TRANSITION_RESTORE,
-                                  self._decayed_restore_energy(
-                                      last_cycle - float_start[floating]))
-                        float_start[floating] = -1
-                    counters["full_restores"] += 1
-                    lptest_toggles += 1
-
-            cycle += int(rows_arr.size) * ops
-
-        self._add(by_source, PowerSource.CONTROL_LOGIC,
-                  control_events * k.control_element)
-        self._add(by_source, PowerSource.LPTEST_DRIVER,
-                  lptest_toggles * k.lptest_line)
-        self._add(by_source, PowerSource.BANK_SELECT,
-                  counters["bank_transitions"] * k.bank_select)
-        counters["partial_res_column_cycles"] = partial_res_cycles
-
-        stress = None
-        if track:
-            stress = CellStressTotals(
-                full_res=stress_full,
-                partial_res=stress_partial,
-                reads_per_cell=algorithm.read_count,
-                writes_per_cell=algorithm.write_count,
-            )
-        return by_source, counters, cycle, stress
-
-    # ------------------------------------------------------------------
     # Flat kernel: whole-run NumPy reductions over the compiled segments
     # ------------------------------------------------------------------
     def _functional_flat(self, algorithm: MarchAlgorithm,
                          trace: OperationTrace):
         """Functional mode from the compiled segment structure alone.
 
-        Same per-element closed forms as :meth:`_run_functional`, but the
-        only sequence-dependent quantity — word-line recharges at row
-        transitions — now comes from the memoised segment counts instead
-        of an O(accesses) diff per element per run, so a functional
-        measurement costs O(elements) once the trace is compiled.
+        Every unselected column keeps its pre-charge on, so each element
+        books constant per-access energies; the only sequence-dependent
+        quantity — word-line recharges at row transitions — comes from
+        the memoised segment counts, so a functional measurement costs
+        O(elements) once the trace is compiled.
         """
         segwalk = trace.segment_walk()
         geo, k = self.geometry, self._k
@@ -1079,11 +623,10 @@ class VectorizedEngine:
                         float_start[floating] = -1
         return adds, partial_res_cycles
 
-    def _low_power_flat(self, units, collect_errors: bool = False,
-                        tier: str = "flat"):
+    def _low_power_flat(self, units, collect_errors: bool = False):
         """Low-power test mode for a stack of units in one flat pass.
 
-        Every quantity of :meth:`_run_low_power` re-derived as per-segment
+        Every quantity of the reference replay re-derived as per-segment
         closed forms over the compiled segment shapes: the within-segment
         decayed-recharge and end-of-row restoration sums are geometric
         series in ``exp(-ops * T / tau)``, evaluated once per distinct
@@ -1095,13 +638,6 @@ class VectorizedEngine:
         bit-identical whether it is evaluated alone or stacked with an
         entire grid, and tiles (:data:`DEFAULT_SEGMENT_CHUNK` shapes) are
         unit-local so chunking preserves the same property.
-
-        ``tier`` selects who executes the per-tile slot reductions: the
-        in-module numpy array program (:func:`_reduce_tile_arrays`, the
-        ``"flat"`` tier) or a compiled tier module's ``reduce_tile`` (the
-        same program under numba).  Everything around the tile —
-        support checks, chain walks, per-unit assembly — is tier-invariant
-        by construction.
         """
         geo, k = self.geometry, self._k
         bits = geo.bits_per_word
@@ -1165,10 +701,6 @@ class VectorizedEngine:
         recharge = np.zeros(total_slots, dtype=np.float64)
         restore_energy = np.zeros(total_slots, dtype=np.float64)
 
-        module = kernel_module(tier)
-        reduce_tile = module.reduce_tile if module is not None \
-            else _reduce_tile_arrays
-
         def reduce_piece(unit, lo, hi):
             """Accumulate one unit-local tile of shapes into the slots."""
             segwalk = unit["segwalk"]
@@ -1182,7 +714,7 @@ class VectorizedEngine:
             delta_seg = delta_arr[slots]
             x = x_arr[slots]
 
-            wl, enabled, prc, rec, rst = reduce_tile(
+            wl, enabled, prc, rec, rst = _reduce_tile_arrays(
                 slots, m, first, last, carry, chained, mult, delta_seg, x,
                 n_words, bits, coeff, ratio, total_slots)
             wl_count[:] += wl

@@ -278,9 +278,9 @@ class OperationTrace:
     def element_walks(self):
         """Per-element ``(direction, rows, words)`` NumPy coordinate arrays.
 
-        The per-address form of :attr:`elements`, read by the segmented
-        kernel, per-cell stress tracking and the comparator's per-address
-        cases (:mod:`repro.engine.power_campaign`); the flat kernel reads
+        The per-address form of :attr:`elements`, read by per-cell stress
+        tracking and the comparator's per-address cases
+        (:mod:`repro.engine.power_campaign`); the flat kernel reads
         :meth:`segment_walk` instead.  The ascending arrays
         come from :meth:`repro.march.ordering.AddressOrder.coordinate_arrays`
         (cached on the order, shared with the vectorized test engine) and the

@@ -45,7 +45,7 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES, EngineError
+from ..engine.dispatch import BACKEND_CHOICES, EngineError
 from ..march.library import PAPER_TABLE1_ALGORITHMS
 from ..march.ordering import ORDER_REGISTRY
 from ..sram.geometry import BANK_INTERLEAVE_MODES, DEFAULT_LOCATION_SEED
@@ -88,16 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "pseudo-random for coverage campaigns)")
     parser.add_argument("--backend", default="auto", choices=BACKEND_CHOICES,
                         help="execution engine (default: auto)")
-    parser.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
-                        help="vectorized-engine kernel tier: 'flat' (the "
-                             "chunked, stacked numpy kernel), 'segmented' "
-                             "(the per-segment differential oracle), 'jit' "
-                             "(the numba-compiled tier), or 'auto' (jit "
-                             "when numba is importable, else flat); jit "
-                             "falls back to flat with a warning when numba "
-                             "is absent, and records carry the tier that "
-                             "actually ran (default: flat, recorded as "
-                             "'default')")
     parser.add_argument("--banks", type=int, action="append", default=None,
                         metavar="N",
                         help="sub-array bank count, repeatable — each value "
@@ -211,10 +201,6 @@ def _warn_ignored_flags(args: argparse.Namespace) -> None:
         print("warning: --banks only affects power and PRR sweeps (banking "
               "changes energies, not logical fault behaviour); it is "
               "ignored by coverage campaigns", file=sys.stderr)
-    if args.kernel is not None and (args.coverage or args.paper_coverage):
-        print("warning: --kernel only affects power and PRR sweeps (fault "
-              "verdicts are kernel-tier-invariant by construction); it is "
-              "ignored by coverage campaigns", file=sys.stderr)
     elif args.banks is not None and (args.paper or args.paper_table1):
         print("warning: --banks is overridden by the --paper/--paper-table1 "
               "presets (the paper's array is monolithic)", file=sys.stderr)
@@ -234,8 +220,7 @@ def _build_cases(args: argparse.Namespace):
                          "--paper/--coverage/--paper-coverage")
     if args.paper_table1:
         backend = "vectorized" if args.backend == "auto" else args.backend
-        cases = paper_prr_cases(backend=backend, seed=seed,
-                                kernel=args.kernel)
+        cases = paper_prr_cases(backend=backend, seed=seed)
         title = ("Paper-scale BIST campaign — measured vs. analytical "
                  "Table 1 on the full 512x512 array")
     elif args.prr_grid:
@@ -243,8 +228,7 @@ def _build_cases(args: argparse.Namespace):
         algorithms = args.algorithm or [a.name for a in PAPER_TABLE1_ALGORITHMS]
         cases = prr_grid(geometries, algorithms, backend=args.backend,
                          seed=seed, banks=tuple(args.banks or (1,)),
-                         bank_interleave=args.bank_interleave,
-                         kernel=args.kernel)
+                         bank_interleave=args.bank_interleave)
         title = "BIST PRR campaigns ({count} scenarios)"
     elif args.paper_coverage:
         cases = paper_coverage_cases(backend=args.backend, seed=seed,
@@ -261,7 +245,7 @@ def _build_cases(args: argparse.Namespace):
         title = "DOF-1 coverage campaigns ({count} scenarios)"
     elif args.paper:
         backend = "vectorized" if args.backend == "auto" else args.backend
-        cases = paper_table1_cases(backend=backend, kernel=args.kernel)
+        cases = paper_table1_cases(backend=backend)
         title = ("Paper-scale sweep — measured Table 1 on the full 512x512 "
                  "array")
     else:
@@ -271,8 +255,7 @@ def _build_cases(args: argparse.Namespace):
         cases = sweep_grid(geometries, algorithms, orders=orders,
                            backends=(args.backend,),
                            banks=tuple(args.banks or (1,)),
-                           bank_interleave=args.bank_interleave,
-                           kernel=args.kernel)
+                           bank_interleave=args.bank_interleave)
         title = "Sweep results ({count} scenarios)"
     # Sharding applies before the title's scenario count so the report
     # describes what actually ran, not the full grid.

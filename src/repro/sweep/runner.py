@@ -76,7 +76,7 @@ from typing import (
 from ..bist.controller import BistController
 from ..core.prr import AnalyticalPowerModel
 from ..durable import atomic_write_bytes, atomic_write_text
-from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES
+from ..engine.dispatch import BACKEND_CHOICES
 from ..march.element import AddressingDirection
 from ..march.execution import TraceCache
 from ..march.library import PAPER_TABLE1_ALGORITHMS, get_algorithm
@@ -193,12 +193,10 @@ class SweepRecord(_Record):
     elapsed_s: float
     banks: int = 1
     bank_interleave: str = "blocked"
-    kernel: str = "default"  # requested kernel tier ("default" = none
-                             # requested: the engine's flat tier)
-    kernel_used: str = ""    # concrete tier(s) that measured the modes
-                             # ("flat"/"segmented"/"jit", joined
-                             # with "+" if they differed; "" = reference
-                             # engine only, which has no kernel seam)
+    kernel: str = "default"  # always "default": the kernel is not a
+                             # choice (journals may name a deleted one)
+    kernel_used: str = ""    # "flat" when the vectorized engine measured
+                             # a mode; "" = reference engine only
 
     def table_row(self) -> Dict[str, object]:
         """One row of the sweep report table."""
@@ -249,8 +247,10 @@ class SweepCase:
     backend: str = "auto"
     banks: int = 1
     bank_interleave: str = "blocked"
-    #: vectorized-engine kernel tier (:data:`KERNEL_CHOICES`); ``None``
-    #: is the engine's flat tier and is recorded as ``"default"``.
+    #: Kept so fingerprints keep their ``"kernel": null`` entry: the
+    #: vectorized engine has one kernel, so ``None`` is the only value
+    #: accepted (any other raises :class:`SweepError`).  Records report
+    #: ``"default"``.
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -262,11 +262,8 @@ class SweepCase:
             raise SweepError(
                 f"unknown backend {self.backend!r}; "
                 f"expected one of {BACKEND_CHOICES}")
-        if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
-            raise SweepError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {KERNEL_CHOICES}")
-        get_algorithm(self.algorithm)  # fail fast on unknown names
+        _check_kernel(self.kernel)
+        _check_algorithm(self.algorithm)
         self.geometry()  # fail fast on inconsistent dimensions/banking
 
     def geometry(self) -> ArrayGeometry:
@@ -286,15 +283,14 @@ class SweepCase:
         """The batched-pass group this scenario stacks into (``None``: it
         runs per case).
 
-        Power scenarios on one (geometry, direction, kernel) stack across
+        Power scenarios on one (geometry, direction) stack across
         algorithms, address orders and requested backends; the reference
         backend has no bulk kernel and runs per case.
         """
         if self.backend == "reference":
             return None
         return (self.rows, self.columns, self.bits_per_word,
-                self.any_direction, self.banks, self.bank_interleave,
-                self.kernel)
+                self.any_direction, self.banks, self.bank_interleave)
 
     def execute(self, state: "_WorkerState") -> SweepRecord:
         """Measure both modes through ``state``'s memoised session.
@@ -361,21 +357,40 @@ def power_record(case: SweepCase, functional, low_power, backend_used: str,
         elapsed_s=elapsed,
         banks=case.banks,
         bank_interleave=case.bank_interleave,
-        kernel=case.kernel or "default",
+        kernel="default",
         kernel_used=_kernels_used(functional, low_power),
     )
 
 
 def _kernels_used(*results) -> str:
-    """Concrete kernel tier(s) stamped on a set of mode results.
+    """The kernel stamped on a set of mode results.
 
-    Results carry the tier that measured them (``TestRunResult.kernel`` /
-    ``BistResult.kernel``; empty on the reference engine).  Joined sorted
-    with ``"+"`` — mirroring ``backend_used`` — in the rare case an
-    ``"auto"`` backend fallback split the modes across engines.
+    Results carry the kernel that measured them (``TestRunResult.kernel``
+    / ``BistResult.kernel``: ``"flat"`` on the vectorized engine, empty
+    on the reference engine), so an ``"auto"`` fallback that split the
+    modes across engines still reports ``"flat"``.
     """
     return "+".join(sorted({result.kernel for result in results
                             if result.kernel}))
+
+
+def _check_kernel(kernel: Optional[str]) -> None:
+    """Refuse any kernel choice: the vectorized engine has one kernel."""
+    if kernel is not None:
+        raise SweepError(
+            f"kernel {kernel!r} cannot be chosen: the vectorized engine "
+            "has one kernel, so a case's 'kernel' must be null")
+
+
+def _check_algorithm(name: str) -> None:
+    """Fail fast on an unknown algorithm name, as a :class:`SweepError`
+    (cases arrive from JSON, so the name may not even be a string)."""
+    if not isinstance(name, str):
+        raise SweepError(f"algorithm must be a name, got {name!r}")
+    try:
+        get_algorithm(name)
+    except KeyError as exc:
+        raise SweepError(exc.args[0]) from None
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +497,7 @@ class CoverageCase:
                 f"expected one of {BACKEND_CHOICES}")
         if not (self.include_single or self.include_coupling):
             raise SweepError("a coverage case needs at least one fault battery")
-        get_algorithm(self.algorithm)  # fail fast on unknown names
+        _check_algorithm(self.algorithm)
 
     def geometry(self) -> ArrayGeometry:
         """The (bit-oriented) array geometry this campaign runs on."""
@@ -644,8 +659,8 @@ class PrrRecord(_Record):
     elapsed_s: float
     banks: int = 1
     bank_interleave: str = "blocked"
-    kernel: str = "default"   # requested tier ("default" = none: flat)
-    kernel_used: str = ""     # "+"-joined tiers that ran ("" = reference only)
+    kernel: str = "default"   # always "default" (see SweepRecord.kernel)
+    kernel_used: str = ""     # "flat", or "" when only the reference ran
 
     def table_row(self) -> Dict[str, object]:
         """One row of the sweep report table (the Table 1 layout)."""
@@ -702,8 +717,8 @@ class PrrCase:
     seed: int = 0
     banks: int = 1
     bank_interleave: str = "blocked"
-    #: Kernel tier request for the vectorized campaign (``None`` is the
-    #: engine's flat tier and is recorded as ``"default"``).
+    #: Kept so fingerprints keep their ``"kernel": null`` entry; ``None``
+    #: is the only value accepted (see :attr:`SweepCase.kernel`).
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -711,11 +726,8 @@ class PrrCase:
             raise SweepError(
                 f"unknown backend {self.backend!r}; "
                 f"expected one of {BACKEND_CHOICES}")
-        if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
-            raise SweepError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {KERNEL_CHOICES}")
-        get_algorithm(self.algorithm)  # fail fast on unknown names
+        _check_kernel(self.kernel)
+        _check_algorithm(self.algorithm)
         self.geometry()  # fail fast on inconsistent dimensions/banking
 
     def geometry(self) -> ArrayGeometry:
@@ -742,7 +754,7 @@ class PrrCase:
         if self.backend == "reference":
             return None
         return (self.rows, self.columns, self.bits_per_word, self.backend,
-                self.banks, self.bank_interleave, self.kernel)
+                self.banks, self.bank_interleave)
 
     def execute(self, state: "_WorkerState") -> PrrRecord:
         """Run both modes through ``state``'s memoised BIST controller.
@@ -807,7 +819,7 @@ def prr_record(case: PrrCase, functional, low_power,
         elapsed_s=elapsed,
         banks=case.banks,
         bank_interleave=case.bank_interleave,
-        kernel=case.kernel or "default",
+        kernel="default",
         kernel_used=_kernels_used(functional, low_power),
     )
 
@@ -817,8 +829,7 @@ def prr_grid(geometries: Iterable[GeometryLike],
              backend: str = "auto",
              seed: int = 0,
              banks: Iterable[int] = (1,),
-             bank_interleave: str = "blocked",
-             kernel: Optional[str] = None) -> List["PrrCase"]:
+             bank_interleave: str = "blocked") -> List["PrrCase"]:
     """Build a grid of BIST power campaigns: one case per
     geometry x bank-count x algorithm (PRR-vs-bank-count sweeps pass
     several ``banks``)."""
@@ -831,18 +842,17 @@ def prr_grid(geometries: Iterable[GeometryLike],
                     rows=geometry.rows, columns=geometry.columns,
                     bits_per_word=geometry.bits_per_word,
                     algorithm=algorithm, backend=backend, seed=seed,
-                    banks=bank_count, bank_interleave=bank_interleave,
-                    kernel=kernel))
+                    banks=bank_count, bank_interleave=bank_interleave))
     return cases
 
 
-def paper_prr_cases(backend: str = "vectorized", seed: int = 0,
-                    kernel: Optional[str] = None) -> List["PrrCase"]:
+def paper_prr_cases(backend: str = "vectorized",
+                    seed: int = 0) -> List["PrrCase"]:
     """The paper-scale measured Table 1 through the BIST path: 512 x 512,
     all five algorithms, both modes per case."""
     return prr_grid(["512x512"],
                     [algorithm.name for algorithm in PAPER_TABLE1_ALGORITHMS],
-                    backend=backend, seed=seed, kernel=kernel)
+                    backend=backend, seed=seed)
 
 
 #: Every scenario kind a sweep can hold — the one registry.  Each class
@@ -1064,12 +1074,12 @@ class _WorkerState:
             return TestSession(
                 geometry, order=self.order_for(case.order, geometry),
                 any_direction=AddressingDirection(case.any_direction),
-                detailed=False, backend=case.backend, kernel=case.kernel)
+                detailed=False, backend=case.backend)
 
         return self._memoised(
             ("session", case.rows, case.columns, case.bits_per_word,
              case.order, case.any_direction, case.backend, case.banks,
-             case.bank_interleave, case.kernel), build)
+             case.bank_interleave), build)
 
     def simulator_for(self, case: CoverageCase) -> FaultSimulator:
         """The memoised fault simulator for ``case``'s axes."""
@@ -1087,10 +1097,9 @@ class _WorkerState:
         """The memoised BIST controller for ``case``'s axes."""
         return self._memoised(
             ("controller", case.rows, case.columns, case.bits_per_word,
-             case.backend, case.banks, case.bank_interleave, case.kernel),
+             case.backend, case.banks, case.bank_interleave),
             lambda: BistController(case.geometry(), backend=case.backend,
-                                   trace_cache=self.traces,
-                                   kernel=case.kernel))
+                                   trace_cache=self.traces))
 
 
 #: The worker state of the executing thread (``None`` until a sweep —
@@ -1256,8 +1265,7 @@ def sweep_grid(geometries: Iterable[GeometryLike],
                backends: Iterable[str] = ("auto",),
                any_direction: str = "up",
                banks: Iterable[int] = (1,),
-               bank_interleave: str = "blocked",
-               kernel: Optional[str] = None) -> List[SweepCase]:
+               bank_interleave: str = "blocked") -> List[SweepCase]:
     """Build the full cross-product grid of scenarios.
 
     ``geometries`` accepts anything :func:`parse_geometry` does; the other
@@ -1278,17 +1286,15 @@ def sweep_grid(geometries: Iterable[GeometryLike],
                             algorithm=algorithm, order=order,
                             any_direction=any_direction, backend=backend,
                             banks=bank_count,
-                            bank_interleave=bank_interleave,
-                            kernel=kernel))
+                            bank_interleave=bank_interleave))
     return cases
 
 
-def paper_table1_cases(backend: str = "vectorized",
-                       kernel: Optional[str] = None) -> List[SweepCase]:
+def paper_table1_cases(backend: str = "vectorized") -> List[SweepCase]:
     """The paper-scale measured Table 1: 512 x 512, all five algorithms."""
     return sweep_grid(["512x512"],
                       [algorithm.name for algorithm in PAPER_TABLE1_ALGORITHMS],
-                      backends=(backend,), kernel=kernel)
+                      backends=(backend,))
 
 
 def shard_cases(cases: Sequence[AnyCase], index: int,

@@ -2,9 +2,9 @@
 
 Every scenario family in this repository — session power runs, BIST power
 campaigns, fault-detection campaigns, sweep grids — exists twice: once on
-the cycle-accurate reference path and once on a vectorized engine (which
-itself carries two kernels, segmented and flat).  The project-wide gate is
-always the same: **verdicts bit-identical, energies within 1e-9**.
+the cycle-accurate reference path, the one oracle, and once on a
+vectorized engine.  The project-wide gate is always the same: **verdicts
+bit-identical, energies within 1e-9**.
 
 This module is the single home of that gate.  It collects the comparison
 scaffolding that used to be duplicated across ``test_engine_equivalence``,
@@ -19,15 +19,16 @@ re-deriving its own:
 * :func:`assert_session_equivalent` / :func:`run_both_backends` — the
   full :class:`~repro.core.session.TestRunResult` contract, including the
   stress counters in :data:`COUNTER_FIELDS` (exact integers);
+* :func:`assert_matches_reference` — that contract plus what a result
+  does not surface: the ``partial_res_column_cycles`` count and the
+  per-cell ``full_res``/``partial_res`` stress of a detailed reference
+  memory against the flat kernel's ``last_counters``/``last_stress``;
 * :func:`assert_bist_equivalent` / :func:`measured_prr` — the BIST
   campaign contract (cycles, verdicts, ledger, planner attribution);
 * :func:`fault_verdict` / :func:`assert_fault_verdicts_identical` — fault
   campaigns: detection triples must match **bit for bit**, no tolerance;
-* :func:`kernel_pair` / :func:`kernel_engines` /
-  :func:`kernel_matrix_tiers` / :func:`assert_aggregates_match` — the
-  kernel-tier matrix on one engine configuration: the segmented oracle
-  against the flat numpy kernel, plus the compiled ``jit`` tier wherever
-  numba is importable;
+* :func:`assert_aggregates_match` — two raw ``run_aggregates`` results
+  of the flat kernel (tiled against untiled, stacked against alone);
 * :func:`drop_elapsed` / :func:`assert_identical_records` /
   :func:`run_both_strategies` — sweep records across execution strategies
   (field-for-field identical; ``elapsed_s`` is the one wall-clock exempt
@@ -103,6 +104,62 @@ def run_both_backends(geometry, algorithm, mode, **session_kwargs):
     return reference, vectorized
 
 
+def assert_matches_reference(geometry, algorithm, mode, label="",
+                             **session_kwargs):
+    """The flat kernel against the reference, per-cell stress included.
+
+    Runs a detailed :class:`~repro.engine.VectorizedEngine` first — so a
+    refused run raises :class:`~repro.engine.UnsupportedConfiguration`
+    before the slow reference walk — then the reference session on an
+    explicit :class:`~repro.sram.SRAM` that tracks per-cell stress, with
+    the same order,
+    direction, technology and background.  Compares the session results
+    (:func:`assert_session_equivalent`), the engine's ``last_counters``
+    ``partial_res_column_cycles`` against the memory's counter, and the
+    engine's ``last_stress`` against every cell's ``full_res_count``,
+    ``partial_res_count``, reads and writes (a word's stress entry stands
+    for each of its columns).  Returns ``(reference, vectorized)``.
+    """
+    import numpy as np
+
+    from repro.engine import VectorizedEngine
+    from repro.sram import SRAM
+
+    session = TestSession(geometry, **session_kwargs)
+    engine = VectorizedEngine(geometry, tech=session.tech,
+                              order=session.order,
+                              any_direction=session.any_direction,
+                              detailed=True)
+    vectorized = engine.run(algorithm, mode)
+    # Stress tracked per cell; the ledger keeps totals only (no event
+    # list), which books the same sums faster.
+    memory = SRAM(geometry, tech=session.tech, mode=mode,
+                  track_cell_stress=True, detailed_ledger=False)
+    memory.apply_background(session.background)
+    reference = session.run(algorithm, mode, memory=memory)
+
+    assert_session_equivalent(reference, vectorized, label)
+    assert (engine.last_counters["partial_res_column_cycles"]
+            == memory.counters.partial_res_column_cycles), label
+    stress = engine.last_stress
+    word_of_column = np.arange(geometry.columns) % geometry.words_per_row
+    cells = [[memory.array.cell(row, column).stats
+              for column in range(geometry.columns)]
+             for row in range(geometry.rows)]
+
+    def per_cell(attribute):
+        return np.array([[getattr(stats, attribute) for stats in row]
+                         for row in cells])
+
+    assert np.array_equal(per_cell("full_res_count"),
+                          stress.full_res[:, word_of_column]), label
+    assert np.array_equal(per_cell("partial_res_count"),
+                          stress.partial_res[:, word_of_column]), label
+    assert np.all(per_cell("reads") == stress.reads_per_cell), label
+    assert np.all(per_cell("writes") == stress.writes_per_cell), label
+    return reference, vectorized
+
+
 # ----------------------------------------------------------------------
 # BIST power campaigns (BistController / BistRunResult)
 # ----------------------------------------------------------------------
@@ -150,48 +207,8 @@ def assert_fault_verdicts_identical(geometry, algorithm, order, battery,
 
 
 # ----------------------------------------------------------------------
-# Flat kernel vs. the segmented differential oracle (and compiled tiers)
+# Raw flat-kernel aggregates (tiling and stacking invariance)
 # ----------------------------------------------------------------------
-def kernel_matrix_tiers():
-    """Every kernel tier that can actually run here: ``segmented`` and
-    ``flat`` always, plus ``jit`` when numba imports.  The two-way (or
-    three-way) differential matrix iterates this."""
-    from repro.engine import available_kernels  # deferred: numpy optional
-
-    tiers = ["segmented", "flat"]
-    tiers += [t for t in available_kernels() if t not in tiers]
-    return tuple(tiers)
-
-
-def kernel_engines(geometry, order_cls=None,
-                   any_direction=AddressingDirection.UP, detailed=True,
-                   kernels=None):
-    """One identically-configured VectorizedEngine per kernel tier.
-
-    ``kernels`` defaults to :func:`kernel_matrix_tiers` — the segmented
-    oracle first, then every tier the environment can execute — so a
-    suite comparing ``engines[0]`` against ``engines[1:]`` pins the whole
-    matrix wherever it runs and silently narrows to the classic
-    segmented-vs-flat pair where numba is absent.
-    """
-    from repro.engine import VectorizedEngine  # deferred: numpy optional
-
-    if kernels is None:
-        kernels = kernel_matrix_tiers()
-    order = order_cls(geometry) if order_cls is not None else None
-    return tuple(
-        VectorizedEngine(geometry, order=order, any_direction=any_direction,
-                         detailed=detailed, kernel=kernel)
-        for kernel in kernels)
-
-
-def kernel_pair(geometry, order_cls=None,
-                any_direction=AddressingDirection.UP, detailed=True):
-    """One VectorizedEngine per kernel, identically configured."""
-    return kernel_engines(geometry, order_cls, any_direction, detailed,
-                          kernels=("segmented", "flat"))
-
-
 def assert_aggregates_match(expected, observed, label=""):
     """Compare two ``run_aggregates`` results: counters and cycles exact,
     energies at :data:`REL_TOL`, stress arrays exact when present."""

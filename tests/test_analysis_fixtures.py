@@ -1,4 +1,4 @@
-"""Tests for the analysis helpers: scaling methodology, Spice-substitute fixtures, tables."""
+"""Tests for the analysis helpers: Spice-substitute fixtures, tables."""
 
 import pytest
 
@@ -8,37 +8,10 @@ from repro.analysis import (
     format_energy,
     format_percent,
     format_power,
-    reduced_row_equivalent,
     render_table,
     res_fight_fixture,
     selected_column_cycle_fixture,
 )
-from repro.analysis.scaling import ScalingError
-from repro.sram.geometry import ArrayGeometry, PAPER_GEOMETRY
-
-
-class TestReducedRowEquivalent:
-    def test_bitline_capacitance_preserved(self, tech):
-        equivalent = reduced_row_equivalent(PAPER_GEOMETRY, rows=8, tech=tech)
-        full = tech.bitline_capacitance(PAPER_GEOMETRY.rows)
-        reduced = equivalent.tech.bitline_capacitance(equivalent.reduced.rows)
-        assert reduced == pytest.approx(full)
-        assert equivalent.reduced.columns == PAPER_GEOMETRY.columns
-        assert equivalent.row_reduction_factor == pytest.approx(64.0)
-        assert "stand-in" in equivalent.describe()
-
-    def test_floating_time_constant_preserved(self, tech):
-        equivalent = reduced_row_equivalent(PAPER_GEOMETRY, rows=16, tech=tech)
-        assert equivalent.tech.floating_discharge_tau(16) == pytest.approx(
-            tech.floating_discharge_tau(512))
-
-    def test_invalid_reductions_rejected(self, tech):
-        with pytest.raises(ScalingError):
-            reduced_row_equivalent(PAPER_GEOMETRY, rows=0, tech=tech)
-        with pytest.raises(ScalingError):
-            reduced_row_equivalent(PAPER_GEOMETRY, rows=1024, tech=tech)
-        with pytest.raises(ScalingError):
-            reduced_row_equivalent(ArrayGeometry(rows=10, columns=8), rows=3, tech=tech)
 
 
 class TestTransientFixtures:

@@ -51,15 +51,15 @@ EXPECTED_VIOLATIONS = {
     ("RPR004", "violations/lintfix/engine/facade.py", 13),
     ("RPR004", "violations/lintfix/engine/facade.py", 15),
     ("RPR004", "violations/lintfix/engine/facade.py", 20),
-    ("RPR005", "violations/lintfix/fallback.py", 8),
     ("RPR006", "violations/lintfix/records.py", 12),
     ("RPR006", "violations/lintfix/records.py", 17),
     ("RPR007", "violations/lintfix/ledger_fmt.py", 3),
     ("RPR007", "violations/lintfix/loader_fmt.py", 11),
 }
 
-ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-             "RPR007")
+#: RPR005 (the warn-once fallback registry) was retired with the kernel
+#: fallback warnings it checked; rule ids are never reused.
+ALL_RULES = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR006", "RPR007")
 
 
 def run_lint(*paths, rules=None):
@@ -287,9 +287,9 @@ class TestCli:
         assert json.loads(report.read_text()) == json.loads(out)
 
     def test_rule_restriction(self, capsys):
-        assert main([str(VIOLATIONS), "--rules", "RPR005"]) == EXIT_FINDINGS
+        assert main([str(VIOLATIONS), "--rules", "RPR006"]) == EXIT_FINDINGS
         out = capsys.readouterr().out
-        assert "RPR005" in out and "RPR002" not in out
+        assert "RPR006" in out and "RPR002" not in out
 
     def test_module_execution_end_to_end(self):
         env = dict(os.environ)

@@ -598,6 +598,29 @@ class TestMerge:
         assert meta["grid_complete"] is True
         assert meta["cases"] == len(cases)
 
+    def test_journals_naming_a_deleted_kernel_tier_still_merge(self,
+                                                               tmp_path):
+        # Journals written while a case could choose a kernel tier carry
+        # the choice in fingerprints and records.  Merge compares
+        # fingerprints as data and never rebuilds a case, so such
+        # journals keep loading and merging.
+        cases, paths = self._shards(tmp_path)
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert '"kernel": null' in text and '"kernel_used": "flat"' in text
+            path.write_text(text.replace('"kernel": null', '"kernel": "jit"')
+                            .replace('"kernel": "default"', '"kernel": "jit"')
+                            .replace('"kernel_used": "flat"',
+                                     '"kernel_used": "jit"'),
+                            encoding="utf-8")
+        grid = [dict(case_fingerprint(case), kernel="jit") for case in cases]
+        report = merge_journals(tmp_path / "merged.jsonl", paths,
+                                grid=grid, require_complete=True)
+        assert report.cases == len(cases) and report.complete is True
+        merged = load_journal(tmp_path / "merged.jsonl")
+        assert [entry.case for entry in merged] == grid
+        assert {entry.record["kernel_used"] for entry in merged} == {"jit"}
+
     def test_identical_duplicates_tolerated_elapsed_aside(self, tmp_path):
         cases, paths = self._shards(tmp_path)
         # Re-record shard 0's cases with a different wall clock: the
@@ -837,6 +860,55 @@ class TestDistribCli:
                              flag, value]) == 2
         assert "must be a finite number of seconds > 0" \
             in capsys.readouterr().err
+        status = coordinator.status()
+        assert status["claimed"] == 0
+        assert status["pending"] == status["leases"]
+
+    def test_init_with_an_unknown_algorithm_exits_2_unpublished(
+            self, tmp_path, capsys):
+        from repro.distrib.__main__ import main as distrib_main
+
+        root = tmp_path / "camp"
+        assert distrib_main(["init", str(root), "--geometry", "8x8",
+                             "--algorithm", "March Z"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown March algorithm 'March Z'")
+        assert not root.exists()
+
+    @pytest.mark.parametrize("command", ["init", "run"])
+    def test_kernel_flag_exits_2_unpublished(self, tmp_path, capsys,
+                                             command):
+        from repro.distrib.__main__ import main as distrib_main
+
+        root = tmp_path / "camp"
+        with pytest.raises(SystemExit) as exited:
+            distrib_main([command, str(root), "--geometry", "8x8",
+                          "--algorithm", "MATS+", "--kernel", "flat"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --kernel flat" \
+            in capsys.readouterr().err
+        assert not root.exists()
+
+    @pytest.mark.parametrize("edit, error", [
+        ({"algorithm": "March Z"}, "unknown March algorithm 'March Z'"),
+        ({"kernel": "jit"}, "kernel 'jit' cannot be chosen"),
+    ], ids=["algorithm", "kernel"])
+    def test_worker_refuses_an_unbuildable_grid_before_any_claim(
+            self, tmp_path, capsys, edit, error):
+        # A grid line this version cannot build must stop the worker
+        # before its first claim: a claim followed by a failed build
+        # strands the lease as claimed until some worker steals it.
+        from repro.distrib.__main__ import main as distrib_main
+
+        coordinator = Coordinator.create(tmp_path / "camp", _tiny_cases(2),
+                                         workers=1)
+        grid_path = coordinator.ledger.grid_path
+        lines = grid_path.read_text(encoding="utf-8").splitlines()
+        edited = {**json.loads(lines[-1]), **edit}
+        lines[-1] = json.dumps(edited, sort_keys=True)
+        grid_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert distrib_main(["worker", str(tmp_path / "camp")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
         status = coordinator.status()
         assert status["claimed"] == 0
         assert status["pending"] == status["leases"]

@@ -45,9 +45,8 @@ from repro.sram import SRAM, ArrayGeometry, OperatingMode, solid_background
 from differential import (
     REL_TOL,
     assert_aggregates_match,
+    assert_matches_reference,
     assert_session_equivalent as assert_equivalent,
-    kernel_engines as _kernel_engines,
-    kernel_pair as _kernel_pair,
     run_both_backends as both_backends,
 )
 
@@ -121,28 +120,7 @@ def test_equivalence_wide_geometry_low_power():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", list(OperatingMode), ids=lambda m: m.value)
 def test_per_cell_stress_matches_reference(mode):
-    geometry = ArrayGeometry(rows=8, columns=8)
-    session = TestSession(geometry)
-    memory = SRAM(geometry, mode=mode)
-    memory.apply_background(solid_background(0))
-    session.run(MARCH_CM, mode, memory=memory)
-
-    engine = VectorizedEngine(geometry)
-    engine.run(MARCH_CM, mode)
-    stress = engine.last_stress
-    assert stress is not None
-
-    def per_cell(attribute):
-        return np.array([[getattr(memory.array.cell(row, column).stats, attribute)
-                          for column in range(geometry.columns)]
-                         for row in range(geometry.rows)])
-
-    assert np.array_equal(per_cell("full_res_count"), stress.full_res)
-    assert np.array_equal(per_cell("partial_res_count"), stress.partial_res)
-    assert np.all(per_cell("reads") == stress.reads_per_cell)
-    assert np.all(per_cell("writes") == stress.writes_per_cell)
-    assert (engine.last_counters["partial_res_column_cycles"]
-            == memory.counters.partial_res_column_cycles)
+    assert_matches_reference(ArrayGeometry(rows=8, columns=8), MARCH_CM, mode)
 
 
 # ----------------------------------------------------------------------
@@ -216,40 +194,36 @@ def test_auto_uses_custom_memory_on_reference_path():
 
 
 # ----------------------------------------------------------------------
-# Flat kernel vs. the segmented oracle
+# The flat kernel against the reference, stress included
 # ----------------------------------------------------------------------
-# The flat kernel re-derives every segmented quantity as closed-form
-# reductions over the compiled segment structure; the original segmented
-# evaluation is retained as its differential oracle.  Counters and stress
-# arrays must agree exactly, energies to summation order.
+# Every order, both modes, both directions of the ``⇕`` elements and
+# every Table 1 algorithm: counters, per-cell stress and the
+# partial-RES count exact, energies to summation order.  Low-power runs
+# on orders that leave the pre-charged traversal neighbour are refused.
 
 KERNEL_ORDERS = (None, ColumnMajorOrder, RowMajorSnakeOrder, PseudoRandomOrder)
+REFUSED_ORDERS = (RowMajorSnakeOrder, PseudoRandomOrder)
 
 
 @pytest.mark.parametrize("order_cls", KERNEL_ORDERS)
 @pytest.mark.parametrize("mode", list(OperatingMode))
 @pytest.mark.parametrize("any_direction",
                          [AddressingDirection.UP, AddressingDirection.DOWN])
-def test_flat_kernel_matches_segmented(order_cls, mode, any_direction):
-    """The full kernel matrix against the segmented oracle: the flat
-    numpy kernel always, plus the compiled jit tier wherever numba is
-    importable (the CI optional-deps job)."""
-    geometry = ArrayGeometry(rows=16, columns=32)
-    segmented, *others = _kernel_engines(geometry, order_cls, any_direction,
-                                         detailed=True)
+def test_flat_kernel_matches_reference(order_cls, mode, any_direction):
+    geometry = ArrayGeometry(rows=8, columns=16)
+    refused = (mode is OperatingMode.LOW_POWER_TEST
+               and order_cls in REFUSED_ORDERS)
     for algorithm in PAPER_TABLE1_ALGORITHMS:
-        try:
-            expected = segmented.run_aggregates(algorithm, mode)
-        except UnsupportedConfiguration:
-            for engine in others:
-                with pytest.raises(UnsupportedConfiguration):
-                    engine.run_aggregates(algorithm, mode)
-            continue
-        for engine in others:
-            observed = engine.run_aggregates(algorithm, mode)
-            assert_aggregates_match(
-                expected, observed,
-                label=(engine.kernel, algorithm.name, mode))
+        kwargs = {"any_direction": any_direction}
+        if order_cls is not None:
+            kwargs["order"] = order_cls(geometry)
+        label = (algorithm.name, mode, any_direction)
+        if refused:
+            with pytest.raises(UnsupportedConfiguration):
+                assert_matches_reference(geometry, algorithm, mode, **kwargs)
+        else:
+            assert_matches_reference(geometry, algorithm, mode, label,
+                                     **kwargs)
 
 
 def test_flat_kernel_handles_single_row_chains():
@@ -263,18 +237,18 @@ def test_flat_kernel_handles_single_row_chains():
     bounce = parse_march("{⇑(w0); ⇓(r0,w1); ⇑(r1,w0); ⇓(r0)}", name="bounce")
     bounce.validate()
     geometry = ArrayGeometry(rows=1, columns=16)
-    segmented, flat = _kernel_pair(geometry, None, AddressingDirection.UP,
-                                   detailed=True)
     for mode in OperatingMode:
-        expected = segmented.run_aggregates(bounce, mode)
-        observed = flat.run_aggregates(bounce, mode)
-        assert_aggregates_match(expected, observed, label=mode)
+        assert_matches_reference(geometry, bounce, mode, label=mode)
     # March C-'s up→up element boundary parks on the last row's far edge
-    # and restarts on its first word, which floats mid-chain: both kernels
-    # must refuse identically.
-    for engine in (segmented, flat):
-        with pytest.raises(UnsupportedConfiguration):
-            engine.run_aggregates(MARCH_CM, OperatingMode.LOW_POWER_TEST)
+    # and restarts on its first word, which floats mid-chain: the flat
+    # kernel refuses, and backend="auto" measures it on the reference.
+    mode = OperatingMode.LOW_POWER_TEST
+    with pytest.raises(UnsupportedConfiguration):
+        VectorizedEngine(geometry).run(MARCH_CM, mode)
+    reference = TestSession(geometry).run(MARCH_CM, mode)
+    auto = TestSession(geometry, backend="auto")
+    assert_equivalent(reference, auto.run(MARCH_CM, mode), label="chain")
+    assert auto.last_backend_used == "reference"
 
 
 def test_stacked_batch_is_bit_identical_to_single_runs():
@@ -309,8 +283,7 @@ def test_multi_tile_flat_kernel_matches_single_tile(monkeypatch, order_cls):
 
     def engine():
         order = order_cls(geometry) if order_cls is not None else None
-        return VectorizedEngine(geometry, order=order, detailed=True,
-                                kernel="flat")
+        return VectorizedEngine(geometry, order=order, detailed=True)
 
     single_tile = engine()
     expected = {algorithm.name: single_tile.run_aggregates(algorithm, mode)

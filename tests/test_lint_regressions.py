@@ -3,8 +3,6 @@
 Every fix the RPR rules forced on ``src/repro`` is pinned here by
 behaviour, not just by the lint gate staying clean:
 
-* RPR002 — the kernel-tier state (``_TIER_CACHE``) is lock-guarded and
-  survives concurrent hammering;
 * RPR003 — sweep JSON/CSV exports and the serve cache publish
   atomically: a failing ``os.replace`` leaves the previous artifact
   intact and no temp litter behind;
@@ -16,53 +14,14 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import fields
 
 import pytest
 
 from repro import durable
 from repro.circuit.technology import TechnologyParameters
-from repro.engine import vectorized
 from repro.serve.cache import ResultCache
 from repro.sweep.runner import SweepResult
-
-
-def hammer(workers):
-    """Run every callable concurrently; re-raise the first failure."""
-    errors = []
-
-    def guarded(work):
-        try:
-            work()
-        except BaseException as exc:  # noqa: BLE001 - surface to the test
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(work,))
-               for work in workers]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
-class TestKernelStateLocking:
-    def test_concurrent_probe_and_reset(self):
-        def probe():
-            for _ in range(100):
-                vectorized.kernel_module("jit")
-                vectorized.kernel_available("jit")
-
-        def reset():
-            for _ in range(100):
-                vectorized.reset_kernel_state()
-
-        try:
-            hammer([probe, probe, reset, probe])
-        finally:
-            vectorized.reset_kernel_state()
 
 
 class TestAtomicExports:

@@ -667,6 +667,37 @@ def test_protocol_error_mapping(tmp_path):
         assert service.stats_snapshot()["errors"] == 2
 
 
+UNKNOWN_ALGORITHM = "unknown March algorithm 'March Z'"
+KERNEL_CHOICE = "kernel 'jit' cannot be chosen"
+
+
+@pytest.mark.parametrize("case,error", [
+    (_power_case(algorithm="March Z"), UNKNOWN_ALGORITHM),
+    (_prr_case(algorithm="March Z"), UNKNOWN_ALGORITHM),
+    ({"kind": "coverage", "rows": 8, "columns": 8, "algorithm": "March Z"},
+     UNKNOWN_ALGORITHM),
+    (_prr_case(algorithm=["MATS+"]), "algorithm must be a name"),
+    (_power_case(kernel="jit"), KERNEL_CHOICE),
+    (_prr_case(kernel="jit"), KERNEL_CHOICE),
+], ids=["power", "prr", "coverage", "prr-not-a-name", "power-kernel",
+        "prr-kernel"])
+def test_unbuildable_case_is_a_counted_400(tmp_path, caplog, case, error):
+    # A case that cannot be built (an unknown or non-string algorithm,
+    # any kernel choice) is the client's error: a counted 400, no engine pass, and
+    # no handler dying with a logged traceback and a closed connection.
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    with running_service(tmp_path / "cache") as (service, host, port):
+        with ServeClient(host, port) as client:
+            with pytest.raises(ServeError, match=f"returned 400: {error}"):
+                client.submit(case)
+            stats = client.stats()
+    assert stats["requests"] == stats["errors"] == 1
+    assert stats["engine_passes"] == 0
+    assert [record.getMessage() for record in caplog.records
+            if record.name == "asyncio"
+            and record.levelno >= logging.ERROR] == []
+
+
 @pytest.mark.parametrize("length", ["abc", "-5"])
 def test_malformed_content_length_is_a_400(tmp_path, length):
     with running_service(tmp_path / "cache") as (service, host, port):
@@ -736,7 +767,7 @@ def test_served_records_carry_truthful_provenance(tmp_path):
     for response in responses:
         record = response["record"]
         assert record["backend_used"] == "vectorized"
-        assert record["kernel_used"] in ("flat", "jit")
+        assert record["kernel_used"] == "flat"
 
 
 # ----------------------------------------------------------------------

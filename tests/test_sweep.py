@@ -58,7 +58,7 @@ def test_sweep_grid_cross_product():
 def test_case_validation_fails_fast():
     with pytest.raises(SweepError):
         SweepCase(rows=8, columns=8, algorithm="March C-", order="no-such-order")
-    with pytest.raises(KeyError):
+    with pytest.raises(SweepError, match="unknown March algorithm"):
         SweepCase(rows=8, columns=8, algorithm="No Such March")
 
 
@@ -186,7 +186,7 @@ def test_coverage_case_validation_fails_fast():
     with pytest.raises(SweepError):
         CoverageCase(rows=8, columns=8, algorithm="March C-",
                      include_single=False, include_coupling=False)
-    with pytest.raises(KeyError):
+    with pytest.raises(SweepError, match="unknown March algorithm"):
         CoverageCase(rows=8, columns=8, algorithm="No Such March")
 
 
@@ -327,7 +327,7 @@ def test_prr_grid_and_paper_preset():
 def test_prr_case_validation_fails_fast():
     with pytest.raises(SweepError):
         PrrCase(rows=8, columns=8, algorithm="March C-", backend="no-such")
-    with pytest.raises(KeyError):
+    with pytest.raises(SweepError, match="unknown March algorithm"):
         PrrCase(rows=8, columns=8, algorithm="No Such March")
 
 
@@ -383,6 +383,22 @@ def test_cli_prr_grid_runs_and_exports(tmp_path, capsys):
     payload = json.loads(json_path.read_text())
     assert payload["records"][0]["kind"] == "prr"
     assert payload["records"][0]["within_bracket"] is True
+
+
+def test_cli_records_name_the_one_kernel_and_refuse_a_choice(tmp_path,
+                                                             capsys):
+    json_path = tmp_path / "prr.json"
+    assert sweep_main(["--prr-grid", "--geometry", "16x64",
+                       "--algorithm", "MATS+", "--quiet",
+                       "--json", str(json_path)]) == 0
+    record = json.loads(json_path.read_text())["records"][0]
+    assert record["kernel"] == "default"
+    assert record["kernel_used"] == "flat"
+    with pytest.raises(SystemExit) as exited:
+        sweep_main(["--prr-grid", "--geometry", "16x64",
+                    "--algorithm", "MATS+", "--kernel", "flat"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --kernel flat" in capsys.readouterr().err
 
 
 def test_cli_rejects_prr_and_coverage_combination(capsys):
