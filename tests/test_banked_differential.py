@@ -9,8 +9,8 @@ scenario matrix:
 * **session power runs** — reference vs. vectorized on banked geometries
   (banks ∈ {1, 2, 4}, both interleave modes, both operating modes):
   identical counters (including ``bank_transitions``) and per-cell
-  stress, energies at 1e-9, on the row-major ascending traversal and on
-  the fast-row (column-major) descending one;
+  stress, energies at 1e-9, on the row-major order in both directions
+  and on the fast-row (column-major) order descending;
 * **BIST power campaigns** — banked PRR identical across backends;
 * **fault campaigns** — dynamic two-operation faults and neighbourhood
   pattern-sensitive faults produce bit-identical detection verdicts on
@@ -129,16 +129,28 @@ def test_interleave_mode_changes_the_transition_count():
         results["blocked"].row_transitions
 
 
+#: Both orders with the ``⇕`` elements descending.  The row-major
+#: ascending traversal is ``test_banked_session_equivalence``'s; the
+#: generated differential draws banked fast-row ascending runs.
+BANKED_TRAVERSALS = (
+    (RowMajorOrder, AddressingDirection.DOWN),
+    (ColumnMajorOrder, AddressingDirection.DOWN),
+)
+TRAVERSAL_IDS = ["row-major-down", "column-major-down"]
+
+
+@pytest.mark.parametrize("order_cls, direction", BANKED_TRAVERSALS,
+                         ids=TRAVERSAL_IDS)
 @pytest.mark.parametrize("mode", list(OperatingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("geometry", banked_geometries(), ids=GEOMETRY_IDS)
-def test_banked_fast_row_descending_matches_reference(geometry, mode):
-    """The flat kernel's closed-form bank accounting on the other
-    traversal: fast-row order with the ``⇕`` elements descending, on
-    every bank variant (the generated differential draws the rest)."""
+def test_banked_flat_kernel_matches_reference(geometry, mode, order_cls,
+                                              direction):
+    """The flat kernel's closed-form bank accounting on every bank
+    variant, per order, counters and per-cell stress."""
     reference, _ = assert_matches_reference(
-        geometry, MARCH_CM, mode, label=geometry.describe(),
-        order=ColumnMajorOrder(geometry),
-        any_direction=AddressingDirection.DOWN)
+        geometry, MARCH_CM, mode,
+        label=(geometry.describe(), order_cls.__name__, direction),
+        order=order_cls(geometry), any_direction=direction)
     assert (reference.bank_transitions > 0) == geometry.is_banked
 
 
