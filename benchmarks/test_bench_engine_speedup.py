@@ -6,14 +6,12 @@ order of magnitude — the speedup that makes the paper-scale 512 x 512
 measured experiments (see ``test_bench_table1_paper_scale.py``) tractable.
 
 The reference measurement uses the full 512-column width (the quantity the
-per-cycle physics depends on) and a reduced row count so the benchmark
-stays friendly to CI; the per-access cost of the reference engine does not
-depend on the row count, so the measured speedup is a *lower bound* for the
-full array.  Environment knobs:
-
-* ``REPRO_BENCH_QUICK=1`` — smaller row count for smoke jobs;
-* ``REPRO_BENCH_FULL=1``  — run the reference engine on the literal
-  512 x 512 array (minutes of wall clock; the assertion is unchanged).
+per-cycle physics depends on) and 8 rows, so the default tier stays a few
+seconds; the per-access cost of the reference engine does not depend on
+the row count, so the measured speedup is a *lower bound* for the full
+array.  ``REPRO_BENCH_FULL=1`` runs the reference engine on the literal
+512 x 512 array instead (minutes of wall clock; the assertion is
+unchanged).
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ MINIMUM_SPEEDUP = 10.0
 def _benchmark_geometry() -> ArrayGeometry:
     if os.environ.get("REPRO_BENCH_FULL"):
         return PAPER_GEOMETRY
-    rows = 8 if os.environ.get("REPRO_BENCH_QUICK") else 32
-    return ArrayGeometry(rows=rows, columns=PAPER_GEOMETRY.columns)
+    return ArrayGeometry(rows=8, columns=PAPER_GEOMETRY.columns)
 
 
 def measure_speedup():

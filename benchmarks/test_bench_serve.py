@@ -60,6 +60,7 @@ def test_trace_replay_executes_each_distinct_case_once(benchmark, once,
 
     assert len(responses) == len(cases)
     assert stats["errors"] == 0
+    assert stats["refused"] == 0  # a burst of 8 clients stays under the bound
 
     # Dedup claim, from the service's own trace: however the burst
     # interleaved, each distinct digest missed exactly once...

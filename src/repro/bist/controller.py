@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..circuit.technology import TechnologyParameters, default_technology
-from ..engine.dispatch import BackendDispatcher, EngineError
+from ..engine.dispatch import BackendDispatcher
 from ..march.algorithm import MarchAlgorithm
 from ..march.execution import TraceCache
 from ..power.accounting import EnergyLedger
@@ -160,12 +160,6 @@ class BistController:
             self._address_order_key = key
         return self._address_order
 
-    def address_order(self):
-        """The :class:`~repro.march.ordering.AddressOrder` of the current
-        generator configuration (one shared instance per configuration, so
-        trace caches keyed by order identity hit across runs)."""
-        return self._current_order()
-
     def measure_batch(self, requests, collect_errors: bool = True):
         """Measure several ``(algorithm, low_power)`` runs in one stacked pass.
 
@@ -219,26 +213,6 @@ class BistController:
 
         return VectorizedPowerCampaign(
             self.geometry, tech=self.tech, trace_cache=self._trace_cache)
-
-    def warm(self, algorithm: MarchAlgorithm) -> None:
-        """Pre-compile ``algorithm``'s operation trace (no measurement).
-
-        On the vectorized backend this populates the campaign's trace
-        cache — including the compiled segment structure, built from the
-        order's row runs (closed-form for the word-line-sequential order)
-        — so the first :meth:`run` measures instead of compiling.  Callers
-        that want the first measurement warm call this up front; the sweep
-        orchestrator does not — its workers compile each trace on first
-        use.  A no-op on the reference backend (which walks fresh each
-        run) and when the engine is unavailable.
-        """
-        algorithm.validate()
-        if self.backend == "reference":
-            return
-        try:
-            self._dispatch.engine.warm(algorithm, self._current_order())
-        except (EngineError, ImportError):  # warming is best-effort
-            pass
 
     def run(self, algorithm: MarchAlgorithm, low_power: bool = True,
             memory: Optional[SRAM] = None) -> BistResult:

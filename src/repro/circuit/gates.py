@@ -166,10 +166,6 @@ class LogicNetwork:
     def gates(self) -> List[GateInstance]:
         return list(self._gates)
 
-    @property
-    def primary_inputs(self) -> List[str]:
-        return list(self._primary_inputs)
-
     def transistor_count(self) -> int:
         """Total transistor count of all gates in the network."""
         return sum(g.kind.transistors for g in self._gates)

@@ -2,15 +2,15 @@
 
 Everything here is deliberately syntactic: the checkers reason about what
 the source *says*, not what it would do at runtime, so helpers extract
-names, decorators, and literal strings conservatively — when a construct
-is too dynamic to read statically, they return nothing and the rule stays
-silent rather than guessing.
+names and decorators conservatively — when a construct is too dynamic to
+read statically, they return nothing and the rule stays silent rather
+than guessing.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 #: Mutating container methods — calling one on a module-level container
 #: from hot-path code is a cross-thread write (the RPR002 bug class).
@@ -27,19 +27,6 @@ def call_name(node: ast.Call) -> Optional[str]:
         return func.id
     if isinstance(func, ast.Attribute):
         return func.attr
-    return None
-
-
-def dotted_call_name(node: ast.Call) -> Optional[str]:
-    """``os.replace`` for ``os.replace(...)``; ``None`` when dynamic."""
-    parts: List[str] = []
-    func: ast.expr = node.func
-    while isinstance(func, ast.Attribute):
-        parts.append(func.attr)
-        func = func.value
-    if isinstance(func, ast.Name):
-        parts.append(func.id)
-        return ".".join(reversed(parts))
     return None
 
 
@@ -86,20 +73,6 @@ def enclosing_class(parents: Tuple[ast.AST, ...]) -> Optional[ast.ClassDef]:
         if isinstance(node, ast.ClassDef):
             return node
     return None
-
-
-def literal_text(node: ast.expr) -> str:
-    """All string-literal fragments inside an expression, concatenated.
-
-    Reads through f-strings, ``+`` concatenation, ``%``/``.format`` calls —
-    enough to see the static words of a warning message without evaluating
-    anything.  Dynamic parts contribute nothing.
-    """
-    fragments: List[str] = []
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            fragments.append(sub.value)
-    return " ".join(fragments)
 
 
 def looks_like_lock(expr: ast.expr, module_locks: Set[str]) -> bool:

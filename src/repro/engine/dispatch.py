@@ -115,24 +115,6 @@ class BackendDispatcher:
         """Drop the cached vectorized engine (rebuilt on next use)."""
         self._engine = None
 
-    def warm(self, *args: object, **kwargs: object) -> bool:
-        """Best-effort warm-up of the cached vectorized engine.
-
-        Builds the engine (importing numpy) and forwards ``*args`` to
-        the engine's own ``warm`` method when it has one.  Returns
-        ``True`` when warming ran to completion and ``False`` on any
-        failure: warming is an amortization hint, never a correctness
-        step, so it must not fail a run.
-        """
-        try:
-            engine = self.engine
-            warmer = getattr(engine, "warm", None)
-            if callable(warmer):
-                warmer(*args, **kwargs)
-            return True
-        except Exception:  # noqa: BLE001 - warming is advisory by contract
-            return False
-
     # ------------------------------------------------------------------
     def call(self, chosen: str, *,
              vectorized: Callable[[object], _T],

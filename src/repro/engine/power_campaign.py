@@ -103,14 +103,6 @@ class VectorizedPowerCampaign:
         """The cached compiled trace of ``algorithm`` over ``order``."""
         return self.traces.get(algorithm, order, self.any_direction)
 
-    def warm(self, algorithm: MarchAlgorithm, order: AddressOrder
-             ) -> "VectorizedPowerCampaign":
-        """Amortize one run's cold costs: compile this campaign's trace
-        and segment structure for ``(algorithm, order)``.  Best-effort
-        companion of :meth:`repro.engine.dispatch.BackendDispatcher.warm`."""
-        self._engine_for(order).warm(algorithm)
-        return self
-
     # ------------------------------------------------------------------
     # Public API (the PowerBackend protocol)
     # ------------------------------------------------------------------

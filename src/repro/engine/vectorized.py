@@ -360,21 +360,6 @@ class VectorizedEngine:
         order, direction) and are shared by every run and both modes."""
         return self.traces.get(algorithm, self.order, self.any_direction)
 
-    def warm(self, algorithm: Optional[MarchAlgorithm] = None
-             ) -> "VectorizedEngine":
-        """Amortize the one-time costs of a run up front.
-
-        When ``algorithm`` is given, compiles this engine's memoised trace
-        of it plus its segment structure (built from the order's cached
-        row runs, so only orders without closed-form runs expand
-        coordinates for it).  Idempotent and cheap when already warm;
-        reached facade-first through
-        :meth:`repro.engine.dispatch.BackendDispatcher.warm`.
-        """
-        if algorithm is not None:
-            self.trace_for(algorithm).segment_walk()
-        return self
-
     def run_aggregates(self, algorithm: MarchAlgorithm, mode: OperatingMode,
                        trace: Optional[OperationTrace] = None):
         """Measure one run and return raw ``(by_source, counters, cycles, stress)``.

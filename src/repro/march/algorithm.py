@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
-from .element import AddressingDirection, MarchElement
+from .element import MarchElement
 from .operations import MarchOperation, MarchSyntaxError, OperationKind
 
 
@@ -116,21 +116,6 @@ class MarchAlgorithm:
         return MarchAlgorithm(
             name=name or f"{self.name} (inverted data)",
             elements=tuple(element.inverted_data() for element in self.elements),
-            description=self.description,
-        )
-
-    def with_all_directions(self, direction: AddressingDirection,
-                            name: str | None = None) -> "MarchAlgorithm":
-        """Force every element to one direction (used by ablation studies).
-
-        Note that this is *not* coverage-preserving in general — the paper's
-        first degree of freedom keeps the ⇑/⇓ relationship intact and only
-        changes what "ascending" means.  This helper exists to demonstrate
-        that difference in the test-suite and benches.
-        """
-        return MarchAlgorithm(
-            name=name or f"{self.name} (all {direction.value})",
-            elements=tuple(element.with_direction(direction) for element in self.elements),
             description=self.description,
         )
 

@@ -182,9 +182,6 @@ class EnergyLedger:
     def energy_by_source(self) -> Dict[PowerSource, float]:
         return {source: breakdown.energy for source, breakdown in self._by_source.items()}
 
-    def events_by_source(self) -> Dict[PowerSource, int]:
-        return {source: breakdown.events for source, breakdown in self._by_source.items()}
-
     def source_fraction(self, source: PowerSource) -> float:
         """Fraction of total energy attributed to ``source`` (0 when empty)."""
         total = self.total_energy()

@@ -7,7 +7,8 @@ Example::
 
 The process prints one readiness line (``[serve] listening on ...``) once
 the socket is bound — scripts and CI wait for it — then serves until
-interrupted (SIGINT/SIGTERM), draining in-flight waves on the way out.
+interrupted (SIGINT/SIGTERM), answering pooled and in-flight misses on
+the way out.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "adds per-request latency)")
     parser.add_argument("--workers", type=int, default=None,
                         help="executor pool size (default: min(4, cpus))")
-    parser.add_argument("--coalesce-window", type=float, default=0.005,
+    parser.add_argument("--coalesce-window", type=float, default=0.0,
                         metavar="SECONDS",
-                        help="how long cache-miss requests pool before an "
-                             "engine wave launches (default: 0.005)")
+                        help="fixed wait for cache-miss requests to pool "
+                             "before an engine wave launches (default: 0: "
+                             "dispatch while an executor thread is idle, "
+                             "pool only while every thread is busy)")
     parser.add_argument("--cache-max-entries", type=int, default=None,
                         metavar="N",
                         help="evict least-recently-used cache entries "

@@ -11,11 +11,15 @@ protocol and answers each one through three tiers:
    touching an engine;
 2. **coalesced** — an identical-digest request is already executing;
    await its shared future instead of spawning duplicate work;
-3. **miss** — park the request in the dispatch backlog; after a short
-   coalescing window every distinct parked scenario executes as **one**
+3. **miss** — park the request in the dispatch backlog.  While an
+   executor thread is idle the dispatcher sends the backlog at once;
+   while every thread is busy misses pool until a wave finishes, and
+   then every distinct parked scenario executes as **one**
    :class:`~repro.engine.grid.BatchedGridEngine` wave on a pool thread
    (the grid engine stacks same-geometry cases into single kernel
-   passes), and the stored entries resolve every waiter.
+   passes).  The stored entries resolve every waiter.  A new distinct
+   miss past :data:`MAX_PENDING_PER_WORKER` per executor thread is
+   refused with 429 instead of queueing without limit.
 
 Every request is appended to the replayable JSONL workload trace
 (:class:`~repro.serve.trace.WorkloadTrace`) with its outcome and
@@ -26,8 +30,10 @@ The protocol (all bodies JSON):
 
 * ``POST /v1/run`` with ``{"case": {...}}`` →
   ``{"kind": ..., "record": {...}, "served": {"digest", "outcome",
-  "latency_ms"}}``; malformed cases get 400, execution failures 500;
-* ``GET /v1/stats`` → request/hit/miss/coalesce/engine-pass counters;
+  "latency_ms"}}``; malformed cases get 400, execution failures 500,
+  and a distinct miss past the pending bound 429 with ``Retry-After``;
+* ``GET /v1/stats`` → request/hit/miss/coalesce/refusal/engine-pass
+  counters and the count of distinct misses ``pending``;
 * ``GET /healthz`` → ``{"status": "ok"}``.
 
 A malformed request line or ``Content-Length``, or a request line or
@@ -70,10 +76,14 @@ class ServeError(Exception):
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 500: "Internal Server Error"}
+            405: "Method Not Allowed", 429: "Too Many Requests",
+            500: "Internal Server Error"}
 
 #: Default TCP port (spells "SRV" on a phone keypad, near enough).
 DEFAULT_PORT = 8077
+#: Distinct misses, queued or running, allowed per executor thread; a new
+#: distinct miss past ``MAX_PENDING_PER_WORKER * workers`` is refused.
+MAX_PENDING_PER_WORKER = 32
 
 
 class _Pending:
@@ -94,20 +104,23 @@ class _Pending:
 class CampaignService:
     """Long-running campaign server: cache, coalesce, execute, trace.
 
-    ``coalesce_window`` is how long (seconds) the dispatcher lets
-    cache-miss requests pool before launching an engine wave: long
-    enough for a client burst to land in one stacked pass, short enough
-    to be invisible next to engine work.  ``workers`` bounds the
-    executor pool (default: ``min(4, cpu)``); each pool thread keeps a
-    persistent :class:`~repro.sweep.runner._WorkerState`, so compiled
-    traces and facades stay warm across waves.
+    Misses batch naturally: while fewer than ``workers`` waves are in
+    flight the dispatcher sends the backlog as soon as it wakes, and
+    while every thread is busy misses pool until a finishing wave wakes
+    it to send them all as one wave.  ``coalesce_window`` (seconds,
+    default 0) adds a fixed wait before each take of the backlog, so a
+    client burst lands in one stacked pass even on an idle service.
+    ``workers`` bounds the executor pool (default: ``min(4, cpu)``); each
+    wave runs under the most recently used idle
+    :class:`~repro.sweep.runner._WorkerState`, so compiled traces and
+    facades stay warm across waves.
     """
 
     def __init__(self, cache_dir: Union[str, Path],
                  trace_path: Optional[Union[str, Path]] = None,
                  trace_fsync: bool = False,
                  workers: Optional[int] = None,
-                 coalesce_window: float = 0.005,
+                 coalesce_window: float = 0.0,
                  cache_max_entries: Optional[int] = None,
                  cache_max_bytes: Optional[int] = None) -> None:
         self.cache = ResultCache(cache_dir,
@@ -120,7 +133,8 @@ class CampaignService:
         self.coalesce_window = coalesce_window
         self.stats: Dict[str, int] = {
             "requests": 0, "hits": 0, "misses": 0, "coalesced": 0,
-            "errors": 0, "engine_passes": 0, "executed_cases": 0,
+            "refused": 0, "errors": 0, "engine_passes": 0,
+            "executed_cases": 0,
         }
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -133,9 +147,11 @@ class CampaignService:
         self._backlog: List[_Pending] = []
         self._wake: Optional[asyncio.Event] = None
         self._started_at = time.monotonic()
-        # One persistent worker state per executor thread: the engine
-        # caches (compiled traces, facades) survive across waves.
-        self._thread_state = threading.local()
+        # Idle worker states, the most recently used last.  A wave takes
+        # the warmest one whichever pool thread runs it, so the engine
+        # caches (compiled traces, facades) survive across waves and
+        # threads, and at most ``workers`` states exist.
+        self._idle_states: List[_WorkerState] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -158,13 +174,18 @@ class CampaignService:
         return self
 
     async def stop(self) -> None:
-        """Stop accepting, finish in-flight waves, release the pool."""
+        """Stop accepting, answer every pooled and running miss, release
+        the pool."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._waves:
-            await asyncio.gather(*self._waves, return_exceptions=True)
+        # The dispatcher still runs, and a finishing wave wakes it to send
+        # what is pooled, so this drains the backlog as well as the waves.
+        while self._pending or self._waves:
+            await asyncio.wait(
+                [pending.future for pending in self._pending.values()]
+                + list(self._waves))
         # Idle keep-alive connections would otherwise pin their handler
         # tasks (and log cancellation noise at loop teardown).
         for connection in list(self._connections):
@@ -279,7 +300,8 @@ class CampaignService:
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(data)}\r\n"
                 f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-                "\r\n")
+                + ("Retry-After: 1\r\n" if status == 429 else "")
+                + "\r\n")
         writer.write(head.encode("latin-1") + data)
         await writer.drain()
 
@@ -346,6 +368,14 @@ class CampaignService:
                            "latency_ms": round(latency_ms, 3)},
             }
 
+        def fail(status: int, outcome: str, error: str
+                 ) -> Tuple[int, Dict[str, object]]:
+            latency_ms = (time.monotonic() - arrived) * 1e3
+            self._trace_request(digest, kind, fingerprint, outcome,
+                                latency_ms, arrival_s)
+            return status, {"error": error,
+                            "served": {"digest": digest, "outcome": outcome}}
+
         entry = self.cache.get(digest)
         if entry is not None:
             self.stats["hits"] += 1
@@ -355,6 +385,10 @@ class CampaignService:
         if pending is not None:
             self.stats["coalesced"] += 1
             outcome = "coalesced"
+        elif len(self._pending) >= MAX_PENDING_PER_WORKER * self.workers:
+            self.stats["refused"] += 1
+            return fail(429, "refused", f"{len(self._pending)} distinct "
+                        "misses are queued or running; retry later")
         else:
             loop = asyncio.get_running_loop()
             pending = _Pending(digest, kind, fingerprint, case,
@@ -372,11 +406,7 @@ class CampaignService:
             raise
         except Exception as exc:
             self.stats["errors"] += 1
-            latency_ms = (time.monotonic() - arrived) * 1e3
-            self._trace_request(digest, kind, fingerprint, "error",
-                                latency_ms, arrival_s)
-            return 500, {"error": str(exc),
-                         "served": {"digest": digest, "outcome": "error"}}
+            return fail(500, "error", str(exc))
         return answer(entry, outcome)
 
     def _trace_request(self, digest: str, kind: str,
@@ -397,12 +427,19 @@ class CampaignService:
             if self.coalesce_window > 0:
                 # Let a request burst pool up so one wave stacks it all.
                 await asyncio.sleep(self.coalesce_window)
-            batch, self._backlog = self._backlog, []
-            if not batch:
+            # Natural batching: while every thread is busy the backlog
+            # pools, and the next finishing wave wakes this loop again.
+            if not self._backlog or len(self._waves) >= self.workers:
                 continue
+            batch, self._backlog = self._backlog, []
             wave = asyncio.ensure_future(self._execute_wave(batch))
             self._waves.add(wave)
-            wave.add_done_callback(self._waves.discard)
+            wave.add_done_callback(self._wave_done)
+
+    def _wave_done(self, wave: asyncio.Future) -> None:
+        self._waves.discard(wave)
+        if self._backlog:
+            self._wake.set()
 
     async def _execute_wave(self, batch: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
@@ -415,29 +452,23 @@ class CampaignService:
             outcomes = [exc] * len(batch)
         for pending, outcome in zip(batch, outcomes):
             self._pending.pop(pending.digest, None)
-            if pending.future.done():  # stop() raced us; nothing to do
-                continue
             if isinstance(outcome, Exception):
                 pending.future.set_exception(
                     ServeError(f"case execution failed: {outcome}"))
             else:
                 pending.future.set_result(outcome)
 
-    def _thread_worker_state(self) -> _WorkerState:
-        state = getattr(self._thread_state, "state", None)
-        if state is None:
-            state = _WorkerState()
-            self._thread_state.state = state
-        return state
-
     def _run_batch(self, batch: List[_Pending]) -> List[object]:
         """Execute one wave on a pool thread: stacked first, per-case rescue.
 
         Returns, per pending, either the stored cache entry dictionary or
-        the exception that case raised.  Runs under the thread's
-        persistent worker state so compiled traces survive across waves.
+        the exception that case raised.  Runs under the most recently used
+        idle worker state, so compiled traces survive across waves.
         """
-        state = self._thread_worker_state()
+        try:
+            state = self._idle_states.pop()
+        except IndexError:  # every state is lent to a running wave
+            state = _WorkerState()
         cases = [pending.case for pending in batch]
         records: List[object] = [None] * len(batch)
         try:
@@ -449,7 +480,7 @@ class CampaignService:
         except Exception:
             # The stacked pass died mid-wave (one poisoned case must not
             # starve its neighbours): rescue the unanswered cases one at
-            # a time on the thread's state, capturing failures per case.
+            # a time on the wave's state, capturing failures per case.
             for index, case in enumerate(cases):
                 if records[index] is not None:
                     continue
@@ -457,6 +488,8 @@ class CampaignService:
                     records[index] = case.execute(state)
                 except Exception as exc:  # noqa: BLE001 - per-case verdict
                     records[index] = exc
+        finally:
+            self._idle_states.append(state)
         outcomes: List[object] = []
         for pending, record in zip(batch, records):
             if isinstance(record, Exception) or record is None:

@@ -2,10 +2,11 @@
 
 The serving layer appends one line per request — arrival time, content
 digest, case kind, the full case fingerprint, how the request was served
-(``hit`` / ``miss`` / ``coalesced`` / ``error``) and its latency — so a
-production workload can be studied offline and *replayed*: the committed
-synthetic trace under ``benchmarks/data/`` drives the load benchmark,
-and a recorded trace from a real deployment drops into the same tooling.
+(``hit`` / ``miss`` / ``coalesced`` / ``refused`` / ``error``) and its
+latency — so a production workload can be studied offline and
+*replayed*: the committed synthetic trace under ``benchmarks/data/``
+drives the load benchmark, and a recorded trace from a real deployment
+drops into the same tooling.
 
 Format: every line is an independent JSON object ::
 

@@ -96,10 +96,6 @@ class CellArray:
             for col_index, cell in enumerate(row):
                 yield row_index, col_index, cell
 
-    def row_cells(self, row: int) -> List[SixTransistorCell]:
-        self._check(row, 0)
-        return list(self._cells[row])
-
     # ------------------------------------------------------------------
     # Bulk state manipulation
     # ------------------------------------------------------------------
@@ -134,9 +130,6 @@ class CellArray:
         if value not in (0, 1):
             raise ArrayError(f"value must be 0 or 1, got {value!r}")
         return sum(1 for _, _, cell in self.iter_cells() if cell.value == value)
-
-    def total_faulty_swaps(self) -> int:
-        return sum(cell.stats.faulty_swaps for _, _, cell in self.iter_cells())
 
     def total_full_res(self) -> int:
         return sum(cell.stats.full_res_count for _, _, cell in self.iter_cells())

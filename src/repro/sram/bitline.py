@@ -35,10 +35,6 @@ class RestorationResult:
     swing_blb: float
     energy: float
 
-    @property
-    def total_swing(self) -> float:
-        return self.swing_bl + self.swing_blb
-
 
 class BitLinePair:
     """Voltages and charge book-keeping of one column's BL/BLB pair."""

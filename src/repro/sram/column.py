@@ -58,10 +58,6 @@ class Column:
     def is_floating(self) -> bool:
         return self._floating is not None
 
-    @property
-    def floating_since(self) -> Optional[int]:
-        return self._floating.since_cycle if self._floating else None
-
     def voltages_at(self, cycle: int) -> tuple[float, float]:
         """Bit-line voltages as of the start of ``cycle`` (applies lazy decay)."""
         self.catch_up(cycle)

@@ -84,13 +84,6 @@ class PrechargeCircuit:
         """Command the circuit for the current cycle (ON = pre-charging)."""
         self.enabled = bool(enabled)
 
-    def record_cycle_state(self) -> None:
-        """Count the commanded state for this cycle (activity statistics)."""
-        if self.enabled:
-            self.activity.cycles_on += 1
-        else:
-            self.activity.cycles_off += 1
-
     # ------------------------------------------------------------------
     # Physical work
     # ------------------------------------------------------------------
@@ -150,11 +143,6 @@ class PrechargeCircuit:
         long as the word line stays high.
         """
         return self.tech.res_equilibrium_current
-
-    # ------------------------------------------------------------------
-    def control_gate_capacitance(self) -> float:
-        """Capacitance the control signal must drive for this circuit."""
-        return self.tech.precharge_gate_cap
 
     def reset_statistics(self) -> None:
         self.activity.reset()

@@ -5,8 +5,8 @@ selects one: the facades take no ``kernel`` argument and a case refuses
 any ``kernel`` value but ``None``.  These tests pin the provenance
 contract around it — every result and record says which kernel measured
 it (``"flat"``, or ``""`` on the reference engine; records keep
-``kernel == "default"``), per-run provenance is thread-local, warming is
-safe, and no run scribbles on the shared cached structures.
+``kernel == "default"``), per-run provenance is thread-local, and no run
+scribbles on the shared cached structures.
 """
 
 from __future__ import annotations
@@ -67,24 +67,6 @@ def test_bist_controller_threads_and_stamps_kernel():
                                 order=BistOrder.WORDLINE_SEQUENTIAL)
     result = controller.run(get_algorithm("MATS+"), low_power=True)
     assert result.kernel == "flat"
-    controller.warm(get_algorithm("MATS+"))  # best-effort, must not raise
-
-
-# ----------------------------------------------------------------------
-# Dispatcher warm hook
-# ----------------------------------------------------------------------
-def test_engine_warm_is_chainable_and_safe():
-    from repro.engine import VectorizedEngine
-
-    engine = VectorizedEngine(GEOMETRY)
-    assert engine.warm(MARCH_CM) is engine
-    # Warming compiled the trace: the memo returns the same object.
-    assert engine.trace_for(MARCH_CM) is engine.trace_for(MARCH_CM)
-
-
-def test_dispatcher_warm_reports_success():
-    session = TestSession(GEOMETRY, backend="vectorized")
-    assert session._dispatch.warm(MARCH_CM) is True
 
 
 # ----------------------------------------------------------------------

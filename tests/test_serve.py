@@ -6,11 +6,14 @@ tolerance mirroring the run journal), the fingerprint digest / case
 round-trip seam the cache key is built on, and the live service: miss →
 hit, duplicate concurrent requests coalescing into one engine pass,
 cache survival across restarts, self-healing after a torn cache write,
-and the JSON/HTTP protocol's error mapping.
+natural batching (dispatch while a thread is idle, pool while all are
+busy), the pending bound's 429, and the JSON/HTTP protocol's error
+mapping.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import logging
@@ -21,15 +24,18 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from repro.serve import (
+    CampaignService,
     ResultCache,
     ServeClient,
     ServeError,
+    ServiceThread,
     TraceError,
     WorkloadTrace,
     load_trace,
@@ -574,6 +580,204 @@ def test_wave_that_dies_is_rescued_case_by_case(tmp_path, monkeypatch):
         local = execute_case(case_from_dict(case))
         assert _drop_elapsed(response["record"]) == \
             _drop_elapsed(local.as_dict())
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+@contextmanager
+def _held_wave(monkeypatch):
+    """Hold the service's next engine wave on its pool thread.
+
+    Yields ``(started, release)``: ``started`` is set once the held wave
+    occupies its thread, and the wave runs once ``release`` is set, at
+    the latest when the block exits."""
+    started, release = threading.Event(), threading.Event()
+    run_batch = CampaignService._run_batch
+
+    def held(self, batch):
+        if not started.is_set():
+            started.set()
+            release.wait(60)
+        return run_batch(self, batch)
+
+    monkeypatch.setattr(CampaignService, "_run_batch", held)
+    try:
+        yield started, release
+    finally:
+        release.set()
+
+
+def _submit_one(host, port, case):
+    with ServeClient(host, port) as client:
+        return client.submit(case)
+
+
+#: Distinct same-geometry power cases (one stacked wave holds them all).
+_ALGORITHMS = ["MATS+", "March C-", "March SS", "March B"]
+
+
+def test_a_miss_on_an_idle_service_is_dispatched_without_a_timer(
+        tmp_path, monkeypatch):
+    # With the default window a miss goes to the idle executor as soon as
+    # the dispatcher wakes: no timer runs between arrival and the wave.
+    timers = []
+    sleep = asyncio.sleep
+
+    async def recording_sleep(delay, *args, **kwargs):
+        if delay > 0:
+            timers.append(delay)
+        return await sleep(delay, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+    with running_service(tmp_path / "cache") as (service, host, port):
+        assert service.coalesce_window == 0
+        response = _submit_one(host, port, _prr_case())
+        stats = service.stats_snapshot()
+    assert response["served"]["outcome"] == "miss"
+    assert stats["engine_passes"] == stats["executed_cases"] == 1
+    assert timers == []
+
+
+def test_misses_pool_into_one_wave_while_every_thread_is_busy(
+        tmp_path, monkeypatch):
+    # One worker, its wave held: three distinct misses arriving 50 ms
+    # apart wait for the thread and then run as one wave, with the
+    # records a local execution measures.
+    cases = [_power_case(algorithm=name) for name in _ALGORITHMS]
+    with running_service(tmp_path / "cache", workers=1) \
+            as (service, host, port), ThreadPoolExecutor(4) as pool, \
+            _held_wave(monkeypatch) as (started, release):
+        futures = [pool.submit(_submit_one, host, port, cases[0])]
+        assert started.wait(30)
+        for count, case in enumerate(cases[1:], start=2):
+            futures.append(pool.submit(_submit_one, host, port, case))
+            _wait_for(lambda: service.stats_snapshot()["misses"] == count)
+            time.sleep(0.05)
+        assert service.stats_snapshot()["engine_passes"] == 1
+        release.set()
+        responses = [future.result(timeout=60) for future in futures]
+        stats = service.stats_snapshot()
+    assert stats["engine_passes"] == 2
+    assert stats["executed_cases"] == 4
+    assert stats["misses"] == 4 and stats["errors"] == 0
+    for case, response in zip(cases, responses):
+        assert response["served"]["outcome"] == "miss"
+        local = execute_case(case_from_dict(case))
+        assert _drop_elapsed(response["record"]) == \
+            _drop_elapsed(local.as_dict())
+
+
+def test_stop_answers_misses_pooled_behind_a_busy_thread(tmp_path,
+                                                         monkeypatch):
+    # stop() begins while the only thread is busy and two misses pool
+    # behind it: it returns only after all three are answered, the pooled
+    # pair as one wave.
+    cases = [_power_case(algorithm=name) for name in _ALGORITHMS[:3]]
+    service = CampaignService(tmp_path / "cache", workers=1)
+    thread = ServiceThread(service)
+    host, port = thread.start()
+    try:
+        with ThreadPoolExecutor(3) as pool, \
+                _held_wave(monkeypatch) as (started, release):
+            futures = [pool.submit(_submit_one, host, port, cases[0])]
+            assert started.wait(30)
+            futures += [pool.submit(_submit_one, host, port, case)
+                        for case in cases[1:]]
+            _wait_for(lambda: service.stats_snapshot()["pending"] == 3)
+            time.sleep(0.05)
+            assert service.stats_snapshot()["engine_passes"] == 1
+            stopper = threading.Thread(target=thread.stop)
+            stopper.start()
+
+            def refuses_connections():
+                try:
+                    socket.create_connection((host, port), timeout=5).close()
+                except ConnectionRefusedError:
+                    return True
+                return False
+
+            _wait_for(refuses_connections)
+            release.set()
+            responses = [future.result(timeout=60) for future in futures]
+            stopper.join(timeout=60)
+            assert not stopper.is_alive()
+    finally:
+        thread.stop()
+    stats = service.stats_snapshot()
+    assert [r["served"]["outcome"] for r in responses] == ["miss"] * 3
+    assert stats["engine_passes"] == 2 and stats["executed_cases"] == 3
+    assert stats["pending"] == 0
+    for case, response in zip(cases, responses):
+        local = execute_case(case_from_dict(case))
+        assert _drop_elapsed(response["record"]) == \
+            _drop_elapsed(local.as_dict())
+
+
+def test_back_to_back_waves_share_one_worker_state(tmp_path):
+    # One client's misses may land on either pool thread; each wave takes
+    # the idle state the previous one returned, so one set of compiled
+    # traces and facades serves them all.
+    with running_service(tmp_path / "cache", workers=2) \
+            as (service, host, port):
+        with ServeClient(host, port) as client:
+            for rows in (8, 16, 32, 64):
+                client.submit(_prr_case(rows=rows))
+        assert service.stats_snapshot()["engine_passes"] == 4
+        assert len(service._idle_states) == 1
+
+
+def test_a_distinct_miss_past_the_pending_bound_is_a_counted_429(
+        tmp_path, monkeypatch):
+    # Bound 2 on one worker: the held wave and one pooled miss fill it,
+    # so the next distinct miss is refused, while a hit and a duplicate
+    # of a pending miss are still answered.
+    monkeypatch.setattr("repro.serve.service.MAX_PENDING_PER_WORKER", 2)
+    hit, held, pooled, refused = (
+        _power_case(algorithm=name) for name in _ALGORITHMS)
+    trace_path = tmp_path / "trace.jsonl"
+    with running_service(tmp_path / "cache", trace_path=trace_path,
+                         workers=1) as (service, host, port), \
+            ThreadPoolExecutor(3) as pool:
+        _submit_one(host, port, hit)
+        with _held_wave(monkeypatch) as (started, release):
+            futures = [pool.submit(_submit_one, host, port, held)]
+            assert started.wait(30)
+            futures.append(pool.submit(_submit_one, host, port, pooled))
+            _wait_for(lambda: service.stats_snapshot()["pending"] == 2)
+
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            conn.request("POST", "/v1/run",
+                         body=json.dumps({"case": refused}))
+            reply = conn.getresponse()
+            payload = json.loads(reply.read())
+            conn.close()
+            assert reply.status == 429
+            assert reply.getheader("Retry-After") == "1"
+            assert payload["served"]["outcome"] == "refused"
+            with pytest.raises(ServeError, match="returned 429"):
+                _submit_one(host, port, refused)
+
+            assert _submit_one(host, port, hit)["served"]["outcome"] == "hit"
+            futures.append(pool.submit(_submit_one, host, port, pooled))
+            _wait_for(lambda: service.stats_snapshot()["coalesced"] == 1)
+            stats = service.stats_snapshot()
+            assert stats["refused"] == 2 and stats["pending"] == 2
+        responses = [future.result(timeout=60) for future in futures]
+        again = _submit_one(host, port, refused)
+        stats = service.stats_snapshot()
+    assert [r["served"]["outcome"] for r in responses] == \
+        ["miss", "miss", "coalesced"]
+    assert again["served"]["outcome"] == "miss"
+    local = execute_case(case_from_dict(refused))
+    assert _drop_elapsed(again["record"]) == _drop_elapsed(local.as_dict())
+    assert stats["refused"] == 2 and stats["errors"] == 0
+    outcomes = Counter(line["outcome"] for line in load_trace(trace_path))
+    assert outcomes == {"miss": 4, "hit": 1, "coalesced": 1, "refused": 2}
 
 
 def test_cache_survives_a_service_restart(tmp_path):
