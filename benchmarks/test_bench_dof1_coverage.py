@@ -8,8 +8,9 @@ detection results are identical — which is what makes the paper's choice of
 the word-line-after-word-line order admissible.
 
 Each (algorithm, battery) pair is one :func:`repro.faults.run_campaign`
-call: the fault list is batch-simulated once per order and both the
-coverage and the invariance views derive from that single pass.  The
+call: the fault list is batch-simulated under every order at once (one
+replay per fault class) and both the coverage and the invariance views
+derive from that single pass.  The
 paper-scale version of this experiment (full 512 x 512 array, vectorized
 campaign engine) lives in ``test_bench_fault_campaign.py``.
 """

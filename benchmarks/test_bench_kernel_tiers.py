@@ -40,9 +40,6 @@ import time
 
 import pytest
 
-# Loaded up front: a module import is a once-per-process cost, not part of
-# a cold measurement on a fresh controller or session.
-import repro.engine.power_campaign  # noqa: F401
 from repro import TestSession
 from repro.analysis import render_table
 from repro.bist import BistController

@@ -20,7 +20,12 @@ every run:
 * therefore all injections of one fault class can be simulated
   *simultaneously*: the victims' states become parallel NumPy arrays, and
   each March operation is a handful of vector expressions applied to every
-  injection at once.
+  injection at once;
+* the order enters only through those positions, which
+  :meth:`~repro.march.ordering.AddressOrder.rank_of` looks up per cell
+  (in closed form for row-major and column-major), so one replay of a
+  fault class covers every order of a DOF-1 campaign and no order is
+  ever expanded into coordinates.
 
 Per-fault detection verdicts (detected / first detection step / mismatch
 count) are bit-identical to the reference simulator — the test-suite
@@ -38,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..march.algorithm import MarchAlgorithm, MarchValidationError
 from ..march.element import AddressingDirection
-from ..march.execution import OperationTrace, compile_trace
+from ..march.execution import OperationTrace, resolve_direction
 from ..march.ordering import AddressOrder
 from ..sram.geometry import ArrayGeometry
 from .vectorized import EngineError
@@ -93,7 +98,8 @@ class _ElementContext:
     (the last operation value of the previous element, 0 at test start);
     ``last_op_value`` the bus value after any non-first address finishes
     its visit — together they give the bus state preceding any victim
-    visit without replaying the trace.
+    visit without replaying the trace.  None of it depends on the address
+    order, so one context list serves every order of a campaign.
     """
 
     up: bool
@@ -105,22 +111,37 @@ class _ElementContext:
     last_op_value: int
 
 
-def _element_contexts(trace: OperationTrace) -> List[_ElementContext]:
-    """Compile the per-element closed-form facts of a trace."""
+def _element_contexts(algorithm: MarchAlgorithm,
+                      any_direction: AddressingDirection,
+                      word_count: int) -> List[_ElementContext]:
+    """The per-element closed-form facts of a run over ``word_count`` words.
+
+    Mirrors :class:`~repro.march.execution.OperationTrace`: elements
+    start at cumulative step offsets, and between elements every cell
+    holds the last value the most recent writing element wrote
+    (:meth:`~repro.march.execution.OperationTrace.element_backgrounds`).
+    """
     contexts: List[_ElementContext] = []
-    backgrounds = trace.element_backgrounds()
+    background: Optional[int] = None  # every cell starts unwritten
     previous_value = 0  # LogicalMemory initialises the data bus to 0
-    for element, background in zip(trace.elements, backgrounds):
+    base_step = 0
+    for element in algorithm.elements:
+        direction = resolve_direction(element, any_direction)
+        last_value = element.operations[-1].value
         contexts.append(_ElementContext(
-            up=element.direction is AddressingDirection.UP,
+            up=direction is AddressingDirection.UP,
             operations=element.operations,
             k=element.operation_count,
-            base_step=element.base_step,
+            base_step=base_step,
             bg_before=_encode(background),
             prev_value=previous_value,
-            last_op_value=element.operations[-1].value,
+            last_op_value=last_value,
         ))
-        previous_value = element.operations[-1].value
+        base_step += element.operation_count * word_count
+        previous_value = last_value
+        written = element.final_written_value()
+        if written is not None:
+            background = written
     return contexts
 
 
@@ -476,12 +497,15 @@ class VectorizedFaultCampaign:
 
     Construction mirrors :class:`repro.faults.FaultSimulator`: a
     bit-oriented geometry plus the concrete direction ``⇕`` elements
-    resolve to.  :meth:`simulate_many` groups the injections by fault
-    class, turns each group's victims (and aggressors) into parallel
-    position arrays, and replays the compiled trace once per group with
-    every March operation evaluated as vector expressions over all lanes
-    simultaneously — emitting per-fault
-    :class:`~repro.faults.simulator.DetectionResult` verdicts
+    resolve to.  :meth:`simulate_orders` groups the injections by fault
+    class, looks up each lane's victim (and aggressor or neighbour)
+    positions with :meth:`~repro.march.ordering.AddressOrder.rank_of`,
+    and replays the algorithm once per group with every March operation
+    evaluated as vector expressions over all lanes simultaneously.  The
+    replay depends on the order only through those positions, so one
+    replay covers every order of a campaign: a group's lanes are
+    orders x injections.  Per-fault
+    :class:`~repro.faults.simulator.DetectionResult` verdicts are
     bit-identical to the reference simulator.
     """
 
@@ -499,18 +523,6 @@ class VectorizedFaultCampaign:
         self.any_direction = any_direction
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _rank_for(order: AddressOrder) -> "np.ndarray":
-        """``rank[linear_address] = position`` in the ascending sequence.
-
-        Memoised on the order instance itself
-        (:meth:`~repro.march.ordering.AddressOrder.rank_array`), so every
-        campaign — and every tool sharing that order object, e.g. through
-        the sweep orchestrator's per-worker order memo — pays the
-        inversion once instead of once per engine instance.
-        """
-        return order.rank_array()
-
     def _linear(self, coordinate: Tuple[int, int]) -> int:
         row, word = coordinate
         self.geometry.validate_coordinates(row, word)
@@ -523,15 +535,31 @@ class VectorizedFaultCampaign:
                       ) -> List["DetectionResult"]:
         """Simulate a whole fault list under one run; results in input order.
 
-        Raises :class:`UnsupportedFaultCampaign` when the batch contains a
-        fault model without a vector kernel, the algorithm does not
-        validate (closed-form fault-free values then do not hold), or the
-        order's geometry differs from the simulator's.
+        The one-order call of :meth:`simulate_orders`.  ``trace`` is
+        accepted for :class:`~repro.faults.backend.FaultBackend` parity
+        and not read: the replay needs only the algorithm's elements, the
+        ``⇕`` direction and the lanes' positions.
+        """
+        return self.simulate_orders(algorithm, [order], injections)[0]
+
+    def simulate_orders(self, algorithm: MarchAlgorithm,
+                        orders: Sequence[AddressOrder],
+                        injections: Sequence["FaultInjection"],
+                        ) -> List[List["DetectionResult"]]:
+        """Simulate a fault list under every order, one replay per class.
+
+        Returns one result list per order (same order as ``orders``),
+        each in input order.  Raises :class:`UnsupportedFaultCampaign`
+        when the batch contains a fault model without a vector kernel,
+        the algorithm does not validate (closed-form fault-free values
+        then do not hold), or an order's geometry differs from the
+        simulator's.
         """
         from ..faults.simulator import DetectionResult
 
         _require_numpy()
-        if order.geometry != self.geometry:
+        orders = list(orders)
+        if any(order.geometry != self.geometry for order in orders):
             raise UnsupportedFaultCampaign(
                 "address order geometry differs from the campaign geometry; "
                 "use the reference backend")
@@ -541,8 +569,6 @@ class VectorizedFaultCampaign:
             raise UnsupportedFaultCampaign(
                 f"{algorithm.name} does not validate ({exc}); the closed-form "
                 "fault-free replay requires a consistent March test") from exc
-        if trace is None:
-            trace = compile_trace(algorithm, order, self.any_direction)
 
         injections = list(injections)
         groups: Dict[tuple, Tuple[object, List[int]]] = {}
@@ -558,48 +584,61 @@ class VectorizedFaultCampaign:
             else:
                 entry[1].append(index)
 
-        rank = self._rank_for(order)
-        contexts = _element_contexts(trace)
         word_count = self.geometry.word_count
-        results: List[Optional[DetectionResult]] = [None] * len(injections)
+        contexts = _element_contexts(algorithm, self.any_direction, word_count)
+
+        def positions(addresses: "np.ndarray") -> "np.ndarray":
+            """Each order's ranks of ``addresses``, orders along the last
+            axis: lane ``o * m + j`` is injection ``j`` under order ``o``."""
+            return np.concatenate([order.rank_of(addresses)
+                                   for order in orders], axis=-1)
+
+        results: List[List[Optional[DetectionResult]]] = [
+            [None] * len(injections) for _ in orders]
         for kernel, indices in groups.values():
-            victims = np.array([self._linear(injections[i].victim)
-                                for i in indices], dtype=np.int64)
+            victims = positions(np.array(
+                [self._linear(injections[i].victim) for i in indices],
+                dtype=np.int64))
             if isinstance(kernel, _CouplingKernel):
-                aggressors = np.array([self._linear(injections[i].aggressor)
-                                       for i in indices], dtype=np.int64)
+                aggressors = positions(np.array(
+                    [self._linear(injections[i].aggressor) for i in indices],
+                    dtype=np.int64))
                 mismatches, first = _run_coupling_group(
-                    contexts, rank, word_count, kernel, victims, aggressors)
+                    contexts, word_count, kernel, victims, aggressors)
             elif isinstance(kernel, _NeighbourhoodKernel):
-                neighbours = np.array(
+                neighbours = positions(np.array(
                     [[self._linear(cell) for cell in injections[i].neighbourhood]
-                     for i in indices], dtype=np.int64).T
+                     for i in indices], dtype=np.int64).T)
                 mismatches, first = _run_neighbourhood_group(
-                    contexts, rank, word_count, kernel, victims, neighbours)
+                    contexts, word_count, kernel, victims, neighbours)
             else:
                 mismatches, first = _run_single_group(
-                    contexts, rank, word_count, kernel, victims)
-            for lane, index in enumerate(indices):
-                count = int(mismatches[lane])
-                step = int(first[lane])
-                results[index] = DetectionResult(
-                    injection=injections[index],
-                    algorithm=algorithm.name,
-                    order=order.name,
-                    detected=count > 0,
-                    first_detection_step=step if step >= 0 else None,
-                    mismatches=count,
-                )
+                    contexts, word_count, kernel, victims)
+            lane = 0
+            for order, verdicts in zip(orders, results):
+                for index in indices:
+                    count = int(mismatches[lane])
+                    step = int(first[lane])
+                    verdicts[index] = DetectionResult(
+                        injection=injections[index],
+                        algorithm=algorithm.name,
+                        order=order.name,
+                        detected=count > 0,
+                        first_detection_step=step if step >= 0 else None,
+                        mismatches=count,
+                    )
+                    lane += 1
         return results  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------
 # Group simulations (module-level: the hot loops, no self lookups)
 # ----------------------------------------------------------------------
-def _run_single_group(contexts: List[_ElementContext], rank: "np.ndarray",
-                      word_count: int, kernel: _SingleKernel,
-                      victims: "np.ndarray"):
+def _run_single_group(contexts: List[_ElementContext], word_count: int,
+                      kernel: _SingleKernel, victim_rank: "np.ndarray"):
     """Simulate all single-cell injections of one fault class in parallel.
+
+    ``victim_rank`` holds each lane's ascending victim position.
 
     Per lane state mirrors the scalar simulator exactly: the victim's
     cell value (−1 = unwritten), the step/value of the victim's most
@@ -608,14 +647,13 @@ def _run_single_group(contexts: List[_ElementContext], rank: "np.ndarray",
     can observe besides its own cell — the data-bus value left by the
     preceding access — is a closed-form fact of the validated trace.
     """
-    lanes = victims.size
+    lanes = victim_rank.size
     val = np.full(lanes, _NONE, dtype=np.int8)
     last_step = np.full(lanes, -2, dtype=np.int64)
     last_obs = np.zeros(lanes, dtype=np.int8)
     last_cycle = np.zeros(lanes, dtype=np.int64)
     mismatches = np.zeros(lanes, dtype=np.int64)
     first = np.full(lanes, -1, dtype=np.int64)
-    victim_rank = rank[victims]
     # Kind of the victim's most recent access.  Every lane executes the
     # same operation sequence (only the global step differs), so this is
     # a plain scalar; adjacency (last_step == step - 1) stays per-lane.
@@ -657,10 +695,13 @@ def _run_single_group(contexts: List[_ElementContext], rank: "np.ndarray",
     return mismatches, first
 
 
-def _run_coupling_group(contexts: List[_ElementContext], rank: "np.ndarray",
-                        word_count: int, kernel: _CouplingKernel,
-                        victims: "np.ndarray", aggressors: "np.ndarray"):
+def _run_coupling_group(contexts: List[_ElementContext], word_count: int,
+                        kernel: _CouplingKernel, victim_rank: "np.ndarray",
+                        aggressor_rank: "np.ndarray"):
     """Simulate all coupling injections of one fault class in parallel.
+
+    ``victim_rank`` and ``aggressor_rank`` hold each lane's ascending
+    positions of its victim and aggressor.
 
     The aggressor is fault-free, so its value trajectory during its visit
     is one scalar event list per element, shared by every lane; only
@@ -670,14 +711,12 @@ def _run_coupling_group(contexts: List[_ElementContext], rank: "np.ndarray",
     for all lanes (with each lane's current aggressor value selected by
     phase), and the aggressor visit for the remaining lanes.
     """
-    lanes = victims.size
+    lanes = victim_rank.size
     val = np.full(lanes, _NONE, dtype=np.int8)
     last_step = np.full(lanes, -2, dtype=np.int64)
     last_obs = np.zeros(lanes, dtype=np.int8)
     mismatches = np.zeros(lanes, dtype=np.int64)
     first = np.full(lanes, -1, dtype=np.int64)
-    victim_rank = rank[victims]
-    aggressor_rank = rank[aggressors]
 
     for ctx in contexts:
         if ctx.up:
@@ -722,12 +761,14 @@ def _run_coupling_group(contexts: List[_ElementContext], rank: "np.ndarray",
     return mismatches, first
 
 
-def _run_neighbourhood_group(contexts: List[_ElementContext], rank: "np.ndarray",
-                             word_count: int, kernel: _NeighbourhoodKernel,
-                             victims: "np.ndarray", neighbours: "np.ndarray"):
+def _run_neighbourhood_group(contexts: List[_ElementContext], word_count: int,
+                             kernel: _NeighbourhoodKernel,
+                             victim_rank: "np.ndarray",
+                             neigh_rank: "np.ndarray"):
     """Simulate all neighbourhood injections of one fault class in parallel.
 
-    ``neighbours`` is a (k, lanes) matrix of linear cell addresses.  Like
+    ``victim_rank`` holds each lane's ascending victim position and
+    ``neigh_rank`` is the (k, lanes) matrix of its neighbours'.  Like
     the coupling runner, every neighbourhood cell is fault-free, so its
     per-element value trajectory is the shared scalar event list; each
     element is replayed in three phases — neighbour visits preceding the
@@ -736,14 +777,12 @@ def _run_neighbourhood_group(contexts: List[_ElementContext], rank: "np.ndarray"
     visits.  NPSF forcing writes a constant, so the visit order *within*
     a phase never changes the outcome.
     """
-    lanes = victims.size
+    lanes = victim_rank.size
     val = np.full(lanes, _NONE, dtype=np.int8)
     last_step = np.full(lanes, -2, dtype=np.int64)
     last_obs = np.zeros(lanes, dtype=np.int8)
     mismatches = np.zeros(lanes, dtype=np.int64)
     first = np.full(lanes, -1, dtype=np.int64)
-    victim_rank = rank[victims]
-    neigh_rank = rank[neighbours]  # (k, lanes)
 
     for ctx in contexts:
         if ctx.up:

@@ -11,9 +11,9 @@ campaign layer plugs into — mirroring the ``backend`` switch
   trace is built once per (algorithm, order, direction) and reused across
   every injection, instead of re-walking the address order per fault).
 * ``"vectorized"`` — :class:`repro.engine.fault_campaign.VectorizedFaultCampaign`,
-  which simulates every injection of a fault class simultaneously as NumPy
-  state arrays.  It lives in :mod:`repro.engine` so the faults layer stays
-  importable without numpy.
+  which simulates every injection of a fault class, under every order of a
+  campaign, simultaneously as NumPy state arrays.  It lives in
+  :mod:`repro.engine` so the faults layer stays importable without numpy.
 
 Both backends must produce bit-identical
 :class:`~repro.faults.simulator.DetectionResult` lists; the test-suite
@@ -43,16 +43,27 @@ FAULT_BACKENDS = BACKEND_CHOICES
 class FaultBackend(Protocol):
     """Protocol every fault-simulation backend implements.
 
-    A backend turns (algorithm, order, injection list) into one
-    :class:`~repro.faults.simulator.DetectionResult` per injection, in
-    input order.  ``trace`` is the shared compiled run description —
-    callers that simulate the same run repeatedly (coverage campaigns,
-    invariance checks) compile it once and hand it to whichever backend
-    executes, so both backends replay the identical access stream.
+    A backend turns (algorithm, orders, injection list) into one
+    :class:`~repro.faults.simulator.DetectionResult` list per order, each
+    with one result per injection in input order (:meth:`simulate_orders`,
+    the campaign call); :meth:`simulate_many` is its one-order form.  The
+    reference backend replays each order's compiled trace per injection;
+    the vectorized engine needs only each lane's victim, aggressor and
+    neighbour positions, so it replays each fault class once for every
+    order together.  ``trace`` is an optional pre-compiled run
+    description for the one order (the reference backend replays it;
+    the vectorized engine does not read it).
     """
 
     #: registry name of the backend ("reference" / "vectorized").
     name: str
+
+    def simulate_orders(self, algorithm: MarchAlgorithm,
+                        orders: Sequence[AddressOrder],
+                        injections: Sequence["FaultInjection"],
+                        ) -> List[List["DetectionResult"]]:
+        """Simulate every injection under each order; one list per order."""
+        ...  # pragma: no cover - protocol stub
 
     def simulate_many(self, algorithm: MarchAlgorithm, order: AddressOrder,
                       injections: Sequence["FaultInjection"],
@@ -136,3 +147,12 @@ class ReferenceFaultBackend:
             trace = self.trace_for(algorithm, order)
         return [self.simulate_one(algorithm, order, injection, trace=trace)
                 for injection in injections]
+
+    def simulate_orders(self, algorithm: MarchAlgorithm,
+                        orders: Sequence[AddressOrder],
+                        injections: Sequence["FaultInjection"],
+                        ) -> List[List["DetectionResult"]]:
+        """One :meth:`simulate_many` per order, over its cached trace."""
+        injections = list(injections)
+        return [self.simulate_many(algorithm, order, injections)
+                for order in orders]

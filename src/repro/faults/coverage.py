@@ -10,10 +10,10 @@ Section 3 argument.
 Campaigns are batch workloads and run through the backend-pluggable
 :class:`~repro.faults.simulator.FaultSimulator` (``"reference"``,
 ``"vectorized"`` or ``"auto"``): :func:`run_campaign` simulates the whole
-fault list once per order and derives both the per-order
+fault list under every order in one call and derives both the per-order
 :class:`CoverageReport` and the cross-order :class:`InvarianceReport` from
 that single pass, so the full 512 x 512 DOF-1 check is one vectorized
-sweep instead of thousands of scalar March executions.
+replay per fault class instead of thousands of scalar March executions.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def build_fault_list(geometry: ArrayGeometry,
 
 
 # ----------------------------------------------------------------------
-# Campaigns: one batch simulation per order, reports derived from it
+# Campaigns: one multi-order batch simulation, reports derived from it
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CampaignResult:
@@ -160,7 +160,7 @@ class CampaignResult:
     orders: Tuple[str, ...]
     injections: Tuple[FaultInjection, ...]
     results: Dict[str, Tuple[DetectionResult, ...]]
-    #: engine(s) that executed the campaign ("reference"/"vectorized"/"mixed").
+    #: engine that executed the campaign ("reference"/"vectorized").
     backend_used: str = "reference"
 
     @property
@@ -211,13 +211,15 @@ def run_campaign(algorithm: MarchAlgorithm,
                  backend: str = "auto",
                  any_direction: AddressingDirection = AddressingDirection.UP,
                  simulator: Optional[FaultSimulator] = None) -> CampaignResult:
-    """Simulate a fault list under several orders in one batch pass each.
+    """Simulate a fault list under several orders in one multi-order call.
 
     The workhorse behind both :func:`run_coverage` and
-    :func:`check_order_invariance`: every order costs exactly one
-    ``simulate_many`` call on the selected backend.  A pre-built
-    ``simulator`` may be supplied (its backend then wins); otherwise one
-    is created from ``backend``/``any_direction``.
+    :func:`check_order_invariance`: the whole campaign is one
+    :meth:`~repro.faults.simulator.FaultSimulator.simulate_orders` call
+    on the selected backend — one replay per fault class for every order
+    on the vectorized engine, one pass per order on the reference engine.
+    A pre-built ``simulator`` may be supplied (its backend then wins);
+    otherwise one is created from ``backend``/``any_direction``.
     """
     if not orders:
         raise ValueError("a campaign needs at least one address order")
@@ -225,18 +227,14 @@ def run_campaign(algorithm: MarchAlgorithm,
         simulator = FaultSimulator(geometry, any_direction=any_direction,
                                    backend=backend)
     injections = tuple(injections)
-    results: Dict[str, Tuple[DetectionResult, ...]] = {}
-    used = set()
-    for order in orders:
-        results[order.name] = tuple(
-            simulator.simulate_many(algorithm, order, injections))
-        used.add(simulator.last_backend_used or "reference")
+    verdicts = simulator.simulate_orders(algorithm, orders, injections)
     return CampaignResult(
         algorithm=algorithm.name,
         orders=tuple(order.name for order in orders),
         injections=injections,
-        results=results,
-        backend_used=used.pop() if len(used) == 1 else "mixed",
+        results={order.name: tuple(results)
+                 for order, results in zip(orders, verdicts)},
+        backend_used=simulator.last_backend_used or "reference",
     )
 
 

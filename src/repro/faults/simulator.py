@@ -346,25 +346,37 @@ class FaultSimulator:
 
     def simulate_many(self, algorithm: MarchAlgorithm, order: AddressOrder,
                       injections: Iterable[FaultInjection]) -> List[DetectionResult]:
-        """Simulate a whole fault list under one run (the campaign call).
+        """Simulate a whole fault list under one run (results in input order).
 
-        Results are returned in input order.  The selected backend (see
-        the class docstring) executes the complete batch; ``"auto"`` falls
-        back to the reference engine when the vectorized campaign rejects
-        the batch (unknown fault model, missing numpy).
+        The one-order call of :meth:`simulate_orders`.
         """
-        injections = list(injections)
-        trace = self.trace_for(algorithm, order)
+        return self.simulate_orders(algorithm, [order], injections)[0]
 
-        def simulate_vectorized(campaign) -> List[DetectionResult]:
-            results = campaign.simulate_many(algorithm, order, injections,
-                                             trace=trace)
+    def simulate_orders(self, algorithm: MarchAlgorithm,
+                        orders: Sequence[AddressOrder],
+                        injections: Iterable[FaultInjection]
+                        ) -> List[List[DetectionResult]]:
+        """Simulate a fault list under every order (the campaign call).
+
+        Returns one result list per order, each in input order.  The
+        selected backend (see the class docstring) executes the whole
+        multi-order batch — the vectorized engine replays each fault class
+        once for every order together — and ``"auto"`` falls back to the
+        reference engine for the whole batch when the vectorized campaign
+        rejects it (unknown fault model, missing numpy), so one engine
+        produces every verdict of a call.
+        """
+        orders = list(orders)
+        injections = list(injections)
+
+        def simulate_vectorized(campaign) -> List[List[DetectionResult]]:
+            results = campaign.simulate_orders(algorithm, orders, injections)
             self.last_backend_used = "vectorized"
             return results
 
-        def simulate_reference() -> List[DetectionResult]:
-            results = self._reference.simulate_many(algorithm, order,
-                                                    injections, trace=trace)
+        def simulate_reference() -> List[List[DetectionResult]]:
+            results = self._reference.simulate_orders(algorithm, orders,
+                                                      injections)
             self.last_backend_used = "reference"
             return results
 

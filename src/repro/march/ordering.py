@@ -162,6 +162,15 @@ class RowRuns:
                        unit_step=self.unit_step)
 
 
+def _inverse_permutation(linear: "np.ndarray") -> "np.ndarray":
+    """``rank`` with ``rank[linear[i]] = i`` (``linear`` a permutation)."""
+    import numpy as np
+
+    rank = np.empty(linear.size, dtype=np.int64)
+    rank[linear] = np.arange(linear.size, dtype=np.int64)
+    return rank
+
+
 def _row_major_runs(rows: int, width: int) -> RowRuns:
     """Closed form of the row-major runs: one ``+1`` run per row."""
     import numpy as np
@@ -257,26 +266,40 @@ class AddressOrder:
                 np.ascontiguousarray(coords[:, 1]))
 
     # ------------------------------------------------------------------
+    def rank_of(self, addresses):
+        """Ascending positions of the given linear word addresses.
+
+        ``addresses`` is any integer array (``row * words_per_row +
+        word``); the result has its shape.  This is how the vectorized
+        fault-campaign engine locates the few dozen victims, aggressors
+        and neighbours of a campaign.  Orders with a closed form
+        (row-major, column-major) answer without materialising anything;
+        every other order gathers from :meth:`rank_array`.  Requires
+        ``numpy``.
+        """
+        return self.rank_array()[addresses]
+
     def rank_array(self):
         """``rank[linear_address] = position`` in the ascending sequence.
 
-        The inverse permutation of :meth:`coordinate_arrays`, used by the
-        vectorized fault-campaign engine to locate every victim/aggressor
-        in one gather.  Materialised lazily and cached on the order
-        instance (like the coordinate arrays), so campaigns sharing one
-        order object — e.g. through the sweep orchestrator's per-worker
-        order memo — pay the inversion exactly once.  Requires ``numpy``.
+        The inverse permutation of :meth:`coordinate_arrays`, behind
+        :meth:`rank_of` on orders without a closed form.  Materialised
+        lazily and cached on the order instance (like the coordinate
+        arrays), so campaigns sharing one order object — e.g. through the
+        sweep orchestrator's per-worker order memo — pay the inversion
+        exactly once.  Subclasses that can invert without coordinates
+        override :meth:`_build_rank_array`.  Requires ``numpy``.
         """
         cached = getattr(self, "_rank_array_cache", None)
         if cached is None:
-            import numpy as np
-
-            rows, words = self.coordinate_arrays()
-            linear = rows * self.geometry.words_per_row + words
-            cached = np.empty(self.geometry.word_count, dtype=np.int64)
-            cached[linear] = np.arange(linear.size, dtype=np.int64)
+            cached = self._build_rank_array()
             self._rank_array_cache = cached
         return cached
+
+    def _build_rank_array(self):
+        """The inverse of the coordinate arrays (one scatter)."""
+        rows, words = self.coordinate_arrays()
+        return _inverse_permutation(rows * self.geometry.words_per_row + words)
 
     def row_runs(self) -> RowRuns:
         """The ascending sequence as shape-compressed :class:`RowRuns`.
@@ -359,6 +382,12 @@ class RowMajorOrder(AddressOrder):
         """Closed form: one shape, no coordinates."""
         return _row_major_runs(self.geometry.rows, self.geometry.words_per_row)
 
+    def rank_of(self, addresses):
+        """Closed form: a word's position is its linear address."""
+        import numpy as np
+
+        return np.array(addresses, dtype=np.int64)
+
 
 class ColumnMajorOrder(AddressOrder):
     """Fast-row order: all rows of a column before moving to the next column.
@@ -383,6 +412,14 @@ class ColumnMajorOrder(AddressOrder):
         positions = np.arange(len(self), dtype=np.int64)
         words, rows = np.divmod(positions, self.geometry.rows)
         return rows, words
+
+    def rank_of(self, addresses):
+        """Closed form: word ``w`` of row ``r`` is visited at ``w * rows + r``."""
+        import numpy as np
+
+        rows, words = np.divmod(np.asarray(addresses, dtype=np.int64),
+                                self.geometry.words_per_row)
+        return words * self.geometry.rows + rows
 
     def _build_row_runs(self) -> RowRuns:
         """Closed form: one single-visit run per address, so one shape per
@@ -457,6 +494,10 @@ class PseudoRandomOrder(AddressOrder):
         import numpy as np
 
         return np.divmod(self._permutation, self.geometry.words_per_row)
+
+    def _build_rank_array(self):
+        """The inverse of the stored permutation; no coordinate arrays."""
+        return _inverse_permutation(self._permutation)
 
 
 class AddressComplementOrder(AddressOrder):

@@ -262,6 +262,7 @@ class SweepCase:
             raise SweepError(
                 f"unknown backend {self.backend!r}; "
                 f"expected one of {BACKEND_CHOICES}")
+        _check_direction(self.any_direction)
         _check_kernel(self.kernel)
         _check_algorithm(self.algorithm)
         self.geometry()  # fail fast on inconsistent dimensions/banking
@@ -382,6 +383,34 @@ def _check_kernel(kernel: Optional[str]) -> None:
             "has one kernel, so a case's 'kernel' must be null")
 
 
+#: The concrete directions a case's ``any_direction`` may name: a ``⇕``
+#: element must resolve to one of them.
+ANY_DIRECTIONS: Tuple[str, ...] = ("up", "down")
+
+
+def _check_direction(any_direction: str) -> None:
+    """Refuse an ``any_direction`` the engines cannot resolve ``⇕`` to."""
+    if any_direction not in ANY_DIRECTIONS:
+        raise SweepError(
+            f"any_direction must be one of {ANY_DIRECTIONS}, "
+            f"got {any_direction!r}")
+
+
+def _check_int(name: str, value: object, minimum: Optional[int] = None
+               ) -> None:
+    """Refuse a non-int (a bool is not an int) or one below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SweepError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SweepError(f"{name} must be at least {minimum}, got {value!r}")
+
+
+def _check_bool(name: str, value: object) -> None:
+    """Refuse anything but ``True``/``False`` (JSON booleans)."""
+    if not isinstance(value, bool):
+        raise SweepError(f"{name} must be true or false, got {value!r}")
+
+
 def _check_algorithm(name: str) -> None:
     """Fail fast on an unknown algorithm name, as a :class:`SweepError`
     (cases arrive from JSON, so the name may not even be a string)."""
@@ -495,6 +524,11 @@ class CoverageCase:
             raise SweepError(
                 f"unknown backend {self.backend!r}; "
                 f"expected one of {BACKEND_CHOICES}")
+        _check_direction(self.any_direction)
+        _check_bool("include_single", self.include_single)
+        _check_bool("include_coupling", self.include_coupling)
+        _check_int("sample", self.sample, minimum=0)
+        _check_int("seed", self.seed)
         if not (self.include_single or self.include_coupling):
             raise SweepError("a coverage case needs at least one fault battery")
         _check_algorithm(self.algorithm)

@@ -188,21 +188,32 @@ def fault_verdict(result):
     return (result.detected, result.first_detection_step, result.mismatches)
 
 
-def assert_fault_verdicts_identical(geometry, algorithm, order, battery,
+def assert_fault_verdicts_identical(geometry, algorithm, orders, battery,
                                     direction=AddressingDirection.UP):
-    """Run one battery on both fault backends; verdicts must be identical."""
+    """Run one battery under ``orders`` on both fault backends; verdicts
+    must be identical per order.
+
+    The vectorized side runs every order in one multi-order call (one
+    replay per fault class), the reference side one order at a time.
+    Returns the reference results, one list per order.
+    """
     reference = FaultSimulator(geometry, any_direction=direction,
                                backend="reference")
     vectorized = FaultSimulator(geometry, any_direction=direction,
                                 backend="vectorized")
-    expected = reference.simulate_many(algorithm, order, battery)
-    got = vectorized.simulate_many(algorithm, order, battery)
+    expected = [reference.simulate_many(algorithm, order, battery)
+                for order in orders]
+    got = vectorized.simulate_orders(algorithm, orders, battery)
     assert vectorized.last_backend_used == "vectorized"
-    for injection, lhs, rhs in zip(battery, expected, got):
-        assert fault_verdict(lhs) == fault_verdict(rhs), (
-            f"{injection.describe()} under {order.name}: "
-            f"reference {fault_verdict(lhs)} vs vectorized "
-            f"{fault_verdict(rhs)}")
+    assert len(got) == len(orders)
+    for order, want, have in zip(orders, expected, got):
+        assert len(have) == len(battery)
+        for injection, lhs, rhs in zip(battery, want, have):
+            assert rhs.order == order.name
+            assert fault_verdict(lhs) == fault_verdict(rhs), (
+                f"{injection.describe()} under {order.name}: "
+                f"reference {fault_verdict(lhs)} vs vectorized "
+                f"{fault_verdict(rhs)}")
     return expected
 
 

@@ -251,7 +251,7 @@ FAULT_ORDER_FACTORIES = {
                          [AddressingDirection.UP, AddressingDirection.DOWN])
 def test_dynamic_and_npsf_verdicts_identical(order_name, direction):
     order = FAULT_ORDER_FACTORIES[order_name](FAULT_GEOMETRY)
-    assert_fault_verdicts_identical(FAULT_GEOMETRY, MARCH_SS, order,
+    assert_fault_verdicts_identical(FAULT_GEOMETRY, MARCH_SS, [order],
                                     extended_battery(), direction=direction)
 
 
@@ -259,7 +259,7 @@ def test_dynamic_and_npsf_verdicts_identical(order_name, direction):
                          ids=lambda a: a.name)
 def test_new_fault_classes_across_algorithms(algorithm):
     assert_fault_verdicts_identical(
-        FAULT_GEOMETRY, algorithm, RowMajorOrder(FAULT_GEOMETRY),
+        FAULT_GEOMETRY, algorithm, [RowMajorOrder(FAULT_GEOMETRY)],
         extended_battery())
 
 
@@ -268,8 +268,8 @@ def test_march_ss_detects_the_dynamic_battery():
     vacuously undetectable (which would make the equivalence tests above
     meaningless)."""
     order = RowMajorOrder(FAULT_GEOMETRY)
-    results = assert_fault_verdicts_identical(FAULT_GEOMETRY, MARCH_SS,
-                                              order, extended_battery())
+    [results] = assert_fault_verdicts_identical(FAULT_GEOMETRY, MARCH_SS,
+                                                [order], extended_battery())
     detected = sum(1 for result in results if result.detected)
     assert detected >= len(results) // 2, f"{detected}/{len(results)}"
 
@@ -280,11 +280,11 @@ def test_neighbourhood_cells_survive_on_a_banked_geometry():
     monolithic = ArrayGeometry(rows=8, columns=8)
     banked = ArrayGeometry(rows=8, columns=8, banks=4,
                            bank_interleave="interleaved")
-    reference = assert_fault_verdicts_identical(
-        monolithic, MARCH_SS, RowMajorOrder(monolithic),
+    [reference] = assert_fault_verdicts_identical(
+        monolithic, MARCH_SS, [RowMajorOrder(monolithic)],
         extended_battery(monolithic))
-    banked_results = assert_fault_verdicts_identical(
-        banked, MARCH_SS, RowMajorOrder(banked),
+    [banked_results] = assert_fault_verdicts_identical(
+        banked, MARCH_SS, [RowMajorOrder(banked)],
         extended_battery(banked))
     for lhs, rhs in zip(reference, banked_results):
         assert (lhs.detected, lhs.mismatches) == (rhs.detected, rhs.mismatches)

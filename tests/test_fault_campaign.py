@@ -158,8 +158,8 @@ class TestVectorizedEquivalence:
     def compare(self, algorithm, order, direction=AddressingDirection.UP,
                 geometry=GEOMETRY, battery=None):
         battery = battery if battery is not None else full_battery(geometry)
-        assert_fault_verdicts_identical(geometry, algorithm, order, battery,
-                                        direction=direction)
+        assert_fault_verdicts_identical(geometry, algorithm, [order],
+                                        battery, direction=direction)
 
     @pytest.mark.parametrize("order_name", sorted(ORDER_FACTORIES))
     @pytest.mark.parametrize("direction",
@@ -323,7 +323,7 @@ class TestBorderAggressorEnumeration:
                                               aggressor=aggressor))
         order = ColumnMajorOrder(geometry)
         for direction in (AddressingDirection.UP, AddressingDirection.DOWN):
-            assert_fault_verdicts_identical(geometry, MARCH_SS, order,
+            assert_fault_verdicts_identical(geometry, MARCH_SS, [order],
                                             battery, direction=direction)
 
 
@@ -356,3 +356,55 @@ class TestRunCampaign:
         base = default_fault_locations(GEOMETRY, sample=8, seed=1)
         assert base == default_fault_locations(GEOMETRY, sample=8, seed=1)
         assert base != default_fault_locations(GEOMETRY, sample=8, seed=2)
+
+    def test_campaign_is_one_multi_order_call(self, monkeypatch):
+        """Every order rides one replay per fault class, not one per order."""
+        from repro.engine.fault_campaign import VectorizedFaultCampaign
+
+        calls = []
+        original = VectorizedFaultCampaign.simulate_orders
+
+        def spy(self, algorithm, orders, injections):
+            calls.append([order.name for order in orders])
+            return original(self, algorithm, orders, injections)
+
+        monkeypatch.setattr(VectorizedFaultCampaign, "simulate_orders", spy)
+        orders = [RowMajorOrder(GEOMETRY), ColumnMajorOrder(GEOMETRY),
+                  PseudoRandomOrder(GEOMETRY, seed=11)]
+        battery = build_fault_list(GEOMETRY, locations=[(0, 0), (2, 3)])
+        campaign = run_campaign(MARCH_CM, orders, GEOMETRY, battery)
+        assert calls == [[order.name for order in orders]]
+        assert campaign.backend_used == "vectorized"
+
+    def test_auto_fallback_takes_every_order_to_the_reference(self):
+        """A batch the engine rejects falls back whole: one engine per
+        campaign, so ``backend_used`` never mixes engines."""
+        orders = [RowMajorOrder(GEOMETRY), ColumnMajorOrder(GEOMETRY)]
+        battery = build_fault_list(GEOMETRY, locations=[(0, 0)]) + [
+            FaultInjection(_CustomFault(), victim=(1, 1))]
+        campaign = run_campaign(MARCH_CM, orders, GEOMETRY, battery)
+        assert campaign.backend_used == "reference"
+        assert campaign.invariance_report().invariant
+        assert all(campaign.results[order.name][-1].detected
+                   for order in orders)
+
+
+def test_coverage_case_materialises_no_order():
+    """A DOF-1 coverage case locates its cells by closed-form rank lookups:
+    the row-major and column-major orders of the worker's memo hold no
+    coordinate or rank arrays afterwards, and the pseudo-random order
+    inverts its permutation without expanding coordinates."""
+    from repro.sweep.runner import CoverageCase, _WorkerState
+
+    state = _WorkerState()
+    case = CoverageCase(rows=64, columns=64, algorithm="March C-",
+                        backend="vectorized")
+    record = case.execute(state)
+    assert record.backend_used == "vectorized" and record.invariant
+    geometry = case.geometry()
+    for name in ("row-major", "column-major"):
+        order = state.order_for(name, geometry)
+        assert getattr(order, "_coordinate_arrays_cache", None) is None, name
+        assert getattr(order, "_rank_array_cache", None) is None, name
+    shuffled = state.order_for("pseudo-random", geometry)
+    assert getattr(shuffled, "_coordinate_arrays_cache", None) is None

@@ -8,15 +8,24 @@ algorithm (any valid March test from ``tests/strategies.py``), a
 bit-oriented geometry of at most 16 x 24 cells (banked or not) and a
 battery with every fault class at drawn cells: single-cell faults
 (retention included), coupling faults with any aggressor, dynamic faults
-and NPSFs over any neighbourhood.  The battery runs under every registry
-order (aliases collapse; the pseudo-random order with a drawn seed) in
-both ``⇕`` directions, and the per-fault verdicts must be bit-identical.
+and NPSFs over any neighbourhood.  The battery runs under one to three
+orders on one geometry — the first of each registry order class in turn
+(aliases collapse), the rest drawn from any class, every pseudo-random
+one with a drawn seed — in both ``⇕`` directions.  The vectorized engine
+runs all of them in one multi-order call, the reference one order at a
+time, and the per-fault verdicts must be bit-identical per order.
+
+The engine locates victims through ``AddressOrder.rank_of``, which the
+row-major and column-major orders answer in closed form; a second
+generated test checks every registry order's ``rank_of`` against the
+inverse of its coordinate arrays.
 """
 
 from __future__ import annotations
 
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,16 +87,23 @@ def batteries(draw, geometry):
     return injections
 
 
+def _order(draw, order_cls, geometry):
+    """An order of ``order_cls`` on ``geometry`` (seed drawn if it has one)."""
+    if order_cls is PseudoRandomOrder:
+        return PseudoRandomOrder(geometry,
+                                 seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return order_cls(geometry)
+
+
 @st.composite
 def campaigns(draw, order_cls):
-    """A geometry, an order of ``order_cls`` on it and a battery."""
+    """A geometry, one to three orders on it (the first of ``order_cls``)
+    and a battery."""
     geometry = draw(banked_geometries(16, 24, word_widths=(1,)))
-    if order_cls is PseudoRandomOrder:
-        order = PseudoRandomOrder(geometry,
-                                  seed=draw(st.integers(0, 2 ** 32 - 1)))
-    else:
-        order = order_cls(geometry)
-    return geometry, order, draw(batteries(geometry))
+    orders = [_order(draw, order_cls, geometry)]
+    for extra in draw(st.lists(st.sampled_from(ORDERS), max_size=2)):
+        orders.append(_order(draw, extra, geometry))
+    return geometry, orders, draw(batteries(geometry))
 
 
 @pytest.mark.parametrize("direction", DIRECTIONS,
@@ -97,6 +113,25 @@ def campaigns(draw, order_cls):
 @settings(max_examples=8, deadline=timedelta(seconds=5))
 def test_generated_fault_verdicts_match_reference(order_cls, direction,
                                                   algorithm, data):
-    geometry, order, battery = data.draw(campaigns(order_cls))
-    assert_fault_verdicts_identical(geometry, algorithm, order, battery,
+    geometry, orders, battery = data.draw(campaigns(order_cls))
+    assert_fault_verdicts_identical(geometry, algorithm, orders, battery,
                                     direction=direction)
+
+
+@pytest.mark.parametrize("order_cls", ORDERS, ids=lambda cls: cls.name)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_rank_of_inverts_the_coordinate_arrays(order_cls, data):
+    geometry = data.draw(banked_geometries())
+    order = _order(data.draw, order_cls, geometry)
+    addresses = np.array(data.draw(st.lists(
+        st.integers(0, geometry.word_count - 1), min_size=1, max_size=12)),
+        dtype=np.int64)
+    rows, words = order.coordinate_arrays()
+    linear = rows * geometry.words_per_row + words
+    expected = [int(np.flatnonzero(linear == address)[0])
+                for address in addresses]
+    assert order.rank_of(addresses).tolist() == expected
+    # Any shape: the engine asks for (neighbours, lanes) matrices too.
+    matrix = np.stack([addresses, addresses[::-1]])
+    assert order.rank_of(matrix).tolist() == [expected, expected[::-1]]

@@ -877,19 +877,36 @@ UNKNOWN_ALGORITHM = "unknown March algorithm 'March Z'"
 KERNEL_CHOICE = "kernel 'jit' cannot be chosen"
 
 
+def _coverage_case(**overrides):
+    payload = {"kind": "coverage", "rows": 8, "columns": 8,
+               "algorithm": "March C-", "backend": "vectorized"}
+    payload.update(overrides)
+    return payload
+
+
 @pytest.mark.parametrize("case,error", [
     (_power_case(algorithm="March Z"), UNKNOWN_ALGORITHM),
     (_prr_case(algorithm="March Z"), UNKNOWN_ALGORITHM),
-    ({"kind": "coverage", "rows": 8, "columns": 8, "algorithm": "March Z"},
-     UNKNOWN_ALGORITHM),
+    (_coverage_case(algorithm="March Z"), UNKNOWN_ALGORITHM),
     (_prr_case(algorithm=["MATS+"]), "algorithm must be a name"),
     (_power_case(kernel="jit"), KERNEL_CHOICE),
     (_prr_case(kernel="jit"), KERNEL_CHOICE),
+    (_coverage_case(sample="x"), "sample must be an integer"),
+    (_coverage_case(sample=-1), "sample must be at least 0"),
+    (_coverage_case(seed=1.5), "seed must be an integer"),
+    (_coverage_case(include_single="no"), "include_single must be true"),
+    (_coverage_case(include_coupling=1), "include_coupling must be true"),
+    (_coverage_case(any_direction="sideways"), "any_direction must be one"),
+    (_power_case(any_direction="sideways"), "any_direction must be one"),
 ], ids=["power", "prr", "coverage", "prr-not-a-name", "power-kernel",
-        "prr-kernel"])
+        "prr-kernel", "coverage-sample", "coverage-negative-sample",
+        "coverage-seed", "coverage-include-single",
+        "coverage-include-coupling", "coverage-direction",
+        "power-direction"])
 def test_unbuildable_case_is_a_counted_400(tmp_path, caplog, case, error):
     # A case that cannot be built (an unknown or non-string algorithm,
-    # any kernel choice) is the client's error: a counted 400, no engine pass, and
+    # any kernel choice, a mistyped field, a direction ⇕ cannot resolve
+    # to) is the client's error: a counted 400, no engine pass, and
     # no handler dying with a logged traceback and a closed connection.
     caplog.set_level(logging.ERROR, logger="asyncio")
     with running_service(tmp_path / "cache") as (service, host, port):

@@ -190,6 +190,48 @@ def test_coverage_case_validation_fails_fast():
         CoverageCase(rows=8, columns=8, algorithm="No Such March")
 
 
+#: Mistyped fields of a served case, each with the refusal it must meet.
+#: Before these checks the first two failed inside the engine (a counted
+#: 500 from serve) and the rest constructed and ran.
+MISTYPED_FIELDS = [
+    ("coverage", {"sample": "x"}, "sample must be an integer"),
+    ("coverage", {"sample": True}, "sample must be an integer"),
+    ("coverage", {"sample": 2.0}, "sample must be an integer"),
+    ("coverage", {"sample": -1}, "sample must be at least 0"),
+    ("coverage", {"seed": 1.5}, "seed must be an integer"),
+    ("coverage", {"seed": False}, "seed must be an integer"),
+    ("coverage", {"seed": "7"}, "seed must be an integer"),
+    ("coverage", {"include_single": "no"}, "include_single must be true"),
+    ("coverage", {"include_single": 1}, "include_single must be true"),
+    ("coverage", {"include_coupling": None}, "include_coupling must be true"),
+    ("coverage", {"any_direction": "sideways"}, "any_direction must be one"),
+    ("coverage", {"any_direction": "any"}, "any_direction must be one"),
+    ("power", {"any_direction": "sideways"}, "any_direction must be one"),
+    ("power", {"any_direction": ["up"]}, "any_direction must be one"),
+]
+
+
+@pytest.mark.parametrize("kind,fields,error", MISTYPED_FIELDS,
+                         ids=[f"{kind}-{next(iter(fields))}={value!r}"
+                              for kind, fields, _ in MISTYPED_FIELDS
+                              for value in fields.values()])
+def test_mistyped_case_field_is_refused_at_construction(kind, fields, error):
+    from repro.sweep import case_from_dict
+
+    payload = {"kind": kind, "rows": 8, "columns": 8,
+               "algorithm": "March C-", **fields}
+    with pytest.raises(SweepError, match=error):
+        case_from_dict(payload)
+
+
+def test_well_typed_coverage_fields_still_construct():
+    case = CoverageCase(rows=8, columns=8, algorithm="March C-", sample=0,
+                        seed=0, include_single=False, any_direction="down")
+    assert (case.sample, case.seed, case.any_direction) == (0, 0, "down")
+    assert SweepCase(rows=8, columns=8, algorithm="MATS+",
+                     any_direction="down").any_direction == "down"
+
+
 def test_coverage_grid_and_paper_preset():
     cases = coverage_grid(["8x8", "16x16"], ["March C-", "MATS+"], seed=3)
     assert len(cases) == 4

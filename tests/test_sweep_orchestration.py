@@ -560,9 +560,11 @@ def test_worker_state_reuses_controllers_and_sessions(clear_worker_state):
 
 def test_worker_state_compiles_each_shared_trace_once(clear_worker_state):
     # A seed sweep replays the same algorithm x order traces: executed
-    # under one worker state, they compile on first use, once.
+    # under one worker state, they compile on first use, once.  The
+    # reference engine replays them; the vectorized engine needs none.
     cases = [CoverageCase(rows=8, columns=8, algorithm="MATS+",
-                          include_coupling=False, sample=2, seed=seed)
+                          include_coupling=False, sample=2, seed=seed,
+                          backend="reference")
              for seed in (1, 2)]
     state = runner_module._WorkerState()
     runner_module._set_worker_state(state)
@@ -570,6 +572,10 @@ def test_worker_state_compiles_each_shared_trace_once(clear_worker_state):
     compiled = len(state.traces)
     assert compiled == len(cases[0].orders)
     runner_module.execute_case(cases[1])
+    assert len(state.traces) == compiled
+    vectorized = CoverageCase(rows=8, columns=8, algorithm="March C-",
+                              sample=2, backend="vectorized")
+    assert runner_module.execute_case(vectorized).backend_used == "vectorized"
     assert len(state.traces) == compiled
 
 
