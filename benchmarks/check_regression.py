@@ -14,9 +14,9 @@ name):
   could swallow the factor on sub-second workloads) absorbs scheduler
   noise on shared runners;
 * **speedup ratio** — when both entries record a measured ``speedup``
-  (the grid benchmark measures batched against the per-case strategy in
-  the same session), fails when the fresh speedup drops below
-  ``committed / factor``.  Both sides of that ratio run on the same
+  (the grid benchmark measures the grid engine against a per-case
+  ``execute_case`` loop in the same session), fails when the fresh
+  speedup drops below ``committed / factor``.  Both sides of that ratio run on the same
   machine in the same session, so this check is hardware-independent and
   catches regressions of the batched path even when absolute wall clocks
   are noisy.

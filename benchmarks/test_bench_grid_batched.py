@@ -1,23 +1,24 @@
-"""Experiment ``grid_batched`` — batched grids vs the per-case strategy.
+"""Experiment ``grid_batched`` — the grid engine vs one case at a time.
 
 The paper's measured workloads are grid-shaped — Table 1 is
 *(algorithm x planner)* on one geometry, the scaling studies add array
-size — and the **batched grid strategy** evaluates all algorithms, orders
-and both planners of a geometry in one stacked flat-kernel pass.  This
-experiment times it against the **per-case strategy** (one scenario at a
-time, one process) on the same kernel, in the same session, and asserts
-that the two produce field-for-field identical records (``elapsed_s``
-aside).  The measurement is recorded in ``BENCH_<id>.json`` as the
-committed perf trajectory (medians of :data:`ROUNDS` interleaved rounds
-per strategy); ``check_regression.py`` gates its wall clock and its
-speedup ratio (both sides measured on one machine, so the ratio is
-hardware-independent).
+size — and the **grid engine** every sweep runs through evaluates all
+algorithms, orders and both planners of a geometry in one stacked
+flat-kernel pass.  This experiment times an in-process sweep against a
+**per-case** loop — ``execute_case`` over the grid under one fresh worker
+state, the unit every case that does not stack still takes — on the same
+kernel, in the same session, and asserts that the two produce
+field-for-field identical records (``elapsed_s`` aside).  The measurement
+is recorded in ``BENCH_<id>.json`` as the committed perf trajectory
+(medians of :data:`ROUNDS` interleaved rounds per side);
+``check_regression.py`` gates its wall clock and its speedup ratio (both
+sides measured on one machine, so the ratio is hardware-independent).
 
 No speedup bar is asserted: on the flat kernel, batching is a modest gain
 (about 1.0-1.2x on these grids on a 2-vCPU VM), since each case already
 costs little more than its own record assembly.  The bars this benchmark used
 to assert (>= 5x, >= 2x on the quick grid) compared against the PR 4
-path — the per-case strategy on the deleted segmented kernel, a Python
+path — one case at a time on the deleted segmented kernel, a Python
 loop over row segments.  Its last measurement, one round each on a
 2-vCPU VM just before the segmented kernel was deleted:
 
@@ -47,11 +48,12 @@ import pytest
 
 from repro.analysis import render_table
 from repro.sweep import SweepRunner
+from repro.sweep import runner as sweep_runner
 from repro.sweep.runner import paper_prr_cases, paper_table1_cases, prr_grid, sweep_grid
 
 ALGORITHMS = ("March C-", "March SS", "MATS+", "March SR", "March G")
 
-#: Timed rounds per strategy, interleaved; entries record the medians.
+#: Timed rounds per side, interleaved; entries record the medians.
 #: A grid takes milliseconds on the flat kernel, so one round is mostly
 #: scheduler noise.
 ROUNDS = 5
@@ -79,33 +81,46 @@ def _drop_elapsed(record):
     return row
 
 
-def _timed(cases, **runner):
+def _per_case(cases):
+    """``execute_case`` over the grid under one fresh worker state."""
+    previous = sweep_runner._get_worker_state()
+    sweep_runner._set_worker_state(sweep_runner._WorkerState())
+    try:
+        return [sweep_runner.execute_case(case) for case in cases]
+    finally:
+        sweep_runner._set_worker_state(previous)
+
+
+def _batched(cases):
+    return SweepRunner(cases, processes=1).run()
+
+
+def _timed(run, cases):
     started = time.perf_counter()
-    result = SweepRunner(cases, **runner).run()
+    result = run(cases)
     return result, time.perf_counter() - started
 
 
 def _measure(benchmark, once, cases):
-    """Time the per-case and the batched strategy on one grid and check
-    that their records are identical; returns both median wall clocks and
-    the batched records."""
+    """Time the per-case loop and the in-process grid engine on one grid
+    and check that their records are identical; returns both median wall
+    clocks and the batched records."""
     # An untimed pass first: imports and other once-per-process costs
-    # would otherwise land on whichever strategy happened to run first.
-    percase = SweepRunner(cases, processes=1, strategy="percase").run()
+    # would otherwise land on whichever side happened to run first.
+    percase = _per_case(cases)
     times = {"percase": [], "batched": []}
 
     def run_rounds():
         for _ in range(ROUNDS):
-            _, seconds = _timed(cases, processes=1, strategy="percase")
+            _, seconds = _timed(_per_case, cases)
             times["percase"].append(seconds)
-            result, seconds = _timed(cases, strategy="batched")
+            result, seconds = _timed(_batched, cases)
             times["batched"].append(seconds)
         return result
 
     batched = once(benchmark, run_rounds)
     # Records are the experiment's ground truth: the kernel's per-slot
-    # reductions are stacking-invariant, so the strategies agree bit for
-    # bit.
+    # reductions are stacking-invariant, so both sides agree bit for bit.
     assert len(batched) == len(percase) == len(cases)
     for expected, observed in zip(percase, batched):
         assert _drop_elapsed(observed) == _drop_elapsed(expected)
@@ -116,7 +131,7 @@ def _measure(benchmark, once, cases):
 def _report(title, cases, percase_s, batched_s):
     print()
     print(render_table(
-        [{"Path": "per-case strategy (one process)",
+        [{"Path": "per-case execute_case loop (one process)",
           "Wall clock (s)": f"{percase_s:.3f}", "Cases": len(cases)},
          {"Path": "batched grid (stacked flat kernel)",
           "Wall clock (s)": f"{batched_s:.3f}", "Cases": len(cases)}],
@@ -136,7 +151,7 @@ def test_batched_grid_speedup_over_percase(benchmark, once, bench_record):
         cases=len(cases),
         geometry=geometry,
         rounds=ROUNDS,
-        baseline="percase strategy, same kernel",
+        baseline="per-case execute_case loop, same kernel",
     )
 
 
@@ -145,7 +160,7 @@ def test_banked_batched_grid_speedup_over_percase(benchmark, once,
                                                   bench_record):
     """The 4-bank Table 1 grid: per-bank pre-charge accounting (bank-select
     transition counting, bank-height bit lines) rides the same stacked
-    pass, with records identical to the per-case strategy."""
+    pass, with records identical to the per-case loop."""
     cases, geometry = _banked_grid_cases()
     percase_s, batched_s, batched = _measure(benchmark, once, cases)
     assert {record.banks for record in batched} == {4}
@@ -160,5 +175,5 @@ def test_banked_batched_grid_speedup_over_percase(benchmark, once,
         geometry=geometry,
         banks=4,
         rounds=ROUNDS,
-        baseline="percase strategy, same kernel",
+        baseline="per-case execute_case loop, same kernel",
     )

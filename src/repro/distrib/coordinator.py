@@ -37,7 +37,6 @@ from ..sweep.merge import MergeReport, merge_journals
 from ..sweep.runner import (
     AnyCase,
     case_fingerprint,
-    check_strategy,
     fingerprint_digest,
 )
 from .ledger import (
@@ -186,15 +185,13 @@ class Coordinator:
 
 def spawn_worker(root: Union[str, Path],
                  worker_id: Optional[str] = None,
-                 strategy: str = "auto",
                  processes: int = 1,
                  lease_timeout: Optional[float] = None,
                  heartbeat_interval: Optional[float] = None,
                  extra_args: Sequence[str] = ()) -> subprocess.Popen:
     """Start one ``python -m repro.distrib worker`` child process."""
     command = [sys.executable, "-m", "repro.distrib", "worker",
-               str(root), "--strategy", strategy,
-               "--processes", str(processes)]
+               str(root), "--processes", str(processes)]
     if worker_id is not None:
         command += ["--worker-id", worker_id]
     if lease_timeout is not None:
@@ -208,7 +205,6 @@ def spawn_worker(root: Union[str, Path],
 def run_distributed(root: Union[str, Path], cases: Sequence[AnyCase],
                     workers: int,
                     lease_timeout: float = 30.0,
-                    strategy: str = "auto",
                     min_chunk: int = DEFAULT_MIN_CHUNK,
                     factor: int = DEFAULT_CHUNK_FACTOR,
                     supervise_deadline: Optional[float] = None
@@ -218,18 +214,15 @@ def run_distributed(root: Union[str, Path], cases: Sequence[AnyCase],
     Spawns ``workers`` child processes, supervises until every lease is
     done (stealing from any child that dies), merges, and reaps the
     children.  The convenience wrapper behind ``python -m repro.distrib
-    run``, the benchmark and the integration tests.  An unknown
-    ``strategy`` raises :class:`repro.sweep.SweepError`, and a lease
-    timeout that is not a finite number of seconds > 0
-    :class:`LedgerError`, before anything is published: a worker would
-    reject either only after claiming a lease.
+    run``, the benchmark and the integration tests.  A lease timeout that
+    is not a finite number of seconds > 0 raises :class:`LedgerError`
+    before anything is published: a worker would reject it only after
+    claiming a lease.
     """
-    check_strategy(strategy)
     check_seconds("lease timeout", lease_timeout)
     coordinator = Coordinator.create(root, cases, workers,
                                      min_chunk=min_chunk, factor=factor)
     children = [spawn_worker(root, worker_id=f"worker-{number}",
-                             strategy=strategy,
                              lease_timeout=lease_timeout)
                 for number in range(workers)]
     try:

@@ -42,7 +42,7 @@ from ..sweep.runner import (
     SweepError,
     SweepRunner,
     case_from_dict,
-    check_strategy,
+    check_processes,
     stale_permutation,
 )
 from .ledger import Lease, LeaseLedger, LeaseRevoked, check_seconds
@@ -64,7 +64,9 @@ class DistribWorker:
     finds no pending lease, it re-leases chunks whose holders have been
     silent that long.  ``None`` disables stealing from this worker
     (useful when only a supervising coordinator should declare death).
-    An unknown ``strategy`` raises :class:`repro.sweep.SweepError` here,
+    ``processes`` is each lease runner's fan-out over the lease's stack
+    groups (:class:`repro.sweep.SweepRunner`).  A ``processes`` that is
+    not an int of at least 1 raises :class:`repro.sweep.SweepError` here,
     before any lease is claimed, and a poll interval, heartbeat interval
     or lease timeout that is not a finite number of seconds > 0 raises
     :class:`~repro.distrib.ledger.LedgerError`.
@@ -72,12 +74,11 @@ class DistribWorker:
 
     def __init__(self, root: Union[str, Path],
                  worker_id: Optional[str] = None,
-                 strategy: str = "auto",
                  processes: int = 1,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  heartbeat_interval: Optional[float] = None,
                  lease_timeout: Optional[float] = None) -> None:
-        self.strategy = check_strategy(strategy)
+        check_processes(processes)
         check_seconds("poll interval", poll_interval)
         if heartbeat_interval is not None:
             check_seconds("heartbeat interval", heartbeat_interval)
@@ -147,7 +148,6 @@ class DistribWorker:
             lease_cases,
             processes=self.processes,
             journal=journal_path,
-            strategy=self.strategy,
             header_meta={
                 "lease_id": lease.lease_id,
                 "case_indices": list(lease.case_indices),

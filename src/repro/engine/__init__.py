@@ -18,11 +18,11 @@
   activity, comparator outcomes and all five Section 5 power sources in
   closed vector form, for both pre-charge planners (the measured Table 1
   workload).
-* :mod:`repro.engine.grid` — the grid-batched evaluation layer:
-  per-geometry groups of sweep scenarios (all algorithms, orders and both
-  planners) evaluated through one stacked flat-kernel pass sharing one
-  compiled-trace cache, with records bit-identical to the per-case path
-  (the ``strategy="batched"`` seam of :class:`repro.sweep.SweepRunner`).
+* :mod:`repro.engine.grid` — the grid-batched evaluation layer every
+  sweep, distrib worker and service wave executes cases through:
+  per-geometry groups of scenarios (all algorithms, orders and both
+  planners) in one stacked flat-kernel pass sharing one compiled-trace
+  cache, with records bit-identical to each case's own executor.
 
 The engines plug into their session APIs through a ``backend`` switch
 (:class:`repro.core.session.TestSession`,

@@ -1,57 +1,53 @@
-"""Grid-batched campaign evaluation: one stacked kernel pass per sweep axis.
+"""Grid-batched campaign evaluation: the one way sweep cases execute.
 
-The per-case sweep path rebuilds its measurement one scenario at a time:
-each case compiles (or fetches) its trace, runs the flat kernel for its two
-operating modes, and assembles its record.  Paper-style grids are far more
-structured than that — Table 1 is *(algorithm x planner)* on one geometry,
-the scaling studies are *(algorithm x order x size)* — and everything on
-one geometry can share a single trip through the engine.
+Everything on one geometry can share a single trip through the engine:
+Table 1 is *(algorithm x planner)* on one array.  :class:`BatchedGridEngine`
+groups a grid's cases by geometry axes (:func:`stack_groups`), compiles
+every (algorithm, order, direction) trace once into a shared
+:class:`~repro.march.execution.TraceCache`, and hands each group — all
+algorithms, orders and both planners — to the stacked flat kernel
+(:meth:`repro.engine.vectorized.VectorizedEngine.run_aggregates_batch` /
+:meth:`repro.bist.controller.BistController.measure_batch`) as **one**
+batch.  Records are assembled by the helpers the per-case executors use
+(:func:`repro.sweep.runner.power_record` / ``prr_record``) and the
+kernel's per-slot reductions are stacking-invariant, so every record is
+bit-identical to the case's own ``execute(state)`` (``elapsed_s`` aside).
+Cases the stacked pass cannot represent — the reference backend, fault
+coverage, runs the exact bulk replay rejects — run their own executor on
+the same worker state, with ``backend="auto"`` fallback intact.
 
-:class:`BatchedGridEngine` exploits exactly that.  It groups a grid's
-cases by geometry axes, compiles every (algorithm, order, direction) trace
-once into a shared :class:`~repro.march.execution.TraceCache`, and hands
-each group — all algorithms, all orders, both planners — to the stacked
-flat kernel (:meth:`repro.engine.vectorized.VectorizedEngine
-.run_aggregates_batch` / :meth:`repro.bist.controller.BistController
-.measure_batch`) as **one** batch.  Records are assembled through the very
-same helpers the per-case work units use
-(:func:`repro.sweep.runner.power_record` / :func:`~repro.sweep.runner
-.prr_record`), and the kernel's per-slot reductions are stacking-invariant,
-so every record is bit-identical to what ``strategy="percase"`` produces
-(``elapsed_s``, a wall-clock observation, aside).
-
-Cases the stacked pass cannot represent — reference-backend scenarios,
-fault-coverage campaigns, runs the exact bulk replay rejects — fall back to
-the ordinary per-case work unit *in the same process*, still sharing the
-group's trace cache, with per-case semantics (including ``backend="auto"``
-mode-by-mode fallback) preserved verbatim.
-
-This engine is the ``strategy="batched"`` seam of
-:class:`repro.sweep.runner.SweepRunner`; journal, resume and shard
-semantics live entirely in the runner and are unchanged by the strategy.
+The sweep runner runs one engine in-process, or one per stack group on
+each pool worker; a :mod:`repro.distrib` worker runs a runner per lease;
+the campaign service runs one engine per request wave.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..march.element import AddressingDirection
 from ..march.library import get_algorithm
 from ..sram.modes import OperatingMode
 from .dispatch import EngineError
 
-try:  # numpy is required for the stacked kernel only
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
 
+def stack_groups(cases: Sequence) -> List[Tuple[Optional[Tuple], List[int]]]:
+    """``(key, positions)`` per pass of ``cases``, in first-case order.
 
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise EngineError(
-            "the batched grid engine requires numpy; use the per-case "
-            "sweep strategy (strategy='percase') instead")
+    Cases with one ``(kind, stack_key())`` share a stacked pass under that
+    key; a case whose ``stack_key()`` is ``None`` is a group of its own
+    under key ``None``, run per case.  The sweep runner's pool maps these
+    groups and :meth:`BatchedGridEngine.completions` runs them.
+    """
+    groups: Dict[object, Tuple[Optional[Tuple], List[int]]] = {}
+    for position, case in enumerate(cases):
+        key = case.stack_key()
+        if key is not None:
+            key = (case.kind, key)
+        groups.setdefault(position if key is None else key,
+                          (key, []))[1].append(position)
+    return list(groups.values())
 
 
 class BatchedGridEngine:
@@ -65,29 +61,23 @@ class BatchedGridEngine:
     """
 
     def __init__(self, cases, worker_state=None) -> None:
-        _require_numpy()
-        # Deferred: the runner imports this module lazily (numpy optional),
-        # so importing it back here at module level would be circular.
-        from ..sweep import runner as sweep_runner
+        from ..sweep import runner as sweep_runner  # circular at import
 
         self._runner = sweep_runner
         self.cases = list(cases)
-        #: Optional :class:`repro.sweep.runner._WorkerState` to
-        #: evaluate under.  Long-lived callers (the campaign service runs
-        #: one batch per request wave on a pool thread) pass their thread's
-        #: persistent state so compiled traces and facades stay warm across
-        #: batches; by default each :meth:`completions` call builds a fresh
-        #: one scoped to the run.
+        #: Optional :class:`repro.sweep.runner._WorkerState` to evaluate
+        #: under: a pool worker process or a service thread passes its
+        #: persistent one so compiled traces stay warm across batches; by
+        #: default each :meth:`completions` call builds a fresh one.
         self._worker_state = worker_state
 
     # ------------------------------------------------------------------
     def completions(self) -> Iterator[Tuple[int, object]]:
         """Yield every case's ``(position, record)``, stacked where possible.
 
-        A process-local worker state (the same construct each per-case
-        pool worker keeps) is installed for the duration, so the fallback
-        per-case executions share the batch's memoised orders, facades
-        and compiled traces.
+        The worker state is installed for the duration, so the per-case
+        executions share the batch's memoised orders, facades and
+        compiled traces.
         """
         runner = self._runner
         state = self._worker_state if self._worker_state is not None \
@@ -97,13 +87,15 @@ class BatchedGridEngine:
         try:
             stacked_passes = {"power": self._run_power_group,
                               "prr": self._run_prr_group}
-            # Records emit in input order (matching the per-case
-            # sequential journal order); each stacked group evaluates
+            # Records emit in input order; each stacked group evaluates
             # lazily, when its first member is reached.
             evaluators = {}
-            for (kind, _), members in self._plan().items():
-                for position, _ in members:
-                    evaluators[position] = (stacked_passes[kind], members)
+            for key, positions in stack_groups(self.cases):
+                if key is not None:
+                    members = [(position, self.cases[position])
+                               for position in positions]
+                    evaluators.update(dict.fromkeys(
+                        positions, (stacked_passes[key[0]], members)))
             ready = {}
             for position, case in enumerate(self.cases):
                 if position not in evaluators:
@@ -115,22 +107,6 @@ class BatchedGridEngine:
                 yield position, ready.pop(position)
         finally:
             runner._set_worker_state(previous)
-
-    # ------------------------------------------------------------------
-    def _plan(self) -> Dict[Tuple, List[Tuple[int, object]]]:
-        """Group the stackable cases by ``(kind, stack_key)``.
-
-        Each case says whether and under which key it stacks
-        (:meth:`repro.sweep.runner.SweepCase.stack_key`); cases whose key
-        is ``None`` are left out and run per case.
-        """
-        groups: Dict[Tuple, List[Tuple[int, object]]] = {}
-        for position, case in enumerate(self.cases):
-            key = case.stack_key()
-            if key is not None:
-                groups.setdefault((case.kind, key), []).append(
-                    (position, case))
-        return groups
 
     # ------------------------------------------------------------------
     def _run_prr_group(self, state, members):
@@ -175,7 +151,7 @@ class BatchedGridEngine:
         """One stacked pass over a session power group (all orders, both
         planners)."""
         runner = self._runner
-        from .vectorized import VectorizedEngine  # deferred: numpy optional
+        from .vectorized import VectorizedEngine  # deferred: loads numpy
 
         first_case = members[0][1]
         geometry = first_case.geometry()

@@ -392,8 +392,8 @@ class VectorizedEngine:
         slot in a single stacked NumPy pass, so a whole sweep axis shares
         one trip through the kernel.  Per-slot reductions are sequential
         within each slot's own segments, which makes every unit's result
-        **bit-identical** to running it alone — the property the batched
-        sweep strategy relies on.
+        **bit-identical** to running it alone — the property the grid
+        engine (:mod:`repro.engine.grid`) relies on.
 
         Returns one ``(by_source, counters, cycles, stress)`` tuple per
         request, in order.  A unit the exact replay cannot represent

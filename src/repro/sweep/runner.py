@@ -30,13 +30,13 @@ Design notes:
   its ``record_class``, its per-case executor (:meth:`SweepCase.execute`)
   and whether it stacks in a batched pass (:meth:`SweepCase.stack_key`).
   :data:`CASE_TYPES` is the only registry; every kind lookup — journal,
-  merge, JSON/CSV import, rendering, strategy choice, the batched grid
-  engine — derives from it.  :func:`execute_case` runs any case and is the
-  unit of work a ``multiprocessing.Pool`` maps over;
-* execution **streams**: the runner consumes ``imap_unordered``, so each
-  completed case is journaled and reported live while the rest of the grid
-  is still running, and the final :class:`SweepResult` restores the stable
-  input order;
+  merge, JSON/CSV import, rendering, field checks, the batched grid
+  engine — derives from it.  The grid engine
+  (:class:`repro.engine.grid.BatchedGridEngine`) runs every case, through
+  :func:`execute_case` when it does not stack;
+* execution **streams**: each completed case is journaled and reported
+  live while the rest of the grid is still running, and the final
+  :class:`SweepResult` restores the stable input order;
 * every worker process owns one :class:`_WorkerState` — memoised address
   orders, facades and a shared :class:`~repro.march.execution.TraceCache`
   — so the same algorithm x order trace is compiled at most once per
@@ -81,7 +81,11 @@ from ..march.element import AddressingDirection
 from ..march.execution import TraceCache
 from ..march.library import PAPER_TABLE1_ALGORITHMS, get_algorithm
 from ..march.ordering import ORDER_REGISTRY, PERMUTATION_TAG, make_order
-from ..sram.geometry import DEFAULT_LOCATION_SEED, ArrayGeometry
+from ..sram.geometry import (
+    BANK_INTERLEAVE_MODES,
+    DEFAULT_LOCATION_SEED,
+    ArrayGeometry,
+)
 from ..sram.modes import OperatingMode
 from .journal import JournalEntry, RunJournal
 
@@ -254,16 +258,8 @@ class SweepCase:
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.order not in ORDER_REGISTRY:
-            raise SweepError(
-                f"unknown address order {self.order!r}; "
-                f"available: {sorted(ORDER_REGISTRY)}")
-        if self.backend not in BACKEND_CHOICES:
-            raise SweepError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKEND_CHOICES}")
-        _check_direction(self.any_direction)
-        _check_kernel(self.kernel)
+        _check_fields(self)
+        _check_order(self.order)
         _check_algorithm(self.algorithm)
         self.geometry()  # fail fast on inconsistent dimensions/banking
 
@@ -322,10 +318,10 @@ def power_record(case: SweepCase, functional, low_power, backend_used: str,
                  elapsed: float) -> SweepRecord:
     """Assemble the :class:`SweepRecord` of one measured power scenario.
 
-    Shared by :meth:`SweepCase.execute` and the batched grid engine
-    (:class:`repro.engine.grid.BatchedGridEngine`), so the two execution
-    strategies derive records from raw mode measurements identically —
-    the field-for-field equivalence the batched strategy guarantees.
+    Shared by :meth:`SweepCase.execute` and the stacked pass of the grid
+    engine (:class:`repro.engine.grid.BatchedGridEngine`), so both derive
+    records from raw mode measurements identically — the field-for-field
+    equivalence stacking guarantees.
     """
     from ..core.session import ModeComparison
 
@@ -375,47 +371,75 @@ def _kernels_used(*results) -> str:
                             if result.kernel}))
 
 
-def _check_kernel(kernel: Optional[str]) -> None:
-    """Refuse any kernel choice: the vectorized engine has one kernel."""
-    if kernel is not None:
-        raise SweepError(
-            f"kernel {kernel!r} cannot be chosen: the vectorized engine "
-            "has one kernel, so a case's 'kernel' must be null")
-
-
 #: The concrete directions a case's ``any_direction`` may name: a ``⇕``
 #: element must resolve to one of them.
 ANY_DIRECTIONS: Tuple[str, ...] = ("up", "down")
 
+#: What a case field's annotation (a string: annotations are postponed)
+#: admits, and the refusal of anything else (a bool is not an int, a
+#: string is not a tuple of names).  ``Optional[str]`` is the null-only
+#: ``kernel``.
+_TYPE_CHECKS: Dict[object, Tuple[Callable[[object], bool], str]] = {
+    "int": (lambda value: type(value) is int,
+            "{name} must be an integer, got {value!r}"),
+    "bool": (lambda value: isinstance(value, bool),
+             "{name} must be true or false, got {value!r}"),
+    "str": (lambda value: isinstance(value, str),
+            "{name} must be a name, got {value!r}"),
+    "Tuple[str, ...]": (lambda value: isinstance(value, (tuple, list))
+                        and all(isinstance(item, str) for item in value),
+                        "{name} must be a list of names, got {value!r}"),
+    "Optional[str]": (lambda value: value is None,
+                      "{name} {value!r} cannot be chosen: the vectorized "
+                      "engine has one kernel, so a case's '{name}' must "
+                      "be null"),
+}
 
-def _check_direction(any_direction: str) -> None:
-    """Refuse an ``any_direction`` the engines cannot resolve ``⇕`` to."""
-    if any_direction not in ANY_DIRECTIONS:
-        raise SweepError(
-            f"any_direction must be one of {ANY_DIRECTIONS}, "
-            f"got {any_direction!r}")
+#: The closed name sets some ``str`` fields draw from.
+_FIELD_CHOICES: Dict[str, Tuple[str, ...]] = {
+    "any_direction": ANY_DIRECTIONS,
+    "backend": BACKEND_CHOICES,
+    "bank_interleave": BANK_INTERLEAVE_MODES,
+}
 
 
-def _check_int(name: str, value: object, minimum: Optional[int] = None
-               ) -> None:
-    """Refuse a non-int (a bool is not an int) or one below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SweepError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SweepError(f"{name} must be at least {minimum}, got {value!r}")
+#: One row of a case class's field table: ``(field, admits, refusal)``.
+_FieldCheck = Tuple[str, Callable[[object], bool], str]
 
 
-def _check_bool(name: str, value: object) -> None:
-    """Refuse anything but ``True``/``False`` (JSON booleans)."""
-    if not isinstance(value, bool):
-        raise SweepError(f"{name} must be true or false, got {value!r}")
+def _field_table(cls: type) -> List[_FieldCheck]:
+    """The field table of a case class, read from its dataclass
+    annotations (and :data:`_FIELD_CHOICES`)."""
+    table: List[_FieldCheck] = []
+    for spec in fields(cls):
+        choices = _FIELD_CHOICES.get(spec.name)
+        if choices is None:
+            table.append((spec.name, *_TYPE_CHECKS[spec.type]))
+            continue
+        table.append((spec.name, lambda value, choices=choices:
+                      isinstance(value, str) and value in choices,
+                      f"{{name}} must be one of {choices}, got {{value!r}}"))
+    return table
+
+
+def _check_fields(case: "AnyCase") -> None:
+    """Refuse a mistyped field as a :class:`SweepError` — every case
+    kind's first check (cases arrive from JSON)."""
+    for name, admits, refusal in _FIELD_TABLES[type(case)]:
+        value = getattr(case, name)
+        if not admits(value):
+            raise SweepError(refusal.format(name=name, value=value))
+
+
+def _check_order(name: str) -> None:
+    """Refuse an address order name the registry does not know."""
+    if name not in ORDER_REGISTRY:
+        raise SweepError(f"unknown address order {name!r}; "
+                         f"available: {sorted(ORDER_REGISTRY)}")
 
 
 def _check_algorithm(name: str) -> None:
-    """Fail fast on an unknown algorithm name, as a :class:`SweepError`
-    (cases arrive from JSON, so the name may not even be a string)."""
-    if not isinstance(name, str):
-        raise SweepError(f"algorithm must be a name, got {name!r}")
+    """Fail fast on an unknown algorithm name, as a :class:`SweepError`."""
     try:
         get_algorithm(name)
     except KeyError as exc:
@@ -512,23 +536,14 @@ class CoverageCase:
     seed: int = DEFAULT_LOCATION_SEED
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         object.__setattr__(self, "orders", tuple(self.orders))
         if not self.orders:
             raise SweepError("a coverage case needs at least one address order")
         for order in self.orders:
-            if order not in ORDER_REGISTRY:
-                raise SweepError(
-                    f"unknown address order {order!r}; "
-                    f"available: {sorted(ORDER_REGISTRY)}")
-        if self.backend not in BACKEND_CHOICES:
-            raise SweepError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKEND_CHOICES}")
-        _check_direction(self.any_direction)
-        _check_bool("include_single", self.include_single)
-        _check_bool("include_coupling", self.include_coupling)
-        _check_int("sample", self.sample, minimum=0)
-        _check_int("seed", self.seed)
+            _check_order(order)
+        if self.sample < 0:
+            raise SweepError(f"sample must be at least 0, got {self.sample}")
         if not (self.include_single or self.include_coupling):
             raise SweepError("a coverage case needs at least one fault battery")
         _check_algorithm(self.algorithm)
@@ -756,11 +771,7 @@ class PrrCase:
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_CHOICES:
-            raise SweepError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKEND_CHOICES}")
-        _check_kernel(self.kernel)
+        _check_fields(self)
         _check_algorithm(self.algorithm)
         self.geometry()  # fail fast on inconsistent dimensions/banking
 
@@ -812,8 +823,8 @@ def prr_record(case: PrrCase, functional, low_power,
                elapsed: float) -> PrrRecord:
     """Assemble the :class:`PrrRecord` of one measured BIST campaign.
 
-    Shared by :meth:`PrrCase.execute` and the batched grid engine, so both
-    execution strategies derive records from the two
+    Shared by :meth:`PrrCase.execute` and the stacked pass of the grid
+    engine, so both derive records from the two
     :class:`~repro.bist.controller.BistResult` measurements identically.
     """
     geometry = case.geometry()
@@ -892,9 +903,11 @@ def paper_prr_cases(backend: str = "vectorized",
 #: Every scenario kind a sweep can hold — the one registry.  Each class
 #: carries its ``kind`` tag, its ``record_class``, its executor and its
 #: batched-pass key; every kind lookup (JSON/CSV import, journal restore,
-#: merge, rendering, strategy choice, the batched grid engine) derives
+#: merge, rendering, field checks, the batched grid engine) derives
 #: from this tuple.
 CASE_TYPES: Tuple[type, ...] = (SweepCase, CoverageCase, PrrCase)
+#: Each case class's field table (:func:`_field_table`), built once.
+_FIELD_TABLES = {cls: _field_table(cls) for cls in CASE_TYPES}
 #: Any scenario kind a sweep can hold.
 AnyCase = Union[SweepCase, CoverageCase, PrrCase]
 #: Any record kind a sweep result can hold.
@@ -1031,11 +1044,11 @@ def _record_class(kind: str, source: object,
 
 
 def execute_case(case: AnyCase) -> AnyRecord:
-    """Run one scenario of any kind (the multiprocessing work unit).
+    """Run one scenario of any kind through its own executor.
 
-    The case runs its own executor on the calling thread's installed
-    :class:`_WorkerState` — a sweep, a pool worker or a serving thread
-    installs one — or else on a throwaway one.
+    What the grid engine runs for a case that does not stack.  The case
+    runs on the calling thread's installed :class:`_WorkerState` — the
+    grid engine installs one — or else on a throwaway one.
     """
     case_kind(case)  # a non-case fails with SweepError, not AttributeError
     state = _get_worker_state()
@@ -1046,11 +1059,17 @@ def execute_case(case: AnyCase) -> AnyRecord:
 run_case = run_coverage_case = run_prr_case = execute_case
 
 
-def _execute_indexed(item: Tuple[int, AnyCase]) -> Tuple[int, AnyRecord]:
-    """Pool work unit for the streaming runner: keep the case's index with
-    its record so ``imap_unordered`` completions can be re-ordered."""
-    index, case = item
-    return index, execute_case(case)
+def _execute_group(items: List[Tuple[int, AnyCase]]
+                   ) -> List[Tuple[int, AnyRecord]]:
+    """Pool work unit: one stack group through the grid engine on this
+    worker process's state, each record with its case's grid index so
+    ``imap_unordered`` completions can be re-ordered."""
+    from ..engine.grid import BatchedGridEngine
+
+    engine = BatchedGridEngine([case for _, case in items],
+                               worker_state=_get_worker_state())
+    return [(items[position][0], record)
+            for position, record in engine.completions()]
 
 
 # ----------------------------------------------------------------------
@@ -1158,10 +1177,9 @@ def _init_worker() -> None:
 def _set_worker_state(state: Optional[_WorkerState]) -> None:
     """Install (or clear) the calling thread's worker state.
 
-    Sequential runs scope their state to the run — installed before the
-    first case, restored afterwards — so a long-lived process executing
-    many sweeps does not accumulate facades and compiled traces forever;
-    pool workers die with their pool, which bounds theirs naturally.
+    The grid engine scopes its state to the run and restores the previous
+    one, so a long-lived process does not accumulate facades and compiled
+    traces; pool workers die with their pool, which bounds theirs.
     """
     _WORKER_STATE_SLOT.state = state
 
@@ -1351,123 +1369,79 @@ def shard_cases(cases: Sequence[AnyCase], index: int,
     return list(cases)[index - 1::total]
 
 
-#: Valid values of the :class:`SweepRunner` ``strategy`` switch.
-STRATEGIES = ("auto", "batched", "percase")
-
-
-def check_strategy(strategy: str) -> str:
-    """Return ``strategy`` unchanged, or raise :class:`SweepError`."""
-    if strategy not in STRATEGIES:
-        raise SweepError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    return strategy
+def check_processes(processes: object) -> None:
+    """Refuse a worker count that is not an int of at least 1 (a bool is
+    not an int) as a :class:`SweepError`."""
+    if isinstance(processes, bool) or not isinstance(processes, int) \
+            or processes < 1:
+        raise SweepError(f"processes must be >= 1, got {processes!r}")
 
 
 class SweepRunner:
     """Executes a list of sweep scenarios, streaming and optionally parallel.
 
     Accepts any mix of :class:`SweepCase`, :class:`CoverageCase` and
-    :class:`PrrCase` scenarios (dispatched through :func:`execute_case`).
+    :class:`PrrCase` scenarios and executes them through the grid engine
+    (:class:`repro.engine.grid.BatchedGridEngine`).  ``processes=1`` runs
+    one engine in-process over the grid, recording in input order; more
+    map the stack groups (:func:`repro.engine.grid.stack_groups`) over a
+    ``multiprocessing.Pool``, each worker process running its groups on
+    its own worker state; ``None`` (the default) means one worker per CPU
+    core.  Either way the count is clamped to the number of groups, and
+    records are identical (``elapsed_s`` aside).
 
-    ``strategy`` selects how the grid is evaluated:
+    ``strategy`` and :attr:`strategy_used` are kept for callers written
+    against the deleted strategy switch (the repository benchmark's cold
+    pass): ``"batched"`` is the only value accepted (any other raises
+    :class:`SweepError`) and the only one reported.
 
-    * ``"percase"`` — one scenario at a time (the multiprocessing work
-      unit), optionally fanned out over worker processes;
-    * ``"batched"`` — the grid-batched engine
-      (:class:`repro.engine.grid.BatchedGridEngine`): per-geometry groups
-      share one compiled-trace cache and one stacked flat-kernel pass for
-      all algorithms, orders and both planners, in-process.  Records are
-      bit-identical to the per-case path (``elapsed_s`` aside); journal,
-      resume and shard semantics are unchanged.  Requires numpy — without
-      it the runner falls back to ``"percase"`` (the CLI warns, and the
-      journal header records what actually ran);
-    * ``"auto"`` (default) — ``"batched"`` when numpy is available and no
-      multi-process fan-out was requested (``processes`` of ``None`` with
-      an all-stackable grid, or an explicit ``1``), else ``"percase"``.
-
-    ``processes`` selects the per-case fan-out: ``None`` (the default)
-    uses one worker per CPU core, clamped to the number of cases; ``1``
-    runs in-process; anything larger maps the cases over a
-    ``multiprocessing.Pool`` of that size.  Workers rebuild every object
-    from the case's names (only plain data crosses process boundaries) and
-    each keeps a process-local worker state, so an algorithm x order trace
-    compiles at most once per worker instead of once per case.  The
-    batched strategy is in-process and ignores ``processes``.
-
-    Execution streams in both strategies: completions are consumed as
-    they happen, so progress lines appear live and each finished case is
-    journaled immediately; the returned :class:`SweepResult` restores the
-    stable input order.  ``journal`` names an append-only JSONL file
+    Execution streams: progress lines appear and each finished case is
+    journaled as it completes; the returned :class:`SweepResult` restores
+    the stable input order.  ``journal`` names an append-only JSONL file
     (:class:`repro.sweep.journal.RunJournal`) that makes the campaign
     resumable: ``run(resume=True)`` reloads it, keeps the
     already-measured records verbatim and re-executes only the missing
     cases.
     """
 
+    strategy_used = "batched"
+
     def __init__(self, cases: Sequence[AnyCase],
                  processes: Optional[int] = None,
                  journal: Union[str, Path, None] = None,
-                 strategy: str = "auto",
+                 strategy: str = "batched",
                  header_meta: Optional[Dict[str, object]] = None) -> None:
         if not cases:
             raise SweepError("a sweep needs at least one case")
-        if processes is not None and processes < 1:
-            raise SweepError(f"processes must be >= 1, got {processes}")
-        check_strategy(strategy)
+        if processes is not None:
+            check_processes(processes)
+        if strategy != "batched":
+            raise SweepError(
+                f"strategy {strategy!r} cannot be chosen: every sweep runs "
+                "through the batched grid engine, so 'batched' is the only "
+                "value accepted")
         self.cases = list(cases)
         self.processes = processes
         self.journal = Path(journal) if journal is not None else None
-        self.strategy = strategy
         #: extra metadata merged into a fresh journal's header line —
         #: an orchestrator (e.g. :mod:`repro.distrib`) stamps the lease
         #: identity and global case indices here, so a shard journal is
         #: self-describing when merged later.  Runner-owned keys win.
         self.header_meta = dict(header_meta) if header_meta else None
-        #: strategy that actually executed the most recent :meth:`run`
-        #: (``None`` before the first run).
-        self.strategy_used: Optional[str] = None
 
     # ------------------------------------------------------------------
-    def resolve_strategy(self, cases: Optional[Sequence[AnyCase]] = None
-                         ) -> str:
-        """The execution strategy a run over ``cases`` will actually use.
+    def resolved_processes(self, groups: Optional[int] = None) -> int:
+        """The worker count a run will actually use: ``processes``, or
+        ``os.cpu_count()`` for ``None``, clamped to the number of stack
+        groups still to execute (``groups``, defaulting to those of the
+        full grid) — a pool larger than its work list is startup cost."""
+        if groups is None:
+            from ..engine.grid import stack_groups
 
-        An explicit ``"batched"`` request degrades to ``"percase"`` only
-        when numpy is unavailable (the clean fallback the CLI warns
-        about); ``"auto"`` additionally respects a requested
-        multi-process fan-out and keeps grids with per-case-only
-        scenarios on the parallel path.
-        """
-        if self.strategy == "percase":
-            return "percase"
-        from importlib.util import find_spec
-
-        numpy_available = find_spec("numpy") is not None
-        if self.strategy == "batched":
-            return "batched" if numpy_available else "percase"
-        if not numpy_available:
-            return "percase"
-        if self.processes == 1:
-            return "batched"
-        if self.processes is None:
-            pending = self.cases if cases is None else cases
-            if all(case.stack_key() is not None for case in pending):
-                return "batched"
-        return "percase"
-
-    # ------------------------------------------------------------------
-    def resolved_processes(self, pending: Optional[int] = None) -> int:
-        """The worker count a run will actually use.
-
-        ``processes=None`` resolves to ``os.cpu_count()``; either way the
-        count is clamped to the number of cases still to execute
-        (``pending``, defaulting to the full grid) — a pool larger than
-        its work list is pure startup cost.
-        """
-        count = len(self.cases) if pending is None else pending
+            groups = len(stack_groups(self.cases))
         workers = self.processes if self.processes is not None \
             else (os.cpu_count() or 1)
-        return max(1, min(workers, count))
+        return max(1, min(workers, groups))
 
     # ------------------------------------------------------------------
     def _restore_from_journal(self) -> Dict[int, AnyRecord]:
@@ -1496,47 +1470,31 @@ class SweepRunner:
                 entry.kind, f"journal {self.journal}").from_dict(entry.record)
         return restored
 
-    def _completions(self, pending: Sequence[Tuple[int, AnyCase]],
-                     strategy: str = "percase"
+    def _completions(self, pending: Sequence[Tuple[int, AnyCase]]
                      ) -> Iterator[Tuple[int, AnyRecord]]:
-        """Yield ``(index, record)`` as cases complete.
-
-        The batched strategy streams the grid engine's stacked-group
-        completions.  Per-case sequential mode executes in input order
-        in-process under a worker state scoped to the run; parallel mode
-        streams ``imap_unordered`` completions out of a pool whose workers
-        each keep one, so the slowest case never gates reporting of the
-        others.
-        """
+        """Yield ``(index, record)`` as cases complete: in input order from
+        one in-process engine, or per stack group as pool workers finish
+        them (``imap_unordered``: the slowest group gates no other)."""
         if not pending:
             return
-        if strategy == "batched":
-            # Deferred import: the grid engine needs numpy, the runner
-            # must not (resolve_strategy already verified availability).
-            from ..engine.grid import BatchedGridEngine
+        # Deferred: the grid engine imports this module back.
+        from ..engine.grid import BatchedGridEngine, stack_groups
 
-            engine = BatchedGridEngine([case for _, case in pending])
-            indices = [index for index, _ in pending]
-            for position, record in engine.completions():
-                yield indices[position], record
-            return
-        workers = self.resolved_processes(len(pending))
+        groups = stack_groups([case for _, case in pending])
+        workers = self.resolved_processes(len(groups))
         if workers <= 1:
-            previous = _get_worker_state()
-            _set_worker_state(_WorkerState())
-            try:
-                for index, case in pending:
-                    yield index, execute_case(case)
-            finally:
-                _set_worker_state(previous)
+            engine = BatchedGridEngine([case for _, case in pending])
+            for position, record in engine.completions():
+                yield pending[position][0], record
             return
         import multiprocessing
 
+        work = [[pending[position] for position in positions]
+                for _, positions in groups]
         with multiprocessing.get_context().Pool(
                 processes=workers, initializer=_init_worker) as pool:
-            for index, record in pool.imap_unordered(_execute_indexed,
-                                                     list(pending)):
-                yield index, record
+            for records in pool.imap_unordered(_execute_group, work):
+                yield from records
 
     def run(self, progress: bool = False, resume: bool = False,
             progress_sink: Optional[Callable[[str], None]] = None,
@@ -1591,26 +1549,18 @@ class SweepRunner:
             atomic_write_bytes(self.journal, b"")
         pending = [(index, case) for index, case in enumerate(self.cases)
                    if records[index] is None]
-        strategy_used = self.resolve_strategy([case for _, case in pending])
-        self.strategy_used = strategy_used
         journal = RunJournal(self.journal) if self.journal is not None else None
         if journal is not None:
             journal.open()  # an unwritable path must fail before any work
             if not self.journal.exists() or self.journal.stat().st_size == 0:
-                # A fresh journal opens with a run-metadata header: which
-                # strategy actually executes (e.g. a batched request that
-                # fell back to per-case without numpy) is recorded next to
-                # the measurements it produced.
+                # A fresh journal opens with a run-metadata header: the
+                # grid size and how much of it this run executes.
                 meta: Dict[str, object] = dict(self.header_meta or {})
-                meta.update({
-                    "strategy_requested": self.strategy,
-                    "strategy_used": strategy_used,
-                    "cases": len(self.cases),
-                    "pending": len(pending),
-                })
+                meta.update({"cases": len(self.cases),
+                             "pending": len(pending)})
                 journal.write_header(meta)
         try:
-            for index, record in self._completions(pending, strategy_used):
+            for index, record in self._completions(pending):
                 records[index] = record
                 if journal is not None:
                     journal.append(JournalEntry(

@@ -30,9 +30,9 @@ re-deriving its own:
 * :func:`assert_aggregates_match` — two raw ``run_aggregates`` results
   of the flat kernel (tiled against untiled, stacked against alone);
 * :func:`drop_elapsed` / :func:`assert_identical_records` /
-  :func:`run_both_strategies` — sweep records across execution strategies
-  (field-for-field identical; ``elapsed_s`` is the one wall-clock exempt
-  field).
+  :func:`run_engine_and_per_case` — sweep records of the grid engine
+  against each case's own executor (field-for-field identical;
+  ``elapsed_s`` is the one wall-clock exempt field).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro import TestSession
 from repro.bist import BistController
 from repro.faults import FaultSimulator
 from repro.march.element import AddressingDirection
+from repro.sweep import runner as sweep_runner
 from repro.sweep.runner import SweepRunner
 
 #: Relative tolerance for energy/power comparisons across backends: the
@@ -240,7 +241,7 @@ def assert_aggregates_match(expected, observed, label=""):
 
 
 # ----------------------------------------------------------------------
-# Sweep records across execution strategies
+# Sweep records: the grid engine against each case's own executor
 # ----------------------------------------------------------------------
 def drop_elapsed(record) -> dict:
     """A record's dictionary minus its wall-clock observation."""
@@ -249,16 +250,26 @@ def drop_elapsed(record) -> dict:
     return row
 
 
-def assert_identical_records(percase_result, batched_result):
+def assert_identical_records(expected_records, observed_records):
     """Field-for-field identity of two record streams (``elapsed_s`` aside)."""
-    assert len(percase_result) == len(batched_result)
-    for expected, observed in zip(percase_result, batched_result):
+    assert len(expected_records) == len(observed_records)
+    for expected, observed in zip(expected_records, observed_records):
         assert type(observed) is type(expected)
         assert drop_elapsed(observed) == drop_elapsed(expected)
 
 
-def run_both_strategies(cases):
-    """Evaluate one grid with the per-case and the batched strategy."""
-    percase = SweepRunner(cases, processes=1, strategy="percase").run()
-    batched = SweepRunner(cases, strategy="batched").run()
-    return percase, batched
+def run_per_case(cases):
+    """Every case through ``execute_case``, in order, on one fresh worker
+    state: the unit every case that does not stack still takes."""
+    previous = sweep_runner._get_worker_state()
+    sweep_runner._set_worker_state(sweep_runner._WorkerState())
+    try:
+        return [sweep_runner.execute_case(case) for case in cases]
+    finally:
+        sweep_runner._set_worker_state(previous)
+
+
+def run_engine_and_per_case(cases):
+    """Evaluate one grid case by case (:func:`run_per_case`) and through
+    the sweep runner's in-process grid engine."""
+    return run_per_case(cases), SweepRunner(cases, processes=1).run()

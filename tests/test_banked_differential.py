@@ -17,7 +17,7 @@ scenario matrix:
   the reference and vectorized fault backends, across algorithms, orders
   and directions;
 * **sweep records** — banked grids evaluate field-for-field identically
-  under the per-case and the batched strategy.
+  through the grid engine and case by case.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from differential import (
     assert_session_equivalent,
     measured_prr,
     run_both_backends,
-    run_both_strategies,
+    run_engine_and_per_case,
 )
 
 #: banks=1 has no interleave choice; every banked count is exercised under
@@ -291,15 +291,15 @@ def test_neighbourhood_cells_survive_on_a_banked_geometry():
 
 
 # ----------------------------------------------------------------------
-# Sweep records: banked grids across execution strategies
+# Sweep records: banked grids through the engine and case by case
 # ----------------------------------------------------------------------
-def test_banked_records_identical_across_strategies():
+def test_banked_records_identical_to_per_case():
     from repro.sweep.runner import prr_grid, sweep_grid
 
     cases = sweep_grid(["8x16"], ["MATS+", "March C-"],
                        backends=("vectorized",), banks=(1, 2, 4)) + \
         prr_grid(["8x16"], ["MATS+"], backend="vectorized", banks=(1, 4),
                  bank_interleave="interleaved")
-    percase, batched = run_both_strategies(cases)
-    assert_identical_records(percase, batched)
-    assert {record.banks for record in batched} == {1, 2, 4}
+    per_case, engine = run_engine_and_per_case(cases)
+    assert_identical_records(per_case, engine)
+    assert {record.banks for record in engine} == {1, 2, 4}

@@ -315,22 +315,33 @@ class TestWorkers:
         assert len(counts) == len(cases)
         assert set(counts.values()) == {1}
 
-    def test_unknown_strategy_is_rejected_before_any_claim(self, tmp_path):
-        # A worker that accepted a typo would claim a lease, then fail
-        # inside SweepRunner and strand it; run_distributed would publish
-        # the campaign and supervise forever.
+    @pytest.mark.parametrize("processes", [0, -1, True, 1.5, "2"])
+    def test_bad_processes_is_rejected_before_any_claim(self, tmp_path,
+                                                        processes):
+        # A worker that accepted it would claim a lease, then fail inside
+        # SweepRunner and strand it claimed with no heartbeat behind it.
+        coordinator = Coordinator.create(tmp_path / "camp", _tiny_cases(2),
+                                         workers=1)
+        with pytest.raises(SweepError, match="processes must be >= 1"):
+            DistribWorker(coordinator.ledger.root,
+                          processes=processes).run_once()
+        status = coordinator.status()
+        assert status["claimed"] == 0
+        assert status["pending"] == status["leases"]
+
+    def test_the_strategy_keyword_is_gone(self, tmp_path):
         from repro.distrib import run_distributed
 
         coordinator = Coordinator.create(tmp_path / "camp", _tiny_cases(2),
                                          workers=1)
-        with pytest.raises(SweepError, match="unknown strategy 'turbo'"):
-            DistribWorker(coordinator.ledger.root, strategy="turbo")
-        status = coordinator.status()
-        assert status["claimed"] == 0
-        assert status["pending"] == status["leases"]
-        with pytest.raises(SweepError, match="unknown strategy 'turbo'"):
+        with pytest.raises(TypeError, match="strategy"):
+            DistribWorker(coordinator.ledger.root, strategy="batched")
+        with pytest.raises(TypeError, match="strategy"):
+            spawn_worker(coordinator.ledger.root, strategy="batched")
+        with pytest.raises(TypeError, match="strategy"):
             run_distributed(tmp_path / "other", _tiny_cases(2), workers=1,
-                            strategy="turbo")
+                            strategy="batched")
+        assert coordinator.status()["claimed"] == 0
         assert not (tmp_path / "other").exists()
 
     def test_two_workers_share_one_campaign_exactly_once(self, tmp_path):
@@ -409,12 +420,11 @@ class TestKillAndSteal:
         [lease_id] = ledger.lease_ids()
         journal_path = ledger.journal_path(lease_id)
 
-        # --strategy percase journals every case as it completes, so
-        # entries appear while the lease is still claimed; the batched
-        # strategy would journal the whole lease in one burst and leave
-        # no window in which to die mid-lease.
+        # Each of the grid's geometries is its own stack group, so the
+        # victim journals one case at a time while the lease is still
+        # claimed: the window in which to die mid-lease.
         victim = spawn_worker(ledger.root, worker_id="victim",
-                              strategy="percase", lease_timeout=None)
+                              lease_timeout=None)
         try:
             deadline = time.time() + 120
             while time.time() < deadline:
@@ -539,7 +549,7 @@ class TestRunnerHooks:
             raise LeaseRevoked("stolen")
 
         with pytest.raises(LeaseRevoked):
-            SweepRunner(cases, journal=journal, strategy="percase",
+            SweepRunner(cases, journal=journal,
                         processes=1).run(case_sink=abort_after_first)
         entries = load_journal(journal)
         assert len(entries) == 1  # the aborting case was already durable
@@ -803,29 +813,43 @@ class TestDistribCli:
         assert "merged 2 cases" in capsys.readouterr().out
         assert (root / "merged.jsonl").exists()
 
-    def test_run_with_unknown_strategy_exits_2_unpublished(self, tmp_path,
-                                                            capsys):
+    def test_run_with_strategy_exits_2_unpublished(self, tmp_path, capsys):
         from repro.distrib.__main__ import main as distrib_main
 
         root = tmp_path / "camp"
         with pytest.raises(SystemExit) as exited:
-            distrib_main(["run", str(root), "--strategy", "turbo",
+            distrib_main(["run", str(root), "--strategy", "batched",
                           "--geometry", "8x8", "--algorithm", "MATS+"])
         assert exited.value.code == 2
-        assert "invalid choice: 'turbo'" in capsys.readouterr().err
+        assert "unrecognized arguments: --strategy batched" \
+            in capsys.readouterr().err
         assert not root.exists()
 
-    def test_worker_with_unknown_strategy_exits_2_unclaimed(self, tmp_path,
-                                                             capsys):
+    def test_worker_with_strategy_exits_2_unclaimed(self, tmp_path, capsys):
         from repro.distrib.__main__ import main as distrib_main
 
         coordinator = Coordinator.create(tmp_path / "camp", _tiny_cases(2),
                                          workers=1)
         with pytest.raises(SystemExit) as exited:
             distrib_main(["worker", str(tmp_path / "camp"),
-                          "--strategy", "turbo"])
+                          "--strategy", "batched"])
         assert exited.value.code == 2
-        assert "invalid choice: 'turbo'" in capsys.readouterr().err
+        assert "unrecognized arguments: --strategy batched" \
+            in capsys.readouterr().err
+        status = coordinator.status()
+        assert status["claimed"] == 0
+        assert status["pending"] == status["leases"]
+
+    def test_worker_with_zero_processes_exits_2_unclaimed(self, tmp_path,
+                                                          capsys):
+        from repro.distrib.__main__ import main as distrib_main
+
+        coordinator = Coordinator.create(tmp_path / "camp", _tiny_cases(2),
+                                         workers=1)
+        assert distrib_main(["worker", str(tmp_path / "camp"),
+                             "--processes", "0"]) == 2
+        assert capsys.readouterr().err == \
+            "error: processes must be >= 1, got 0\n"
         status = coordinator.status()
         assert status["claimed"] == 0
         assert status["pending"] == status["leases"]

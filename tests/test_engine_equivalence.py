@@ -254,7 +254,7 @@ def test_flat_kernel_handles_single_row_chains():
 def test_stacked_batch_is_bit_identical_to_single_runs():
     """run_aggregates_batch stacks a whole grid into one pass; every unit's
     energies must equal the stand-alone evaluation bit for bit (the
-    guarantee the batched sweep strategy builds on)."""
+    guarantee the grid engine builds on)."""
     geometry = ArrayGeometry(rows=16, columns=64)
     engine = VectorizedEngine(geometry, detailed=False)
     requests = [(algorithm, mode, None)

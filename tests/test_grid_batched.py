@@ -1,15 +1,16 @@
-"""The batched grid strategy: record equivalence, resolution, fallbacks.
+"""The grid engine: record equivalence, stack groups, pooling, fallbacks.
 
-``strategy="batched"`` evaluates a sweep grid through per-geometry stacked
-flat-kernel passes (:class:`repro.engine.grid.BatchedGridEngine`) instead
-of per-case work units.  Its contract is strict: **every** record — power,
-PRR and coverage alike — must be field-for-field identical to what
-``strategy="percase"`` measures for the same grid (``elapsed_s``, a
-wall-clock observation, is the one exempt field).  These tests pin that
-contract across the full standard library, both planners (both operating
-modes of every scenario), several array sizes and all three record kinds,
-plus the strategy-resolution rules, the journal's run-metadata header and
-the per-case fallback for scenarios the stacked pass cannot represent.
+Every sweep evaluates its grid through per-geometry stacked flat-kernel
+passes (:class:`repro.engine.grid.BatchedGridEngine`).  The contract is
+strict: **every** record — power, PRR and coverage alike — must be
+field-for-field identical to what each case's own executor measures
+(``execute_case`` on one fresh worker state; ``elapsed_s``, a wall-clock
+observation, is the one exempt field), in-process and on a pool alike.
+These tests pin that contract across the full standard library, both
+planners (both operating modes of every scenario), several array sizes
+and all three record kinds, plus the stack groups a pool maps, the
+journal's run-metadata header and the per-case fallback for scenarios the
+stacked pass cannot represent.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 
 import pytest
 
+from repro.engine.grid import stack_groups
 from repro.march.library import PAPER_TABLE1_ALGORITHMS
 from repro.sweep.journal import RunJournal, load_journal
 from repro.sweep.runner import (
@@ -33,7 +35,7 @@ from repro.sweep.runner import (
 
 from differential import (
     assert_identical_records,
-    run_both_strategies as run_both,
+    run_engine_and_per_case as run_both,
 )
 
 ALGORITHMS = [algorithm.name for algorithm in PAPER_TABLE1_ALGORITHMS]
@@ -43,7 +45,7 @@ SIZES = ["8x16", "16x64"]
 # ----------------------------------------------------------------------
 # Field-for-field record equivalence, per record kind
 # ----------------------------------------------------------------------
-def test_power_records_identical_across_strategies():
+def test_power_records_identical_to_per_case():
     """The whole library x two orders x two sizes, both planners per case."""
     cases = sweep_grid(SIZES, ALGORITHMS,
                        orders=("row-major", "column-major"),
@@ -51,15 +53,15 @@ def test_power_records_identical_across_strategies():
     assert_identical_records(*run_both(cases))
 
 
-def test_prr_records_identical_across_strategies():
+def test_prr_records_identical_to_per_case():
     """The whole library through the BIST path on two sizes."""
     cases = prr_grid(SIZES, ALGORITHMS, backend="vectorized", seed=3)
     assert_identical_records(*run_both(cases))
 
 
-def test_coverage_records_identical_across_strategies():
-    """Coverage campaigns ride the batched strategy per-case, records
-    unchanged."""
+def test_coverage_records_identical_to_per_case():
+    """Coverage campaigns run their own executor inside the engine,
+    records unchanged."""
     cases = coverage_grid(["8x8", "16x16"], ["MATS+", "March C-"], sample=2)
     assert_identical_records(*run_both(cases))
 
@@ -77,85 +79,102 @@ def test_mixed_grid_identical_and_in_input_order():
         PrrCase(rows=8, columns=64, algorithm="March G", backend="auto"),
         SweepCase(rows=8, columns=16, algorithm="MATS+", backend="reference"),
     ]
-    percase, batched = run_both(cases)
-    assert_identical_records(percase, batched)
+    per_case, engine = run_both(cases)
+    assert_identical_records(per_case, engine)
 
 
 def test_unsupported_low_power_falls_back_per_case():
     """The snake order's low-power run is not bulk-replayable: under
-    backend='auto' the per-case path measures it reference+vectorized, and
-    the batched strategy must reroute and report exactly the same."""
+    backend='auto' the case's own executor measures it
+    reference+vectorized, and the engine must reroute and report exactly
+    the same."""
     cases = sweep_grid(["8x16"], ["March C-", "MATS+"], orders=("snake",),
                        backends=("auto",))
-    percase, batched = run_both(cases)
-    assert_identical_records(percase, batched)
-    assert {record.backend_used for record in batched} == \
+    per_case, engine = run_both(cases)
+    assert_identical_records(per_case, engine)
+    assert {record.backend_used for record in engine} == \
         {"reference+vectorized"}
 
 
 # ----------------------------------------------------------------------
-# Strategy resolution
+# Stack groups and the pool that maps them
 # ----------------------------------------------------------------------
 def _vectorized_cases(count: int = 2):
     return sweep_grid(["8x8"], ALGORITHMS[:count], backends=("vectorized",))
 
 
-def test_strategy_validation():
-    with pytest.raises(SweepError, match="unknown strategy"):
-        SweepRunner(_vectorized_cases(), strategy="turbo")
+def _two_geometry_mixed_grid():
+    """Power cases on two geometries, interleaved, plus a coverage, a PRR
+    and a reference-backend case: five stack groups, two unstackable."""
+    return [
+        SweepCase(rows=8, columns=16, algorithm="March C-",
+                  backend="vectorized"),
+        SweepCase(rows=16, columns=16, algorithm="MATS+",
+                  backend="vectorized"),
+        CoverageCase(rows=8, columns=8, algorithm="MATS+",
+                     include_coupling=False, sample=2),
+        SweepCase(rows=8, columns=16, algorithm="MATS+",
+                  backend="vectorized"),
+        PrrCase(rows=8, columns=64, algorithm="March G",
+                backend="vectorized"),
+        SweepCase(rows=16, columns=16, algorithm="March C-",
+                  backend="vectorized", order="column-major"),
+        SweepCase(rows=8, columns=16, algorithm="MATS+",
+                  backend="reference"),
+    ]
 
 
-def test_auto_resolution_rules():
-    cases = _vectorized_cases()
-    assert SweepRunner(cases).resolve_strategy() == "batched"
-    assert SweepRunner(cases, processes=1).resolve_strategy() == "batched"
-    assert SweepRunner(cases, processes=4).resolve_strategy() == "percase"
-    assert SweepRunner(cases, strategy="percase").resolve_strategy() == \
-        "percase"
-    # A grid with per-case-only scenarios keeps the parallel default...
-    mixed = cases + coverage_grid(["8x8"], ["MATS+"], sample=2)
-    assert SweepRunner(mixed).resolve_strategy() == "percase"
-    # ...unless the caller pinned sequential execution.
-    assert SweepRunner(mixed, processes=1).resolve_strategy() == "batched"
-    # Reference-backend power cases are not stackable either.
-    reference = sweep_grid(["8x8"], ["MATS+"], backends=("reference",))
-    assert SweepRunner(reference).resolve_strategy() == "percase"
+def test_stack_groups_key_geometry_and_isolate_unstackable_cases():
+    groups = stack_groups(_two_geometry_mixed_grid())
+    assert [positions for _, positions in groups] == \
+        [[0, 3], [1, 5], [2], [4], [6]]
+    keys = [key for key, _ in groups]
+    assert keys[2] is None and keys[4] is None  # coverage, reference
+    assert [key[0] for key in keys if key is not None] == \
+        ["power", "power", "prr"]
 
 
-def test_batched_without_numpy_falls_back(monkeypatch):
-    import importlib.util
+def test_pooled_and_in_process_records_identical_in_input_order():
+    """processes=2 maps the stack groups over a pool; the records match
+    the in-process engine's field for field, in input order."""
+    cases = _two_geometry_mixed_grid()
+    in_process = SweepRunner(cases, processes=1).run()
+    pooled = SweepRunner(cases, processes=2).run()
+    assert_identical_records(in_process, pooled)
+    assert [record.algorithm for record in pooled] == \
+        [case.algorithm for case in cases]
 
-    real_find_spec = importlib.util.find_spec
-    monkeypatch.setattr(importlib.util, "find_spec",
-                        lambda name, *args: None if name == "numpy"
-                        else real_find_spec(name, *args))
+
+def test_processes_clamp_to_stack_groups():
+    cases = _two_geometry_mixed_grid()
+    assert SweepRunner(cases, processes=16).resolved_processes() == 5
+    # One geometry is one group: nothing to fan out.
+    assert SweepRunner(_vectorized_cases(), processes=4) \
+        .resolved_processes() == 1
+
+
+def test_only_the_batched_strategy_spelling_is_accepted():
     runner = SweepRunner(_vectorized_cases(), strategy="batched")
-    assert runner.resolve_strategy() == "percase"
-    assert SweepRunner(_vectorized_cases()).resolve_strategy() == "percase"
-
-
-def test_run_records_strategy_used(tmp_path):
-    runner = SweepRunner(_vectorized_cases(), strategy="batched")
-    assert runner.strategy_used is None
+    assert runner.strategy_used == "batched"
     runner.run()
     assert runner.strategy_used == "batched"
+    for strategy in ("percase", "auto", "turbo"):
+        with pytest.raises(SweepError, match="cannot be chosen"):
+            SweepRunner(_vectorized_cases(), strategy=strategy)
 
 
 # ----------------------------------------------------------------------
 # Journal header
 # ----------------------------------------------------------------------
-def test_fresh_journal_records_strategy_header(tmp_path):
+def test_fresh_journal_records_run_header(tmp_path):
     path = tmp_path / "run.jsonl"
     cases = _vectorized_cases()
-    SweepRunner(cases, strategy="batched", journal=path).run()
+    SweepRunner(cases, journal=path).run()
     header = RunJournal(path).read_header()
-    assert header == {"strategy_requested": "batched",
-                      "strategy_used": "batched",
-                      "cases": len(cases), "pending": len(cases)}
+    assert header == {"cases": len(cases), "pending": len(cases)}
     # The header is metadata: entry loading and resume ignore it.
     assert len(load_journal(path)) == len(cases)
-    resumed = SweepRunner(cases, strategy="batched",
-                          journal=path).run(resume=True)
+    resumed = SweepRunner(cases, journal=path).run(resume=True)
     assert len(resumed) == len(cases)
 
 
@@ -165,8 +184,7 @@ def test_resume_keeps_the_original_header(tmp_path):
     SweepRunner(cases, journal=path).run()
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:2]) + "\n")  # header + first case
-    SweepRunner(cases, strategy="percase", processes=1,
-                journal=path).run(resume=True)
+    SweepRunner(cases, processes=1, journal=path).run(resume=True)
     header = RunJournal(path).read_header()
     assert header is not None and header["cases"] == len(cases)
     assert len(load_journal(path)) == len(cases)

@@ -31,7 +31,7 @@ from repro.sweep.runner import (
     sweep_grid,
 )
 
-from differential import assert_identical_records
+from differential import assert_identical_records, run_engine_and_per_case
 
 GEOMETRY = ArrayGeometry(rows=8, columns=16)
 
@@ -70,23 +70,20 @@ def test_bist_controller_threads_and_stamps_kernel():
 
 
 # ----------------------------------------------------------------------
-# Sweep records: the fixed kernel fields, strategy parity
+# Sweep records: the fixed kernel fields, engine vs per-case parity
 # ----------------------------------------------------------------------
 def test_sweep_records_carry_requested_and_executed_tier():
     cases = sweep_grid(["8x16"], ["MATS+"])
-    batched = SweepRunner(cases, strategy="batched").run(progress=False)
-    record = batched.records[0]
+    per_case, engine = run_engine_and_per_case(cases)
+    record = engine.records[0]
     assert record.kernel == "default"    # nothing was chosen
     assert record.kernel_used == "flat"  # the one kernel measured it
-    percase = SweepRunner(cases, processes=1,
-                          strategy="percase").run(progress=False)
-    assert_identical_records(percase, batched)
+    assert_identical_records(per_case, engine)
 
 
 def test_prr_records_carry_kernel_fields():
     cases = prr_grid(["8x16"], ["MATS+"], backend="vectorized")
-    result = SweepRunner(cases, processes=1,
-                         strategy="percase").run(progress=False)
+    result = SweepRunner(cases, processes=1).run(progress=False)
     record = result.records[0]
     assert record.kernel == "default"
     assert record.kernel_used == "flat"

@@ -250,7 +250,7 @@ def test_sweep_power_path_never_expands_coordinates(monkeypatch, order):
 
     def records():
         return [drop_elapsed(record) for record
-                in SweepRunner(cases, strategy="batched").run()]
+                in SweepRunner(cases, processes=1).run()]
 
     _forbid_expansion(monkeypatch)
     observed = records()

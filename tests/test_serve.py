@@ -898,11 +898,21 @@ def _coverage_case(**overrides):
     (_coverage_case(include_coupling=1), "include_coupling must be true"),
     (_coverage_case(any_direction="sideways"), "any_direction must be one"),
     (_power_case(any_direction="sideways"), "any_direction must be one"),
+    (_power_case(rows=True), "rows must be an integer"),
+    (_prr_case(rows=True), "rows must be an integer"),
+    (_coverage_case(rows=True), "rows must be an integer"),
+    (_prr_case(banks=True), "banks must be an integer"),
+    (_coverage_case(orders="row-major"), "orders must be a list of names"),
+    (_power_case(rows=8.5), "rows must be an integer"),
+    (_prr_case(bits_per_word=1.0), "bits_per_word must be an integer"),
+    (_prr_case(seed="x"), "seed must be an integer"),
 ], ids=["power", "prr", "coverage", "prr-not-a-name", "power-kernel",
         "prr-kernel", "coverage-sample", "coverage-negative-sample",
         "coverage-seed", "coverage-include-single",
         "coverage-include-coupling", "coverage-direction",
-        "power-direction"])
+        "power-direction", "power-bool-rows", "prr-bool-rows",
+        "coverage-bool-rows", "prr-bool-banks", "coverage-string-orders",
+        "power-float-rows", "prr-float-bits-per-word", "prr-string-seed"])
 def test_unbuildable_case_is_a_counted_400(tmp_path, caplog, case, error):
     # A case that cannot be built (an unknown or non-string algorithm,
     # any kernel choice, a mistyped field, a direction ⇕ cannot resolve

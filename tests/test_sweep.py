@@ -85,7 +85,8 @@ def test_run_case_produces_consistent_record():
 
 
 def test_runner_serial_and_parallel_agree():
-    cases = sweep_grid(["8x8"], ["MATS+", "March C-"], backends=("vectorized",))
+    # Two geometries are two stack groups, so processes=2 runs a pool.
+    cases = sweep_grid(["8x8", "8x16"], ["MATS+"], backends=("vectorized",))
     serial = SweepRunner(cases, processes=1).run()
     parallel = SweepRunner(cases, processes=2).run()
     assert len(serial) == len(parallel) == 2
@@ -98,8 +99,9 @@ def test_runner_rejects_empty_and_bad_process_counts():
     with pytest.raises(SweepError):
         SweepRunner([])
     case = SweepCase(rows=4, columns=4, algorithm="MATS+")
-    with pytest.raises(SweepError):
-        SweepRunner([case], processes=0)
+    for processes in (0, True, 2.0):
+        with pytest.raises(SweepError, match="processes must be >= 1"):
+            SweepRunner([case], processes=processes)
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +193,11 @@ def test_coverage_case_validation_fails_fast():
 
 
 #: Mistyped fields of a served case, each with the refusal it must meet.
-#: Before these checks the first two failed inside the engine (a counted
-#: 500 from serve) and the rest constructed and ran.
+#: Before the per-field checks the first two failed inside the engine (a
+#: counted 500 from serve) and the rest constructed and ran; before the
+#: field table, the entries after ``["up"]`` built a one-row case, ran
+#: under another digest, iterated a string by character, raised a
+#: ValueError or TypeError, or recorded a string seed.
 MISTYPED_FIELDS = [
     ("coverage", {"sample": "x"}, "sample must be an integer"),
     ("coverage", {"sample": True}, "sample must be an integer"),
@@ -208,6 +213,20 @@ MISTYPED_FIELDS = [
     ("coverage", {"any_direction": "any"}, "any_direction must be one"),
     ("power", {"any_direction": "sideways"}, "any_direction must be one"),
     ("power", {"any_direction": ["up"]}, "any_direction must be one"),
+    ("power", {"rows": True}, "rows must be an integer"),
+    ("prr", {"rows": True}, "rows must be an integer"),
+    ("coverage", {"rows": True}, "rows must be an integer"),
+    ("power", {"banks": True}, "banks must be an integer"),
+    ("prr", {"banks": True}, "banks must be an integer"),
+    ("coverage", {"orders": "row-major"}, "orders must be a list of names"),
+    ("coverage", {"orders": ["row-major", 1]},
+     "orders must be a list of names"),
+    ("power", {"rows": 8.5}, "rows must be an integer"),
+    ("prr", {"bits_per_word": 1.0}, "bits_per_word must be an integer"),
+    ("prr", {"seed": "x"}, "seed must be an integer"),
+    ("power", {"order": ["row-major"]}, "order must be a name"),
+    ("prr", {"backend": None}, "backend must be one of"),
+    ("power", {"bank_interleave": "striped"}, "bank_interleave must be one"),
 ]
 
 

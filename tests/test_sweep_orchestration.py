@@ -3,7 +3,8 @@
 Covers the PR's bugfixes and the orchestration subsystem around them:
 
 * ``SweepRunner(processes=None)`` defaults to one worker per CPU core
-  (clamped to the grid) instead of silently running sequentially forever;
+  (clamped to the grid's stack groups) instead of silently running
+  sequentially forever;
 * parallel progress streams live (``imap_unordered``) instead of only
   appearing after the whole pool drains;
 * the append-only JSONL run journal, ``run(resume=True)`` semantics and
@@ -50,6 +51,8 @@ from repro.sram import ArrayGeometry
 from repro.sweep import runner as runner_module
 from repro.sweep.__main__ import main as sweep_main, parse_shard
 
+from differential import run_per_case
+
 
 def _fast_cases(count: int = 3):
     """A tiny vectorized grid (distinct algorithms, one geometry)."""
@@ -71,18 +74,25 @@ def _mixed_cases():
 # ----------------------------------------------------------------------
 # processes=None regression (used to mean "sequential forever")
 # ----------------------------------------------------------------------
+def _two_group_cases():
+    """Two geometries: two stack groups, the unit a pool maps."""
+    return sweep_grid(["8x8", "8x16"], ["MATS+"], backends=("vectorized",))
+
+
 def test_processes_none_defaults_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    runner = SweepRunner(_fast_cases(2))
+    runner = SweepRunner(_two_group_cases())
     assert runner.processes is None
     assert runner.resolved_processes(16) == 7     # all cores...
     assert runner.resolved_processes(3) == 3      # ...clamped to the work
     assert runner.resolved_processes() == 2       # default: the full grid
+    # Cases of one geometry stack into one group: no pool at all.
+    assert SweepRunner(_fast_cases(3)).resolved_processes() == 1
 
 
 def test_explicit_processes_still_win_and_clamp(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    runner = SweepRunner(_fast_cases(2), processes=3)
+    runner = SweepRunner(_two_group_cases(), processes=3)
     assert runner.resolved_processes(16) == 3
     assert runner.resolved_processes() == 2
 
@@ -589,24 +599,28 @@ def test_worker_state_results_match_fresh_facades(clear_worker_state):
         assert drop(lhs.as_dict()) == drop(rhs.as_dict())
 
 
-@pytest.mark.parametrize("strategy", ["batched", "percase"])
-def test_banked_power_then_coverage_of_one_shape(strategy):
+@pytest.mark.parametrize("path", ["engine", "per-case"])
+def test_banked_power_then_coverage_of_one_shape(path):
     # The order memo once kept a banked power case's order for a later
     # coverage case of the same rows x columns, which the fault campaign
-    # rejected for its bank-free geometry.
+    # rejected for its bank-free geometry.  Both paths share one worker
+    # state between the two cases: the engine's stacked pass and the
+    # power case's own executor.
     cases = [SweepCase(rows=8, columns=16, algorithm="MATS+",
                        backend="vectorized", banks=2),
              CoverageCase(rows=8, columns=16, algorithm="MATS+",
                           backend="vectorized", include_coupling=False,
                           sample=2)]
-    result = SweepRunner(cases, processes=1,
-                         strategy=strategy).run(progress=False)
-    power, coverage = result.records
+    if path == "engine":
+        records = SweepRunner(cases, processes=1).run(progress=False).records
+    else:
+        records = run_per_case(cases)
+    power, coverage = records
     assert power.banks == 2 and power.passed
     assert coverage.backend_used == "vectorized" and coverage.invariant
     # The same records as each case run alone on fresh state.
     drop = lambda d: {k: v for k, v in d.items() if k != "elapsed_s"}
-    assert [drop(record.as_dict()) for record in result.records] == \
+    assert [drop(record.as_dict()) for record in records] == \
         [drop(execute_case(case).as_dict()) for case in cases]
 
 
