@@ -69,10 +69,13 @@ class AnalyticalPrediction:
 class AnalyticalPowerModel:
     """Evaluates the Section 5 equations for a geometry/technology pair."""
 
+    #: The fewest columns the Section 5 equations hold for.
+    MIN_COLUMNS = 3
+
     def __init__(self, geometry: ArrayGeometry,
                  tech: TechnologyParameters | None = None,
                  energies: OperationEnergies | None = None) -> None:
-        if geometry.columns < 3:
+        if geometry.columns < self.MIN_COLUMNS:
             raise AnalyticalModelError(
                 "the Section 5 equations assume at least three columns "
                 f"(got {geometry.columns})")

@@ -32,13 +32,23 @@ The protocol (all bodies JSON):
   ``{"kind": ..., "record": {...}, "served": {"digest", "outcome",
   "latency_ms"}}``; malformed cases get 400, execution failures 500,
   and a distinct miss past the pending bound 429 with ``Retry-After``;
-* ``GET /v1/stats`` → request/hit/miss/coalesce/refusal/engine-pass
-  counters and the count of distinct misses ``pending``;
+* ``GET /v1/stats`` → request/hit/miss/coalesce/refusal/engine-pass/
+  memo-hit counters, the count of distinct misses ``pending`` and of
+  memoised requests ``memo_entries``;
 * ``GET /healthz`` → ``{"status": "ok"}``.
 
-A malformed request line or ``Content-Length``, or a request line or
-header past the stream reader's 64 KiB line limit, gets 400 and
-``Connection: close``.
+A malformed request line or ``Content-Length``, a request line or
+header past the stream reader's 64 KiB line limit, or a body longer than
+:data:`MAX_BODY_BYTES`, gets 400 and ``Connection: close``.
+
+A hit is answered from bytes the service already holds.  The exact bytes
+of each valid ``POST /v1/run`` body map, in a bounded LRU, to the request
+they validated to (case, fingerprint, digest, kind), so a repeated body
+is neither parsed nor validated nor hashed again; a malformed body is
+never remembered.  The ``"kind"``/``"record"`` part of each cache
+entry's reply is encoded once, for that entry object, and every later
+reply of the entry appends only its ``served`` block: a reply is the
+same bytes ``json.dumps(payload, sort_keys=True)`` writes.
 
 Everything here is stdlib: ``asyncio`` for the front,
 ``concurrent.futures.ThreadPoolExecutor`` for the engine work (NumPy
@@ -54,12 +64,14 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..sweep.runner import (
+    AnyCase,
     SweepError,
     _WorkerState,
     case_fingerprint,
@@ -67,7 +79,7 @@ from ..sweep.runner import (
     case_kind,
     fingerprint_digest,
 )
-from .cache import ResultCache
+from .cache import MEMORY_ENTRIES, ResultCache
 from .trace import WorkloadTrace
 
 
@@ -84,20 +96,36 @@ DEFAULT_PORT = 8077
 #: Distinct misses, queued or running, allowed per executor thread; a new
 #: distinct miss past ``MAX_PENDING_PER_WORKER * workers`` is refused.
 MAX_PENDING_PER_WORKER = 32
+#: Longest request body read, the stream reader's line limit: a longer
+#: ``Content-Length`` is refused before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024
+
+
+def _json(payload: Dict[str, object]) -> bytes:
+    """The reply body of ``payload``: JSON with sorted keys."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+class _Request:
+    """A validated campaign request: what a ``POST /v1/run`` body means,
+    and what the request memo keeps for the body's exact bytes."""
+
+    __slots__ = ("case", "fingerprint", "digest", "kind")
+
+    def __init__(self, case: AnyCase) -> None:
+        self.case = case
+        self.fingerprint = case_fingerprint(case)
+        self.digest = fingerprint_digest(self.fingerprint)
+        self.kind = case_kind(case)
 
 
 class _Pending:
     """One distinct in-flight scenario and the future its waiters share."""
 
-    __slots__ = ("digest", "kind", "fingerprint", "case", "future")
+    __slots__ = ("request", "future")
 
-    def __init__(self, digest: str, kind: str,
-                 fingerprint: Dict[str, object], case: object,
-                 future: asyncio.Future) -> None:
-        self.digest = digest
-        self.kind = kind
-        self.fingerprint = fingerprint
-        self.case = case
+    def __init__(self, request: _Request, future: asyncio.Future) -> None:
+        self.request = request
         self.future = future
 
 
@@ -134,7 +162,7 @@ class CampaignService:
         self.stats: Dict[str, int] = {
             "requests": 0, "hits": 0, "misses": 0, "coalesced": 0,
             "refused": 0, "errors": 0, "engine_passes": 0,
-            "executed_cases": 0,
+            "executed_cases": 0, "memo_hits": 0,
         }
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -152,6 +180,15 @@ class CampaignService:
         # caches (compiled traces, facades) survive across waves and
         # threads, and at most ``workers`` states exist.
         self._idle_states: List[_WorkerState] = []
+        # Exact bytes of a valid /v1/run body -> the request it validated
+        # to, and digest -> (cache entry, the encoded head of its reply),
+        # each least recently used first and at most MEMORY_ENTRIES long.
+        # A reply head is reused only for the very entry object it
+        # encodes: an entry re-read or re-stored is a new object, and an
+        # evicted one is never returned by the cache again.
+        self._requests: "OrderedDict[bytes, _Request]" = OrderedDict()
+        self._replies: "OrderedDict[str, Tuple[Dict[str, object], bytes]]" \
+            = OrderedDict()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -220,7 +257,7 @@ class CampaignService:
                 except ValueError:  # a line past the reader's 64 KiB limit
                     await self._respond(
                         writer, 400,
-                        {"error": "request line or header too long"},
+                        _json({"error": "request line or header too long"}),
                         keep_alive=False)
                     await self._linger(reader, writer)
                     break
@@ -230,21 +267,30 @@ class CampaignService:
                     method, target, _version = \
                         request_line.decode("latin-1").split()
                 except ValueError:
-                    await self._respond(writer, 400,
-                                        {"error": "malformed request line"},
-                                        keep_alive=False)
+                    await self._respond(
+                        writer, 400,
+                        _json({"error": "malformed request line"}),
+                        keep_alive=False)
                     break
                 length_field = headers.get("content-length", "0") or "0"
                 if not length_field.isdecimal():  # digits only, as HTTP says
-                    await self._respond(writer, 400,
-                                        {"error": "malformed Content-Length"},
-                                        keep_alive=False)
+                    await self._respond(
+                        writer, 400,
+                        _json({"error": "malformed Content-Length"}),
+                        keep_alive=False)
                     break
                 length = int(length_field)
+                if length > MAX_BODY_BYTES:
+                    await self._respond(writer, 400, _json({
+                        "error": f"request body of {length} bytes is past "
+                                 f"the {MAX_BODY_BYTES}-byte limit"}),
+                        keep_alive=False)
+                    await self._linger(reader, writer)
+                    break
                 body = await reader.readexactly(length) if length else b""
-                status, payload = await self._route(method, target, body)
+                status, data = await self._route(method, target, body)
                 keep_alive = headers.get("connection", "").lower() != "close"
-                await self._respond(writer, status, payload,
+                await self._respond(writer, status, data,
                                     keep_alive=keep_alive)
                 if not keep_alive:
                     break
@@ -294,8 +340,7 @@ class CampaignService:
 
     @staticmethod
     async def _respond(writer: asyncio.StreamWriter, status: int,
-                       payload: Dict[str, object], keep_alive: bool) -> None:
-        data = json.dumps(payload, sort_keys=True).encode("utf-8")
+                       data: bytes, keep_alive: bool) -> None:
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(data)}\r\n"
@@ -306,75 +351,86 @@ class CampaignService:
         await writer.drain()
 
     async def _route(self, method: str, target: str, body: bytes
-                     ) -> Tuple[int, Dict[str, object]]:
+                     ) -> Tuple[int, bytes]:
         target = target.split("?", 1)[0]
         if target == "/v1/run":
             if method != "POST":
-                return 405, {"error": "POST only"}
-            try:
-                request = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return 400, {"error": f"request body is not JSON: {exc}"}
-            if not isinstance(request, dict) or \
-                    not isinstance(request.get("case"), dict):
-                return 400, {"error": 'expected a JSON object {"case": {...}}'}
-            return await self._submit(request["case"])
+                return 405, _json({"error": "POST only"})
+            return await self._run(body)
         if target == "/v1/stats":
             if method != "GET":
-                return 405, {"error": "GET only"}
-            return 200, self.stats_snapshot()
+                return 405, _json({"error": "GET only"})
+            return 200, _json(self.stats_snapshot())
         if target == "/healthz":
             if method != "GET":
-                return 405, {"error": "GET only"}
-            return 200, {"status": "ok"}
-        return 404, {"error": f"unknown path {target!r}"}
+                return 405, _json({"error": "GET only"})
+            return 200, _json({"status": "ok"})
+        return 404, _json({"error": f"unknown path {target!r}"})
 
     def stats_snapshot(self) -> Dict[str, object]:
         """The service counters plus derived identity/uptime fields."""
         snapshot: Dict[str, object] = dict(self.stats)
         snapshot["pending"] = len(self._pending)
+        snapshot["memo_entries"] = len(self._requests)
         snapshot["workers"] = self.workers
         snapshot["uptime_s"] = round(time.monotonic() - self._started_at, 3)
         snapshot["cache"] = self.cache.stats()
         return snapshot
 
     # ------------------------------------------------------------------
-    # Request flow: hit / coalesced / miss
+    # Request flow: memo, then hit / coalesced / miss
     # ------------------------------------------------------------------
-    async def _submit(self, case_data: Dict[str, object]
-                      ) -> Tuple[int, Dict[str, object]]:
+    async def _run(self, body: bytes) -> Tuple[int, bytes]:
+        """Answer one ``POST /v1/run`` body: from the request memo when
+        these exact bytes validated before, else parse and validate it,
+        remembering it only once its case is built."""
         arrived = time.monotonic()
-        arrival_s = arrived - self._started_at
+        request = self._requests.get(body)
+        if request is not None:
+            self._requests.move_to_end(body)
+            self.stats["memo_hits"] += 1
+            return await self._submit(request, arrived)
         try:
-            case = case_from_dict(case_data)
+            data = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return 400, _json({"error": f"request body is not JSON: {exc}"})
+        if not isinstance(data, dict) or \
+                not isinstance(data.get("case"), dict):
+            return 400, _json(
+                {"error": 'expected a JSON object {"case": {...}}'})
+        try:
+            case = case_from_dict(data["case"])
         except (SweepError, ValueError, TypeError) as exc:
             self.stats["requests"] += 1
             self.stats["errors"] += 1
-            return 400, {"error": str(exc)}
-        fingerprint = case_fingerprint(case)
-        digest = fingerprint_digest(fingerprint)
-        kind = case_kind(case)
+            return 400, _json({"error": str(exc)})
+        request = _Request(case)
+        self._requests[body] = request
+        if len(self._requests) > MEMORY_ENTRIES:
+            self._requests.popitem(last=False)
+        return await self._submit(request, arrived)
+
+    async def _submit(self, request: _Request, arrived: float
+                      ) -> Tuple[int, bytes]:
+        arrival_s = arrived - self._started_at
+        digest = request.digest
         self.stats["requests"] += 1
 
         def answer(entry: Dict[str, object], outcome: str
-                   ) -> Tuple[int, Dict[str, object]]:
+                   ) -> Tuple[int, bytes]:
             latency_ms = (time.monotonic() - arrived) * 1e3
-            self._trace_request(digest, kind, fingerprint, outcome,
-                                latency_ms, arrival_s)
-            return 200, {
-                "kind": entry.get("kind", kind),
-                "record": entry["record"],
-                "served": {"digest": digest, "outcome": outcome,
-                           "latency_ms": round(latency_ms, 3)},
-            }
+            self._trace_request(request, outcome, latency_ms, arrival_s)
+            served = _json({"digest": digest, "outcome": outcome,
+                            "latency_ms": round(latency_ms, 3)})
+            return 200, self._reply_head(request, entry) + served + b"}"
 
         def fail(status: int, outcome: str, error: str
-                 ) -> Tuple[int, Dict[str, object]]:
+                 ) -> Tuple[int, bytes]:
             latency_ms = (time.monotonic() - arrived) * 1e3
-            self._trace_request(digest, kind, fingerprint, outcome,
-                                latency_ms, arrival_s)
-            return status, {"error": error,
-                            "served": {"digest": digest, "outcome": outcome}}
+            self._trace_request(request, outcome, latency_ms, arrival_s)
+            return status, _json({"error": error,
+                                  "served": {"digest": digest,
+                                             "outcome": outcome}})
 
         entry = self.cache.get(digest)
         if entry is not None:
@@ -391,8 +447,7 @@ class CampaignService:
                         "misses are queued or running; retry later")
         else:
             loop = asyncio.get_running_loop()
-            pending = _Pending(digest, kind, fingerprint, case,
-                               loop.create_future())
+            pending = _Pending(request, loop.create_future())
             self._pending[digest] = pending
             self._backlog.append(pending)
             self._wake.set()
@@ -409,13 +464,31 @@ class CampaignService:
             return fail(500, "error", str(exc))
         return answer(entry, outcome)
 
-    def _trace_request(self, digest: str, kind: str,
-                       fingerprint: Dict[str, object],
-                       outcome: str, latency_ms: float,
-                       arrival_s: float) -> None:
+    def _reply_head(self, request: _Request, entry: Dict[str, object]
+                    ) -> bytes:
+        """The reply to ``entry`` up to its ``served`` value:
+        ``{"kind": ..., "record": {...}, "served": `` — encoded once per
+        entry object, so only a new object (a re-read or re-store) is
+        encoded again."""
+        held = self._replies.get(request.digest)
+        if held is not None and held[0] is entry:
+            self._replies.move_to_end(request.digest)
+            return held[1]
+        text = json.dumps({"kind": entry.get("kind", request.kind),
+                           "record": entry["record"]}, sort_keys=True)
+        head = text[:-1].encode("utf-8") + b', "served": '
+        self._replies[request.digest] = (entry, head)
+        self._replies.move_to_end(request.digest)
+        if len(self._replies) > MEMORY_ENTRIES:
+            self._replies.popitem(last=False)
+        return head
+
+    def _trace_request(self, request: _Request, outcome: str,
+                       latency_ms: float, arrival_s: float) -> None:
         if self.trace is not None:
-            self.trace.record(digest, kind, fingerprint, outcome,
-                              latency_ms, arrival_s=arrival_s)
+            self.trace.record(request.digest, request.kind,
+                              request.fingerprint, outcome, latency_ms,
+                              arrival_s=arrival_s)
 
     # ------------------------------------------------------------------
     # Dispatch: backlog -> coalesced engine waves
@@ -451,7 +524,7 @@ class CampaignService:
         except Exception as exc:  # the batch runner itself failed
             outcomes = [exc] * len(batch)
         for pending, outcome in zip(batch, outcomes):
-            self._pending.pop(pending.digest, None)
+            self._pending.pop(pending.request.digest, None)
             if isinstance(outcome, Exception):
                 pending.future.set_exception(
                     ServeError(f"case execution failed: {outcome}"))
@@ -469,7 +542,7 @@ class CampaignService:
             state = self._idle_states.pop()
         except IndexError:  # every state is lent to a running wave
             state = _WorkerState()
-        cases = [pending.case for pending in batch]
+        cases = [pending.request.case for pending in batch]
         records: List[object] = [None] * len(batch)
         try:
             from ..engine.grid import BatchedGridEngine
@@ -496,8 +569,9 @@ class CampaignService:
                 outcomes.append(record if isinstance(record, Exception)
                                 else ServeError("case produced no record"))
                 continue
-            entry = self.cache.store(pending.digest, pending.fingerprint,
-                                     pending.kind, record.as_dict())
+            request = pending.request
+            entry = self.cache.store(request.digest, request.fingerprint,
+                                     request.kind, record.as_dict())
             outcomes.append(entry)
         return outcomes
 

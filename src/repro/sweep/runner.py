@@ -261,7 +261,7 @@ class SweepCase:
         _check_fields(self)
         _check_order(self.order)
         _check_algorithm(self.algorithm)
-        self.geometry()  # fail fast on inconsistent dimensions/banking
+        _check_geometry(self, predicted=True)
 
     def geometry(self) -> ArrayGeometry:
         """The array geometry this case runs on."""
@@ -446,6 +446,22 @@ def _check_algorithm(name: str) -> None:
         raise SweepError(exc.args[0]) from None
 
 
+def _check_geometry(case: "AnyCase", predicted: bool = False) -> None:
+    """Refuse dimensions no array has (non-positive, or inconsistent with
+    the word width or the bank count) as a :class:`SweepError`, before
+    any engine sees the case.  A ``predicted`` case's record carries the
+    Section 5 prediction, so it also needs the columns that holds for."""
+    try:
+        columns = case.geometry().columns
+    except ValueError as exc:
+        raise SweepError(str(exc)) from None
+    if predicted and columns < AnalyticalPowerModel.MIN_COLUMNS:
+        raise SweepError(
+            f"a {case.kind!r} case needs at least "
+            f"{AnalyticalPowerModel.MIN_COLUMNS} columns, which the "
+            f"Section 5 prediction in its record assumes (got {columns})")
+
+
 # ----------------------------------------------------------------------
 # Fault-coverage campaign cases (the DOF-1 sweeps)
 # ----------------------------------------------------------------------
@@ -547,6 +563,7 @@ class CoverageCase:
         if not (self.include_single or self.include_coupling):
             raise SweepError("a coverage case needs at least one fault battery")
         _check_algorithm(self.algorithm)
+        _check_geometry(self)
 
     def geometry(self) -> ArrayGeometry:
         """The (bit-oriented) array geometry this campaign runs on."""
@@ -773,7 +790,7 @@ class PrrCase:
     def __post_init__(self) -> None:
         _check_fields(self)
         _check_algorithm(self.algorithm)
-        self.geometry()  # fail fast on inconsistent dimensions/banking
+        _check_geometry(self, predicted=True)
 
     def geometry(self) -> ArrayGeometry:
         """The array geometry this campaign runs on."""

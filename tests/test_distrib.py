@@ -916,7 +916,8 @@ class TestDistribCli:
     @pytest.mark.parametrize("edit, error", [
         ({"algorithm": "March Z"}, "unknown March algorithm 'March Z'"),
         ({"kernel": "jit"}, "kernel 'jit' cannot be chosen"),
-    ], ids=["algorithm", "kernel"])
+        ({"rows": 0}, "rows must be positive, got 0"),
+    ], ids=["algorithm", "kernel", "rows"])
     def test_worker_refuses_an_unbuildable_grid_before_any_claim(
             self, tmp_path, capsys, edit, error):
         # A grid line this version cannot build must stop the worker

@@ -7,8 +7,10 @@ round-trip seam the cache key is built on, and the live service: miss →
 hit, duplicate concurrent requests coalescing into one engine pass,
 cache survival across restarts, self-healing after a torn cache write,
 natural batching (dispatch while a thread is idle, pool while all are
-busy), the pending bound's 429, and the JSON/HTTP protocol's error
-mapping.
+busy), the pending bound's 429, the hit path (a repeated body is neither
+validated nor hashed again, and every reply is the bytes of its sorted
+payload, encoded from the entry the cache holds now), and the JSON/HTTP
+protocol's error mapping, the body bound included.
 """
 
 from __future__ import annotations
@@ -839,6 +841,177 @@ def test_torn_cache_entry_is_reexecuted_and_healed(tmp_path):
     assert again["served"]["outcome"] == "hit"    # ...and it healed
     assert stats["engine_passes"] == 1
     assert _drop_elapsed(healed["record"]) == _drop_elapsed(first["record"])
+    # The hit carries the healed entry's record, elapsed time included.
+    assert again["record"] == healed["record"] \
+        == json.loads(entry_path.read_text())["record"]
+
+
+# ----------------------------------------------------------------------
+# The hit path: request memo and encoded replies
+# ----------------------------------------------------------------------
+def _post_raw(host, port, body):
+    """POST ``body`` to /v1/run on a fresh socket; the reply's status line
+    and its exact body bytes."""
+    with socket.create_connection((host, port), timeout=60) as raw:
+        raw.sendall(b"POST /v1/run HTTP/1.1\r\nConnection: close\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        reply = b""
+        while chunk := raw.recv(65536):  # the service closes after it
+            reply += chunk
+    head, _, data = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n", 1)[0], data
+
+
+def _counted_validation(monkeypatch):
+    """Count the service's calls of the three functions that turn a body
+    into a cache key."""
+    import repro.serve.service as service_module
+
+    calls = Counter()
+    for name in ("case_from_dict", "case_fingerprint", "fingerprint_digest"):
+        def counted(*args, _name=name,
+                    _original=getattr(service_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(service_module, name, counted)
+    return calls
+
+
+def test_a_repeated_body_is_not_validated_or_hashed_again(tmp_path,
+                                                          monkeypatch):
+    calls = _counted_validation(monkeypatch)
+    case = _prr_case()
+    with running_service(tmp_path / "cache") as (service, host, port):
+        with ServeClient(host, port) as client:
+            first = client.submit(case)
+            assert calls == {"case_from_dict": 1, "case_fingerprint": 1,
+                             "fingerprint_digest": 1}
+            calls.clear()
+            again = [client.submit(case) for _ in range(3)]
+            stats = client.stats()
+    assert sum(calls.values()) == 0
+    assert [r["served"]["outcome"] for r in again] == ["hit"] * 3
+    assert all(r["record"] == first["record"] for r in again)
+    assert all(r["served"]["digest"] == first["served"]["digest"]
+               for r in again)
+    assert stats["memo_hits"] == 3 and stats["memo_entries"] == 1
+    assert stats["requests"] == stats["hits"] + stats["misses"] == 4
+
+
+def test_replies_are_the_bytes_of_the_sorted_payload(tmp_path, monkeypatch):
+    # A miss, a waiter coalesced onto it and a later hit: each reply's
+    # body is exactly json.dumps(payload, sort_keys=True) of itself.
+    body = json.dumps({"case": _prr_case()}).encode("utf-8")
+    with running_service(tmp_path / "cache", workers=1) \
+            as (service, host, port), ThreadPoolExecutor(2) as pool, \
+            _held_wave(monkeypatch) as (started, release):
+        missed = pool.submit(_post_raw, host, port, body)
+        assert started.wait(30)
+        coalesced = pool.submit(_post_raw, host, port, body)
+        _wait_for(lambda: service.stats_snapshot()["coalesced"] == 1)
+        release.set()
+        replies = [missed.result(timeout=60), coalesced.result(timeout=60),
+                   _post_raw(host, port, body)]
+    outcomes = []
+    for status, data in replies:
+        assert status.startswith(b"HTTP/1.1 200 ")
+        payload = json.loads(data)
+        assert json.dumps(payload, sort_keys=True).encode("utf-8") == data
+        outcomes.append(payload["served"]["outcome"])
+    assert outcomes == ["miss", "coalesced", "hit"]
+
+
+def _generation_tagged_stores(monkeypatch):
+    """Tag every record the service stores with how many times its digest
+    has been stored, so a reply names the entry it was encoded from."""
+    store = ResultCache.store
+    generations = Counter()
+
+    def tagged(self, digest, fingerprint, kind, record):
+        generations[digest] += 1
+        return store(self, digest, fingerprint, kind,
+                     {**record, "generation": generations[digest]})
+
+    monkeypatch.setattr(ResultCache, "store", tagged)
+
+
+def test_a_reexecuted_entry_is_served_not_the_evicted_one(tmp_path,
+                                                          monkeypatch):
+    _generation_tagged_stores(monkeypatch)
+    case, other = _prr_case(), _prr_case(rows=16)
+    with running_service(tmp_path / "cache", cache_max_entries=1) \
+            as (service, host, port):
+        with ServeClient(host, port) as client:
+            replies = [client.submit(submitted)
+                       for submitted in (case, case, other, case, case)]
+            stats = client.stats()
+    assert [r["served"]["outcome"] for r in replies] == \
+        ["miss", "hit", "miss", "miss", "hit"]
+    assert [r["record"]["generation"] for r in replies] == [1, 1, 1, 2, 2]
+    assert replies[4]["record"] == replies[3]["record"]
+    assert stats["cache"]["evictions"] == 2
+
+
+def test_a_reread_entry_is_served_as_disk_holds_it(tmp_path, monkeypatch):
+    # The cache's memory tier holds one entry, so the first case's entry
+    # is read from disk again after another case is stored; the reply
+    # must be encoded from what the file now holds.
+    monkeypatch.setattr("repro.serve.cache.MEMORY_ENTRIES", 1)
+    case, other = _prr_case(), _prr_case(rows=16)
+    digest = fingerprint_digest(case_fingerprint(case_from_dict(case)))
+    with running_service(tmp_path / "cache") as (service, host, port):
+        with ServeClient(host, port) as client:
+            first = client.submit(case)
+            assert client.submit(case)["record"] == first["record"]
+            client.submit(other)
+            stored = json.loads(service.cache.path_for(digest).read_text())
+            ResultCache(tmp_path / "cache").store(
+                digest, stored["fingerprint"], stored["kind"],
+                {**stored["record"], "rewritten": True})
+            reread = client.submit(case)
+    assert reread["served"]["outcome"] == "hit"
+    assert reread["record"] == {**first["record"], "rewritten": True}
+
+
+def test_the_request_memo_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.serve.service.MEMORY_ENTRIES", 2)
+    cases = [_prr_case(rows=rows) for rows in (8, 16, 32)]
+    with running_service(tmp_path / "cache") as (service, host, port):
+        with ServeClient(host, port) as client:
+            first = [client.submit(case) for case in cases]
+            again = [client.submit(case) for case in cases]
+            stats = client.stats()
+        assert len(service._replies) == 2
+    assert stats["memo_entries"] == 2
+    assert [r["served"]["outcome"] for r in again] == ["hit"] * 3
+    for case, before, after in zip(cases, first, again):
+        assert after["record"] == before["record"]
+        assert after["served"]["digest"] == \
+            fingerprint_digest(case_fingerprint(case_from_dict(case)))
+
+
+def test_a_reordered_or_respaced_body_hits_through_the_slow_path(
+        tmp_path, monkeypatch):
+    case = _prr_case()
+    bodies = [json.dumps({"case": case}),
+              json.dumps({"case": dict(reversed(list(case.items())))}),
+              json.dumps({"case": case}, indent=2),
+              json.dumps({"case": case}, separators=(",", ":"))]
+    with running_service(tmp_path / "cache") as (service, host, port):
+        replies = [json.loads(_post_raw(host, port, body.encode())[1])
+                   for body in bodies]
+        assert service.stats_snapshot()["memo_hits"] == 0
+        calls = _counted_validation(monkeypatch)
+        repeated = json.loads(_post_raw(host, port, bodies[1].encode())[1])
+        stats = service.stats_snapshot()
+    assert len(set(bodies)) == len(bodies)
+    assert [r["served"]["outcome"] for r in replies + [repeated]] == \
+        ["miss", "hit", "hit", "hit", "hit"]
+    assert all(r["record"] == replies[0]["record"]
+               for r in replies + [repeated])
+    assert stats["memo_entries"] == 4 and stats["memo_hits"] == 1
+    assert sum(calls.values()) == 0
 
 
 def test_protocol_error_mapping(tmp_path):
@@ -906,18 +1079,27 @@ def _coverage_case(**overrides):
     (_power_case(rows=8.5), "rows must be an integer"),
     (_prr_case(bits_per_word=1.0), "bits_per_word must be an integer"),
     (_prr_case(seed="x"), "seed must be an integer"),
+    (_coverage_case(rows=0), "rows must be positive, got 0"),
+    (_power_case(columns=-8), "columns must be positive, got -8"),
+    (_prr_case(bits_per_word=3), r"columns \(64\) must be a multiple"),
+    (_power_case(banks=3), r"rows \(8\) must be a multiple of banks"),
+    (_prr_case(columns=2), "a 'prr' case needs at least 3 columns"),
 ], ids=["power", "prr", "coverage", "prr-not-a-name", "power-kernel",
         "prr-kernel", "coverage-sample", "coverage-negative-sample",
         "coverage-seed", "coverage-include-single",
         "coverage-include-coupling", "coverage-direction",
         "power-direction", "power-bool-rows", "prr-bool-rows",
         "coverage-bool-rows", "prr-bool-banks", "coverage-string-orders",
-        "power-float-rows", "prr-float-bits-per-word", "prr-string-seed"])
+        "power-float-rows", "prr-float-bits-per-word", "prr-string-seed",
+        "coverage-zero-rows", "power-negative-columns",
+        "prr-word-width-not-a-divisor", "power-banks-not-a-divisor",
+        "prr-two-columns"])
 def test_unbuildable_case_is_a_counted_400(tmp_path, caplog, case, error):
     # A case that cannot be built (an unknown or non-string algorithm,
     # any kernel choice, a mistyped field, a direction ⇕ cannot resolve
-    # to) is the client's error: a counted 400, no engine pass, and
-    # no handler dying with a logged traceback and a closed connection.
+    # to, dimensions no array or no Section 5 prediction has) is the
+    # client's error: a counted 400, no engine pass, and no handler dying
+    # with a logged traceback and a closed connection.
     caplog.set_level(logging.ERROR, logger="asyncio")
     with running_service(tmp_path / "cache") as (service, host, port):
         with ServeClient(host, port) as client:
@@ -931,20 +1113,29 @@ def test_unbuildable_case_is_a_counted_400(tmp_path, caplog, case, error):
             and record.levelno >= logging.ERROR] == []
 
 
-@pytest.mark.parametrize("length", ["abc", "-5"])
-def test_malformed_content_length_is_a_400(tmp_path, length):
+@pytest.mark.parametrize("length,error", [
+    ("abc", "malformed Content-Length"),
+    ("-5", "malformed Content-Length"),
+    # Refused before the body is read; the body then arrives all the same
+    # and must not reset the connection under the reply.
+    ("65537", "request body of 65537 bytes is past the 65536-byte limit"),
+], ids=["abc", "-5", "past-the-body-limit"])
+def test_malformed_content_length_is_a_400(tmp_path, length, error):
+    body = b"x" * int(length) if length.isdecimal() else b""
     with running_service(tmp_path / "cache") as (service, host, port):
         with socket.create_connection((host, port), timeout=30) as raw:
             raw.sendall(f"POST /v1/run HTTP/1.1\r\nContent-Length: "
-                        f"{length}\r\n\r\n".encode("latin-1"))
+                        f"{length}\r\n\r\n".encode("latin-1") + body)
             reply = b""
             while chunk := raw.recv(4096):  # the service closes after it
                 reply += chunk
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
-        assert json.loads(body) == {"error": "malformed Content-Length"}
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == {"error": error}
         with ServeClient(host, port) as client:
             assert client.health() == {"status": "ok"}
+        assert service.stats_snapshot()["requests"] == 0
 
 
 @pytest.mark.parametrize("request_head", [
@@ -982,6 +1173,7 @@ def test_stats_and_health_endpoints(tmp_path):
             assert client.health() == {"status": "ok"}
             stats = client.stats()
     assert stats["requests"] == 0
+    assert stats["memo_hits"] == stats["memo_entries"] == 0
     assert stats["workers"] >= 1
     assert "uptime_s" in stats
 
