@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..durable import atomic_write_text, fsync_directory
+from ..durable import atomic_write_text, create_exclusive, read_objects
 
 __all__ = [
     "LEDGER_FORMAT",
@@ -311,25 +310,7 @@ class LeaseLedger:
 
     def load_grid(self) -> List[Dict[str, object]]:
         """Every case fingerprint of the campaign grid, in grid order."""
-        try:
-            text = self.grid_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise LedgerError(f"cannot read grid {self.grid_path}: {exc}") \
-                from exc
-        fingerprints: List[Dict[str, object]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                fingerprint = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LedgerError(
-                    f"grid line {lineno} is not valid JSON: {exc}") from exc
-            if not isinstance(fingerprint, dict):
-                raise LedgerError(
-                    f"grid line {lineno} is not a case fingerprint object")
-            fingerprints.append(fingerprint)
-        return fingerprints
+        return read_objects(self.grid_path, LedgerError, "grid")
 
     def lease_ids(self) -> List[str]:
         """Every lease id of the campaign, in manifest order."""
@@ -372,16 +353,8 @@ class LeaseLedger:
         if lease.state != "pending":
             return None
         token = self.claim_token_path(lease_id, lease.generation)
-        try:
-            fd = os.open(str(token), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+        if not create_exclusive(token, worker.encode("utf-8")):
             return None  # another worker won this generation
-        try:
-            os.write(fd, worker.encode("utf-8"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        fsync_directory(self.lease_dir)
         now = time.time()
         lease.state = "claimed"
         lease.worker = worker

@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..march.algorithm import MarchAlgorithm, MarchValidationError
 from ..march.element import AddressingDirection
 from ..march.execution import OperationTrace, resolve_direction
@@ -50,11 +52,6 @@ from .vectorized import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..faults.simulator import DetectionResult, FaultInjection
-
-try:  # numpy is required for this backend only; the scalar path runs without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
 
 
 class UnsupportedFaultCampaign(EngineError):
@@ -66,13 +63,6 @@ class UnsupportedFaultCampaign(EngineError):
     mismatch between simulator and address order.  The reference backend
     handles every such case; ``backend="auto"`` falls back automatically.
     """
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise EngineError(
-            "the vectorized fault-campaign engine requires numpy; install "
-            "numpy or use backend='reference'")
 
 
 #: Encoding of the scalar simulator's ``CellState.value is None`` in the
@@ -514,7 +504,6 @@ class VectorizedFaultCampaign:
     def __init__(self, geometry: ArrayGeometry,
                  any_direction: AddressingDirection = AddressingDirection.UP
                  ) -> None:
-        _require_numpy()
         if geometry.bits_per_word != 1:
             raise UnsupportedFaultCampaign(
                 "the fault-campaign engine models bit-oriented arrays "
@@ -557,7 +546,6 @@ class VectorizedFaultCampaign:
         """
         from ..faults.simulator import DetectionResult
 
-        _require_numpy()
         orders = list(orders)
         if any(order.geometry != self.geometry for order in orders):
             raise UnsupportedFaultCampaign(

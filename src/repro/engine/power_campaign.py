@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..bist.backend import planner_name
 from ..bist.comparator import ComparatorLog
 from ..circuit.technology import TechnologyParameters, default_technology
@@ -45,15 +47,10 @@ from ..power.accounting import EnergyLedger
 from ..sram.array import BackgroundFunction, solid_background
 from ..sram.geometry import ArrayGeometry
 from ..sram.modes import OperatingMode
-from .vectorized import VectorizedEngine, _require_numpy
+from .vectorized import VectorizedEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..bist.controller import BistResult
-
-try:  # numpy is required for this backend only
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
 
 
 class VectorizedPowerCampaign:
@@ -73,7 +70,6 @@ class VectorizedPowerCampaign:
                  tech: TechnologyParameters | None = None,
                  any_direction: AddressingDirection = AddressingDirection.UP,
                  trace_cache: Optional[TraceCache] = None) -> None:
-        _require_numpy()
         self.geometry = geometry
         self.tech = tech or default_technology()
         self.any_direction = any_direction

@@ -40,6 +40,8 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..circuit.technology import TechnologyParameters, default_technology
 from ..march.algorithm import MarchAlgorithm
 from ..march.element import AddressingDirection
@@ -55,11 +57,6 @@ from ..sram.timing import ClockCycle
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.session import ModeComparison, TestRunResult
 
-try:  # numpy is required for this backend only; the scalar path runs without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
-
 from .dispatch import EngineError
 
 
@@ -72,14 +69,6 @@ class UnsupportedConfiguration(EngineError):
     selection time, ...).  The reference backend handles every such case;
     ``backend="auto"`` falls back to it automatically.
     """
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise EngineError(
-            "the vectorized backend requires numpy; install numpy or use "
-            "backend='reference'"
-        )
 
 
 #: Segment shapes evaluated per flat-kernel tile; bounds the size of the
@@ -210,7 +199,6 @@ class VectorizedEngine:
                  any_direction: AddressingDirection = AddressingDirection.UP,
                  detailed: Optional[bool] = None,
                  trace_cache: Optional[TraceCache] = None) -> None:
-        _require_numpy()
         self.geometry = geometry
         self.tech = tech or default_technology()
         self.order = order or RowMajorOrder(geometry)

@@ -382,13 +382,12 @@ class FaultSimulator:
 
         if not injections:
             return simulate_reference()
-        # A rejected batch (unknown fault model, unsupported geometry,
-        # missing numpy) leaves the engine without corrupt state, so the
-        # cached instance stays valid for later batches — no invalidation.
+        # A rejected batch (unknown fault model, unsupported geometry)
+        # leaves the engine without corrupt state, so the cached instance
+        # stays valid for later batches — no invalidation.
         return self._dispatch.call(
             self.backend, vectorized=simulate_vectorized,
-            reference=simulate_reference,
-            fallback=(EngineError, ImportError))
+            reference=simulate_reference, fallback=(EngineError,))
 
     def fault_free_passes(self, algorithm: MarchAlgorithm, order: AddressOrder) -> bool:
         """Sanity check: the fault-free memory must never flag a mismatch."""

@@ -26,15 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; numpy loads on demand
     import numpy as np
 
 
-def _numpy():
-    """Import numpy on demand; ``None`` when unavailable (scalar fallback)."""
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - the container ships numpy
-        return None
-    return np
-
-
 class OrderingError(Exception):
     """Raised for malformed address orders."""
 
@@ -219,11 +210,9 @@ class AddressOrder:
         registry order) materialise the list from the cached numpy arrays
         in bulk — two orders of magnitude faster than walking
         :meth:`coordinate_at` position by position on paper-scale
-        geometries; other subclasses (and numpy-free installs) keep the
-        scalar walk.
+        geometries; other subclasses keep the scalar walk.
         """
-        bulk = self._bulk_expansion_available()
-        if bulk:
+        if self._bulk_expansion_available():
             rows, words = self.coordinate_arrays()
             coordinates = list(zip(rows.tolist(), words.tolist()))
             if not ascending:
@@ -233,10 +222,9 @@ class AddressOrder:
 
     def _bulk_expansion_available(self) -> bool:
         """True when :meth:`coordinate_arrays` does not itself need
-        :meth:`sequence` (a closed-form override exists) and numpy loads."""
-        closed_form = (type(self)._build_coordinate_arrays
-                       is not AddressOrder._build_coordinate_arrays)
-        return closed_form and _numpy() is not None
+        :meth:`sequence` (a closed-form override exists)."""
+        return (type(self)._build_coordinate_arrays
+                is not AddressOrder._build_coordinate_arrays)
 
     def coordinate_arrays(self):
         """The ascending sequence as two parallel ``numpy`` integer arrays.
@@ -329,29 +317,15 @@ class AddressOrder:
         is either the next word of the same row or the first word of an
         adjacent traversal step, so only the selected column and its
         successor require pre-charge.  The verdict is cached on the order
-        instance (orders are immutable permutations) and, with numpy
-        available, read from :meth:`row_runs`: every row starts at least
-        one run of a permutation, so sequential means exactly one run per
-        row.
+        instance (orders are immutable permutations) and read from
+        :meth:`row_runs`: every row starts at least one run of a
+        permutation, so sequential means exactly one run per row.
         """
         cached = getattr(self, "_wordline_sequential_cache", None)
         if cached is None:
-            cached = self._compute_wordline_sequential()
+            cached = self.row_runs().run_count == self.geometry.rows
             self._wordline_sequential_cache = cached
         return cached
-
-    def _compute_wordline_sequential(self) -> bool:
-        if _numpy() is not None:
-            return self.row_runs().run_count == self.geometry.rows
-        previous_row: int | None = None
-        seen_rows: set[int] = set()
-        for row, _ in self.ascending():
-            if row != previous_row:
-                if row in seen_rows:
-                    return False
-                seen_rows.add(row)
-                previous_row = row
-        return True
 
     def describe(self) -> str:
         return f"{self.name} order on {self.geometry.describe()}"

@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import math
 import os
 import signal
 import sys
 
 from .service import DEFAULT_PORT, CampaignService
+from .trace import TraceError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,17 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="append every request to this JSONL workload "
                              "trace (default: no trace)")
-    parser.add_argument("--trace-fsync", action="store_true",
-                        help="fsync the trace per request (durable but "
-                             "adds per-request latency)")
     parser.add_argument("--workers", type=int, default=None,
                         help="executor pool size (default: min(4, cpus))")
-    parser.add_argument("--coalesce-window", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="fixed wait for cache-miss requests to pool "
-                             "before an engine wave launches (default: 0: "
-                             "dispatch while an executor thread is idle, "
-                             "pool only while every thread is busy)")
     parser.add_argument("--cache-max-entries", type=int, default=None,
                         metavar="N",
                         help="evict least-recently-used cache entries "
@@ -65,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 async def _serve(args: argparse.Namespace) -> int:
     service = CampaignService(
-        args.cache_dir, trace_path=args.trace, trace_fsync=args.trace_fsync,
-        workers=args.workers, coalesce_window=args.coalesce_window,
+        args.cache_dir, trace_path=args.trace, workers=args.workers,
         cache_max_entries=args.cache_max_entries,
         cache_max_bytes=args.cache_max_bytes)
     await service.start(args.host, args.port)
@@ -100,11 +90,6 @@ def main(argv=None) -> int:
     if not 0 <= args.port <= 65535:
         print("error: --port must be in 0..65535", file=sys.stderr)
         return 2
-    if not 0 <= args.coalesce_window < math.inf:
-        # NaN fails both comparisons; inf would park every miss forever.
-        print("error: --coalesce-window must be a finite number >= 0",
-              file=sys.stderr)
-        return 2
     for name in ("cache_max_entries", "cache_max_bytes"):
         value = getattr(args, name)
         if value is not None and value < 1:
@@ -115,7 +100,7 @@ def main(argv=None) -> int:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:  # signal handlers unavailable (rare)
         return 0
-    except OSError as exc:  # bind failure: port in use, bad address
+    except (OSError, TraceError) as exc:  # bind failure, unusable trace
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,7 +66,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -135,30 +135,24 @@ class CampaignService:
     Misses batch naturally: while fewer than ``workers`` waves are in
     flight the dispatcher sends the backlog as soon as it wakes, and
     while every thread is busy misses pool until a finishing wave wakes
-    it to send them all as one wave.  ``coalesce_window`` (seconds,
-    default 0) adds a fixed wait before each take of the backlog, so a
-    client burst lands in one stacked pass even on an idle service.
-    ``workers`` bounds the executor pool (default: ``min(4, cpu)``); each
-    wave runs under the most recently used idle
-    :class:`~repro.sweep.runner._WorkerState`, so compiled traces and
-    facades stay warm across waves.
+    it to send them all as one wave.  ``workers`` bounds the executor
+    pool (default: ``min(4, cpu)``); each wave runs under the most
+    recently used idle :class:`~repro.sweep.runner._WorkerState`, so
+    compiled traces and facades stay warm across waves.
     """
 
     def __init__(self, cache_dir: Union[str, Path],
                  trace_path: Optional[Union[str, Path]] = None,
-                 trace_fsync: bool = False,
                  workers: Optional[int] = None,
-                 coalesce_window: float = 0.0,
                  cache_max_entries: Optional[int] = None,
                  cache_max_bytes: Optional[int] = None) -> None:
         self.cache = ResultCache(cache_dir,
                                  max_entries=cache_max_entries,
                                  max_bytes=cache_max_bytes)
-        self.trace = WorkloadTrace(trace_path, fsync=trace_fsync) \
+        self.trace = WorkloadTrace(trace_path) \
             if trace_path is not None else None
         self.workers = workers if workers is not None \
             else min(4, os.cpu_count() or 1)
-        self.coalesce_window = coalesce_window
         self.stats: Dict[str, int] = {
             "requests": 0, "hits": 0, "misses": 0, "coalesced": 0,
             "refused": 0, "errors": 0, "engine_passes": 0,
@@ -199,24 +193,33 @@ class CampaignService:
         back from :attr:`port`)."""
         if self._server is not None:
             raise ServeError("service already started")
+        if self.trace is not None:
+            self.trace.open()  # an unusable trace fails before serving
         self._wake = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve")
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
+        self._server = await asyncio.start_server(self._accept, host, port)
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         self._started_at = time.monotonic()
         return self
 
     async def stop(self) -> None:
-        """Stop accepting, answer every pooled and running miss, release
-        the pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, answer every pooled and running miss, close
+        every connection, release the pool."""
+        server, self._server = self._server, None
+        if server is not None:
+            # Stop accepting, and let each socket accepted so far attach as
+            # a connection, before the listener closes: asyncio's Server
+            # refuses to attach one once it is closed, and that socket would
+            # never be closed.  (A proactor loop has no readers to remove.)
+            loop = asyncio.get_running_loop()
+            with suppress(NotImplementedError):
+                for sock in server.sockets:
+                    loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
+            server.close()
         # The dispatcher still runs, and a finishing wave wakes it to send
         # what is pooled, so this drains the backlog as well as the waves.
         while self._pending or self._waves:
@@ -224,11 +227,14 @@ class CampaignService:
                 [pending.future for pending in self._pending.values()]
                 + list(self._waves))
         # Idle keep-alive connections would otherwise pin their handler
-        # tasks (and log cancellation noise at loop teardown).
+        # tasks, and from Python 3.12 on ``wait_closed`` waits for every
+        # connection to close.
         for connection in list(self._connections):
             connection.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -245,11 +251,23 @@ class CampaignService:
     # ------------------------------------------------------------------
     # HTTP front
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Take hold of a connection as it is made (the stream protocol
+        calls this from ``connection_made``): :meth:`stop` cancels its
+        handler task, and the transport is closed when that task ends,
+        even one cancelled before its first step."""
+        task = asyncio.ensure_future(self._handle_connection(reader, writer))
+        self._connections.add(task)
+
+        def finished(_: asyncio.Future) -> None:
+            self._connections.discard(task)
+            writer.close()
+
+        task.add_done_callback(finished)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
         try:
             while True:
                 try:
@@ -299,8 +317,6 @@ class CampaignService:
         except asyncio.CancelledError:
             pass  # service stopping: drop the idle connection quietly
         finally:
-            if task is not None:
-                self._connections.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -497,9 +513,6 @@ class CampaignService:
         while True:
             await self._wake.wait()
             self._wake.clear()
-            if self.coalesce_window > 0:
-                # Let a request burst pool up so one wave stacks it all.
-                await asyncio.sleep(self.coalesce_window)
             # Natural batching: while every thread is busy the backlog
             # pools, and the next finishing wave wakes this loop again.
             if not self._backlog or len(self._waves) >= self.workers:
@@ -604,6 +617,8 @@ class ServiceThread:
         self._thread.start()
         self._ready.wait()
         if self._startup_error is not None:
+            self._thread.join()  # its loop is closing: nothing to stop
+            self._thread = None
             raise self._startup_error
         return self.service.host, self.service.port
 

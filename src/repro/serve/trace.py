@@ -23,49 +23,63 @@ tolerance.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import IO, Dict, Iterator, List, Optional, Union
+
+from ..durable import open_log, read_objects
 
 #: The ``format`` tag every trace line carries.
 TRACE_FORMAT = "repro-serve-trace"
 #: The trace schema version this module writes.
 TRACE_VERSION = 1
 
-#: How every trace line begins (``sort_keys`` puts ``"arrival_s"`` first),
-#: used to tell a torn tail from foreign content on load.
-_LINE_PREFIX = '{"arrival_s"'
+#: How every trace line begins (``sort_keys`` puts ``"arrival_s"`` first):
+#: a newline-less tail that could begin one is a torn append.
+_STARTS = ('{"arrival_s"',)
+
+
+class TraceError(Exception):
+    """Raised on malformed or foreign trace files."""
 
 
 class WorkloadTrace:
     """Append-only JSONL writer for the request log.
 
     Thread-safe (the service records from concurrent handler tasks and
-    executor threads).  Lines are flushed per append; ``fsync=True``
-    additionally syncs each line to disk — durable, but the extra
-    ~millisecond per request would dominate cached-hit latency, so the
-    default trades the tail of the log for speed (a torn or missing tail
-    only loses observability, never results).
+    executor threads).  Lines are flushed per append but not fsync'd: a
+    ~millisecond sync per request would dominate cached-hit latency, and
+    a torn or missing tail only loses observability, never results.
     """
 
-    def __init__(self, path: Union[str, Path], fsync: bool = False) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self._lock = threading.Lock()
-        self._handle = None
+        self._handle: Optional[IO[str]] = None
         self._seq = 0
         self._opened_at = time.monotonic()
+
+    def open(self) -> "WorkloadTrace":
+        """Open the append handle now, cutting a torn tail first so the
+        next line does not join it; foreign content raises
+        :class:`TraceError`."""
+        with self._lock:
+            self._log()
+        return self
+
+    def _log(self) -> IO[str]:
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open_log(self.path, TraceError, "trace", _STARTS)
+        return self._handle
 
     def record(self, digest: str, kind: str, case: Dict[str, object],
                outcome: str, latency_ms: float,
                arrival_s: Optional[float] = None) -> None:
         """Append one served request to the trace."""
         with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = self.path.open("a", encoding="utf-8")
+            handle = self._log()
             line = json.dumps({
                 "format": TRACE_FORMAT,
                 "version": TRACE_VERSION,
@@ -80,10 +94,8 @@ class WorkloadTrace:
                 "latency_ms": round(latency_ms, 3),
             }, sort_keys=True)
             self._seq += 1
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            handle.write(line + "\n")
+            handle.flush()
 
     def close(self) -> None:
         with self._lock:
@@ -98,10 +110,6 @@ class WorkloadTrace:
         self.close()
 
 
-class TraceError(Exception):
-    """Raised on malformed or foreign trace files."""
-
-
 def load_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Every request line of the trace at ``path``, in append order.
 
@@ -111,38 +119,18 @@ def load_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
     path = Path(path)
     if not path.exists():
         return []
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    complete, torn_tail = lines[:-1], lines[-1]
-    requests: List[Dict[str, object]] = []
-    for lineno, line in enumerate(complete, start=1):
-        if not line.strip():
-            continue
-        requests.append(_parse_line(line, lineno))
-    if torn_tail.strip():
-        head = torn_tail[:len(_LINE_PREFIX)]
-        if not (head == _LINE_PREFIX or _LINE_PREFIX.startswith(head)):
+    requests = read_objects(path, TraceError, "trace", _STARTS)
+    for number, payload in enumerate(requests, start=1):
+        if payload.get("format") != TRACE_FORMAT:
             raise TraceError(
-                f"trace {path} ends in unrecognised content; "
-                f"is it a {TRACE_FORMAT} file?")
-        # else: torn final append — the request it described was already
-        # answered; only the log line is lost.
+                f"trace {path} request {number} is not a {TRACE_FORMAT} "
+                "record")
+        if payload.get("version") != TRACE_VERSION:
+            raise TraceError(
+                f"trace {path} request {number} has version "
+                f"{payload.get('version')!r}; this reader understands "
+                f"version {TRACE_VERSION}")
     return requests
-
-
-def _parse_line(line: str, lineno: int) -> Dict[str, object]:
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceError(
-            f"trace line {lineno} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != TRACE_FORMAT:
-        raise TraceError(f"trace line {lineno} is not a {TRACE_FORMAT} record")
-    if payload.get("version") != TRACE_VERSION:
-        raise TraceError(
-            f"trace line {lineno} has version {payload.get('version')!r}; "
-            f"this reader understands version {TRACE_VERSION}")
-    return payload
 
 
 def replay_cases(path: Union[str, Path]) -> Iterator[Dict[str, object]]:

@@ -26,10 +26,11 @@ mapping between entries and its case/record dataclasses.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import IO, Dict, List, Optional, Tuple, Union
+
+from ..durable import fsync_append, open_log, read_log
 
 
 class JournalError(Exception):
@@ -47,27 +48,25 @@ JOURNAL_HEADER_FORMAT = "repro-sweep-journal-header"
 #: The journal schema version this module writes.
 JOURNAL_VERSION = 1
 
-#: How every entry line this module writes begins (:meth:`JournalEntry.to_line`
-#: serialises with ``sort_keys``, so ``"case"`` is always the first key).
-#: A torn final write cut at *any* byte is prefix-consistent with this,
-#: which is how it is told apart from a foreign file.
-_LINE_PREFIX = '{"case"'
-#: How a header line begins (``sort_keys`` puts ``"format"`` first).
+#: How the lines this module writes begin (``sort_keys`` puts ``"case"``
+#: first in an entry and ``"format"`` first in a header): a newline-less
+#: tail that could begin one is a torn write (:mod:`repro.durable`).
 _HEADER_PREFIX = f'{{"format": "{JOURNAL_HEADER_FORMAT}"'
-
-
-def _looks_torn(fragment: str) -> bool:
-    """True when a decode-failing tail is a plausible torn journal line."""
-    for prefix in (_LINE_PREFIX, _HEADER_PREFIX):
-        head = fragment[:len(prefix)]
-        if head == prefix or prefix.startswith(head):
-            return True
-    return False
+_STARTS = ('{"case"', _HEADER_PREFIX)
 
 
 def _is_header_line(line: str) -> bool:
     """True when ``line`` is a journal header (never an entry)."""
     return line.lstrip().startswith(_HEADER_PREFIX)
+
+
+def header_line(meta: Dict[str, object]) -> str:
+    """The header line carrying ``meta`` (no trailing newline)."""
+    return json.dumps({
+        "format": JOURNAL_HEADER_FORMAT,
+        "version": JOURNAL_VERSION,
+        "meta": meta,
+    }, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -137,40 +136,27 @@ class RunJournal:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._handle = None
+        self._handle: Optional[IO[str]] = None
 
     # ------------------------------------------------------------------
     def open(self) -> "RunJournal":
-        """Open the append handle now (probe writability up front)."""
-        if self._handle is None:
-            self._discard_torn_tail()
-            self._handle = self.path.open("a", encoding="utf-8")
+        """Open the append handle now (probe writability up front).
+
+        A torn final line is cut first, so the next entry is a line of
+        its own; foreign content raises :class:`JournalError`.
+        """
+        self._log()
         return self
 
-    def _discard_torn_tail(self) -> None:
-        """Physically drop a torn (newline-less) final line before appending.
-
-        Appending straight after a torn tail would merge the new entry
-        into the fragment, producing one complete-but-corrupt line that
-        poisons every later :meth:`load`.  The loader already ignores the
-        fragment, so truncating it loses nothing — the interrupted case
-        re-runs either way.
-        """
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        cut = data.rfind(b"\n") + 1  # 0 when the file is a single fragment
-        with self.path.open("rb+") as handle:
-            handle.truncate(cut)
+    def _log(self) -> IO[str]:
+        if self._handle is None:
+            self._handle = open_log(self.path, JournalError, "journal",
+                                    _STARTS)
+        return self._handle
 
     def append(self, entry: JournalEntry) -> None:
         """Durably append one completed case (flush + fsync per line)."""
-        self.open()
-        self._handle.write(entry.to_line() + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        fsync_append(self._log(), entry.to_line())
 
     def write_header(self, meta: Dict[str, object]) -> None:
         """Durably write the run-metadata header line.
@@ -181,57 +167,41 @@ class RunJournal:
         Loaders skip it when collecting entries, so resume semantics are
         unchanged.
         """
-        self.open()
-        self._handle.write(json.dumps({
-            "format": JOURNAL_HEADER_FORMAT,
-            "version": JOURNAL_VERSION,
-            "meta": meta,
-        }, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        fsync_append(self._log(), header_line(meta))
+
+    def _lines(self) -> List[Tuple[int, str]]:
+        """The journal's complete lines (:func:`repro.durable.read_log`);
+        none for a missing file."""
+        if not self.path.exists():
+            return []
+        return read_log(self.path, JournalError, "journal", _STARTS)
 
     def read_header(self) -> Optional[Dict[str, object]]:
         """The ``meta`` of the journal's header line, or ``None``.
 
-        Scans only the leading lines (headers are written before any
-        entry); a malformed *complete* header — bad JSON, or a header
-        schema version this reader does not understand — raises
-        :class:`JournalError` like any other corrupt line would on
-        :meth:`load`.  A torn, newline-less header fragment — the
-        artifact of a kill during the very first header write — is "no
-        header yet", matching the torn-tail tolerance of :meth:`load` and
-        :meth:`open`: all three entry points agree that such a journal is
-        empty and restartable.
+        Headers are written before any entry, so only the first line is
+        judged: a malformed header — bad JSON, or a header schema version
+        this reader does not understand — raises :class:`JournalError`
+        like any other corrupt line would on :meth:`load`, and any other
+        first line means "no header".  A torn header fragment (a kill
+        during the very first header write) is no line at all, so such a
+        journal reads as empty and restartable here, on :meth:`load` and
+        on :meth:`open` alike.
         """
-        if not self.path.exists():
+        lines = self._lines()
+        if not lines or not _is_header_line(lines[0][1]):
             return None
-        text = self.path.read_text(encoding="utf-8")
-        lines = text.split("\n")
-        complete = lines[:-1]          # every line closed by a newline
-        torn_tail = lines[-1]          # "" when the file ends in a newline
-        for line in complete:
-            if not line.strip():
-                continue
-            if not _is_header_line(line):
-                return None
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JournalError(
-                    f"journal header is not valid JSON: {exc}") from exc
-            if payload.get("version") != JOURNAL_VERSION:
-                raise JournalError(
-                    f"journal header has version "
-                    f"{payload.get('version')!r}; this reader understands "
-                    f"version {JOURNAL_VERSION}")
-            return dict(payload.get("meta") or {})
-        if torn_tail.strip() and not _looks_torn(torn_tail):
-            # A newline-less fragment that could not be the start of a
-            # header or entry line is foreign content, not a torn write.
+        try:
+            payload = json.loads(lines[0][1])
+        except json.JSONDecodeError as exc:
             raise JournalError(
-                f"journal {self.path} holds unrecognised content; "
-                "is it a repro-sweep journal?")
-        return None
+                f"journal header is not valid JSON: {exc}") from exc
+        if payload.get("version") != JOURNAL_VERSION:
+            raise JournalError(
+                f"journal header has version "
+                f"{payload.get('version')!r}; this reader understands "
+                f"version {JOURNAL_VERSION}")
+        return dict(payload.get("meta") or {})
 
     def close(self) -> None:
         """Close the underlying file (no-op when nothing was appended)."""
@@ -250,43 +220,15 @@ class RunJournal:
         """Every entry of the journal file, in append order.
 
         A missing file is an empty journal (a resumed campaign that never
-        completed a case).  Blank lines are tolerated; anything else that
-        does not parse raises :class:`JournalError` — a corrupt journal
-        must fail loudly, not silently re-execute or skip cases.  The one
-        exception is a torn *final* line of an otherwise valid journal
-        (an unparseable JSON prefix without a trailing newline, the
-        classic kill-mid-write artifact), which is dropped so the case
-        simply re-runs; a file whose *only* content fails to parse is a
-        foreign or corrupt file and raises.
+        completed a case).  Blank lines are tolerated; any complete line
+        that does not parse raises :class:`JournalError` — a corrupt
+        journal must fail loudly, not silently re-execute or skip cases.
+        A torn final line (the kill-mid-write artifact, even one that
+        lost only its newline) is no entry, so its case simply re-runs.
         """
-        if not self.path.exists():
-            return []
-        entries: List[JournalEntry] = []
-        text = self.path.read_text(encoding="utf-8")
-        lines = text.split("\n")
-        complete = lines[:-1]          # every line closed by a newline
-        torn_tail = lines[-1]          # "" when the file ends in a newline
-        for lineno, line in enumerate(complete, start=1):
-            if not line.strip():
-                continue
-            if _is_header_line(line):
-                continue  # run metadata, not a completed case
-            entries.append(JournalEntry.from_line(line, lineno=lineno))
-        if torn_tail.strip():
-            try:
-                entries.append(JournalEntry.from_line(
-                    torn_tail, lineno=len(lines)))
-            except JournalError as exc:
-                # Drop only a genuinely torn final write: a JSON *decode*
-                # failure at the end of a journal that already holds valid
-                # entries, or — for a kill during the very first append —
-                # a fragment that is byte-wise the start of a journal
-                # line.  A decodable-but-foreign tail, or unrecognisable
-                # content with no valid entry, is not a torn journal.
-                torn = isinstance(exc.__cause__, json.JSONDecodeError)
-                if not (torn and (entries or _looks_torn(torn_tail))):
-                    raise
-        return entries
+        return [JournalEntry.from_line(line, lineno=lineno)
+                for lineno, line in self._lines()
+                if not _is_header_line(line)]
 
     def latest_by_index(self) -> Dict[int, JournalEntry]:
         """The last entry per case index (re-runs append; last one wins)."""

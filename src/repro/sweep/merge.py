@@ -40,20 +40,13 @@ Command line::
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..durable import atomic_write_text
-from .journal import (
-    JOURNAL_HEADER_FORMAT,
-    JOURNAL_VERSION,
-    JournalEntry,
-    JournalError,
-    RunJournal,
-)
+from ..durable import atomic_write_text, read_objects
+from .journal import JournalEntry, JournalError, RunJournal, header_line
 from .runner import (
     PERMUTATION_FIELD,
     SweepError,
@@ -110,28 +103,9 @@ def load_grid_fingerprints(path: Union[str, Path]
     This is the ``grid.jsonl`` a :mod:`repro.distrib` campaign publishes,
     but any JSONL file of fingerprints works.
     """
-    grid_path = Path(path)
-    try:
-        text = grid_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MergeError(f"cannot read grid {grid_path}: {exc}") from exc
-    fingerprints: List[Dict[str, object]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            fingerprint = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MergeError(
-                f"grid {grid_path} line {lineno} is not valid JSON: "
-                f"{exc}") from exc
-        if not isinstance(fingerprint, dict):
-            raise MergeError(
-                f"grid {grid_path} line {lineno} is not a case "
-                "fingerprint object")
-        fingerprints.append(fingerprint)
+    fingerprints = read_objects(path, MergeError, "grid")
     if not fingerprints:
-        raise MergeError(f"grid {grid_path} holds no case fingerprints")
+        raise MergeError(f"grid {path} holds no case fingerprints")
     return fingerprints
 
 
@@ -268,17 +242,13 @@ def merge_journals(output: Union[str, Path],
                 f"{preview}{more}")
 
     ordered = sorted(merged.values(), key=lambda item: item[0])
-    lines = [json.dumps({
-        "format": JOURNAL_HEADER_FORMAT,
-        "version": JOURNAL_VERSION,
-        "meta": {
-            "merged_from": [str(path) for path in sources],
-            "cases": len(ordered),
-            "duplicates": duplicates,
-            "verified_against_grid": grid is not None,
-            "grid_complete": complete,
-        },
-    }, sort_keys=True)]
+    lines = [header_line({
+        "merged_from": [str(path) for path in sources],
+        "cases": len(ordered),
+        "duplicates": duplicates,
+        "verified_against_grid": grid is not None,
+        "grid_complete": complete,
+    })]
     for index, entry, _ in ordered:
         lines.append(JournalEntry(
             case_index=index, kind=entry.kind,

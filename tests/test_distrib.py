@@ -173,6 +173,24 @@ class TestLedger:
         with pytest.raises(LedgerError, match="not valid JSON"):
             ledger.read_lease(lease_id)
 
+    def test_both_grid_readers_apply_one_torn_tail_rule(self, tmp_path):
+        # The ledger and merge read grid.jsonl through one reader: a line
+        # counts once its newline is on disk, so a fingerprint that lost
+        # its newline is refused, not read; an undecodable fragment after
+        # complete lines is a torn tail and dropped.  Each reader raises
+        # its own error.
+        ledger, cases = self._campaign(tmp_path)
+        grid = [case_fingerprint(case) for case in cases]
+        text = ledger.grid_path.read_text(encoding="utf-8")
+        ledger.grid_path.write_text(text[:-1], encoding="utf-8")
+        with pytest.raises(LedgerError, match="unrecognised content"):
+            ledger.load_grid()
+        with pytest.raises(MergeError, match="unrecognised content"):
+            load_grid_fingerprints(ledger.grid_path)
+        ledger.grid_path.write_text(text + '{"kind": "p', encoding="utf-8")
+        assert ledger.load_grid() == grid
+        assert load_grid_fingerprints(ledger.grid_path) == grid
+
     def test_missing_manifest_is_an_error(self, tmp_path):
         with pytest.raises(LedgerError, match="manifest"):
             LeaseLedger(tmp_path / "nowhere").load_manifest()

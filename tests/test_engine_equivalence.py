@@ -33,7 +33,7 @@ from repro import (
     checkerboard_background,
 )
 from repro.core.session import SessionError
-from repro.engine import EngineError, UnsupportedConfiguration, VectorizedEngine
+from repro.engine import UnsupportedConfiguration, VectorizedEngine
 from repro.march.element import AddressingDirection
 from repro.march.ordering import (
     ColumnMajorOrder,
@@ -167,20 +167,6 @@ def test_vectorized_rejects_custom_memory():
 def test_unknown_backend_rejected():
     with pytest.raises(SessionError):
         TestSession(SMALL_GEOMETRY, backend="warp-drive")
-
-
-def test_auto_falls_back_when_numpy_unavailable(monkeypatch):
-    """Without numpy, 'auto' silently takes the reference path; explicit
-    'vectorized' surfaces the missing dependency."""
-    import repro.engine.vectorized as vectorized
-
-    monkeypatch.setattr(vectorized, "np", None)
-    result = TestSession(SMALL_GEOMETRY, backend="auto").run(
-        MARCH_CM, OperatingMode.FUNCTIONAL)
-    assert result.passed
-    with pytest.raises(EngineError):
-        TestSession(SMALL_GEOMETRY, backend="vectorized").run(
-            MARCH_CM, OperatingMode.FUNCTIONAL)
 
 
 def test_auto_uses_custom_memory_on_reference_path():

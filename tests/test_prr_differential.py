@@ -132,18 +132,6 @@ class TestBackendEquivalence:
         with pytest.raises(BistError):
             BistController(EQUIVALENCE_GEOMETRY, backend="warp-drive")
 
-    def test_auto_falls_back_when_numpy_unavailable(self, monkeypatch):
-        import repro.engine.vectorized as vectorized
-
-        monkeypatch.setattr(vectorized, "np", None)
-        controller = BistController(EQUIVALENCE_GEOMETRY, backend="auto")
-        result = controller.run(PAPER_TABLE1_ALGORITHMS[0])
-        assert result.passed
-        assert result.backend == "reference"
-        with pytest.raises(Exception):
-            BistController(EQUIVALENCE_GEOMETRY, backend="vectorized").run(
-                PAPER_TABLE1_ALGORITHMS[0])
-
 
 # ----------------------------------------------------------------------
 # Comparator outcomes (pass/fail + bounded log), exercised through the

@@ -450,25 +450,6 @@ def test_serve_cli_rejects_a_port_outside_the_tcp_range(capsys):
         assert "--port" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("window", ["inf", "nan"])
-def test_serve_cli_rejects_a_non_finite_coalesce_window(tmp_path, window):
-    """An infinite window would park the first cache miss forever; the
-    flag must fail like the other bad flags, before the socket binds.
-    Run as a child process so an accepted flag times out, not hangs."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"),
-         env.get("PYTHONPATH", "")])
-    completed = subprocess.run(
-        [sys.executable, "-m", "repro.serve", "--port", "0",
-         "--cache-dir", str(tmp_path / "cache"),
-         "--coalesce-window", window],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert completed.returncode == 2
-    assert "--coalesce-window" in completed.stderr
-    assert "listening" not in completed.stdout
-
-
 # ----------------------------------------------------------------------
 # Workload trace: append, load, torn tail
 # ----------------------------------------------------------------------
@@ -502,6 +483,36 @@ def test_trace_drops_a_torn_tail_but_rejects_foreign_content(tmp_path):
     assert load_trace(tmp_path / "missing.jsonl") == []
 
 
+def test_service_refuses_a_foreign_trace_before_it_serves(tmp_path):
+    # The trace opens when the service starts, so a file that is not a
+    # trace fails the start instead of every request, and stays whole.
+    path = tmp_path / "notes.jsonl"
+    path.write_text("first line\n{\"not\": \"a trace\"}")
+    service = CampaignService(tmp_path / "cache", trace_path=path)
+    thread = ServiceThread(service)
+    with pytest.raises(TraceError, match="unrecognised content"):
+        thread.start()
+    thread.stop()
+    assert path.read_text() == "first line\n{\"not\": \"a trace\"}"
+    assert service.port is None
+
+
+def test_trace_reopened_on_a_torn_tail_keeps_both_sessions(tmp_path):
+    # A service killed mid-append leaves a torn fragment; the next
+    # session's first line must not join it, or the trace never loads.
+    path = tmp_path / "trace.jsonl"
+    with WorkloadTrace(path) as trace:
+        trace.record("d1", "power", {}, "miss", 1.0)
+    with path.open("a") as handle:
+        handle.write('{"arrival_s": 3.14, "case"')  # kill mid-append
+    with WorkloadTrace(path) as trace:
+        trace.record("d2", "prr", {}, "hit", 0.5)
+    requests = load_trace(path)
+    assert [(r["digest"], r["outcome"]) for r in requests] == \
+        [("d1", "miss"), ("d2", "hit")]
+    assert path.read_bytes().endswith(b"}\n")
+
+
 # ----------------------------------------------------------------------
 # The live service
 # ----------------------------------------------------------------------
@@ -529,9 +540,7 @@ def test_serve_miss_then_hit_and_record_fidelity(tmp_path):
 def test_duplicate_concurrent_requests_share_one_engine_pass(tmp_path):
     case = _power_case()
     duplicates = 8
-    # A generous coalescing window so the whole burst lands in one wave.
-    with running_service(tmp_path / "cache", coalesce_window=0.25) \
-            as (service, host, port):
+    with running_service(tmp_path / "cache") as (service, host, port):
         responses = replay(host, port, [case] * duplicates,
                            concurrency=duplicates)
         stats = service.stats_snapshot()
@@ -546,42 +555,6 @@ def test_duplicate_concurrent_requests_share_one_engine_pass(tmp_path):
     assert stats["coalesced"] + stats["hits"] == duplicates - 1
     assert stats["requests"] == duplicates
     assert stats["errors"] == 0
-
-
-def test_distinct_cases_coalesce_into_one_wave(tmp_path):
-    # Two distinct same-geometry scenarios submitted inside one window
-    # execute as one BatchedGridEngine wave (one stacked kernel pass).
-    cases = [_power_case(algorithm="MATS+"), _power_case(algorithm="March C-")]
-    with running_service(tmp_path / "cache", coalesce_window=0.25) \
-            as (service, host, port):
-        responses = replay(host, port, cases, concurrency=2)
-        stats = service.stats_snapshot()
-    assert [r["served"]["outcome"] for r in responses] == ["miss", "miss"]
-    assert stats["engine_passes"] == 1
-    assert stats["executed_cases"] == 2
-
-
-def test_wave_that_dies_is_rescued_case_by_case(tmp_path, monkeypatch):
-    # A stacked pass that fails mid-wave must not starve its neighbours:
-    # every unanswered case is rescued one at a time, with exactly the
-    # record a local execution measures.
-    from repro.engine.grid import BatchedGridEngine
-
-    def dying(self):
-        raise RuntimeError("stacked pass died")
-        yield  # pragma: no cover - makes this a generator
-
-    monkeypatch.setattr(BatchedGridEngine, "completions", dying)
-    cases = [_power_case(algorithm="MATS+"), _prr_case()]
-    with running_service(tmp_path / "cache", coalesce_window=0.25) \
-            as (service, host, port):
-        responses = replay(host, port, cases, concurrency=2)
-        stats = service.stats_snapshot()
-    assert stats["errors"] == 0
-    for case, response in zip(cases, responses):
-        local = execute_case(case_from_dict(case))
-        assert _drop_elapsed(response["record"]) == \
-            _drop_elapsed(local.as_dict())
 
 
 def _wait_for(predicate, timeout=30.0):
@@ -623,6 +596,40 @@ def _submit_one(host, port, case):
 _ALGORITHMS = ["MATS+", "March C-", "March SS", "March B"]
 
 
+def test_wave_that_dies_is_rescued_case_by_case(tmp_path, monkeypatch):
+    # A stacked pass that fails mid-wave must not starve its neighbours:
+    # every unanswered case is rescued one at a time, with exactly the
+    # record a local execution measures.  One worker holds a first wave
+    # while the two cases pool behind it, so both share one dying wave.
+    from repro.engine.grid import BatchedGridEngine
+
+    def dying(self):
+        raise RuntimeError("stacked pass died")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(BatchedGridEngine, "completions", dying)
+    cases = [_power_case(algorithm="MATS+"), _prr_case()]
+    with running_service(tmp_path / "cache", workers=1) \
+            as (service, host, port), ThreadPoolExecutor(3) as pool, \
+            _held_wave(monkeypatch) as (started, release):
+        first = pool.submit(_submit_one, host, port,
+                            _power_case(algorithm="March C-"))
+        assert started.wait(30)
+        futures = [pool.submit(_submit_one, host, port, case)
+                   for case in cases]
+        _wait_for(lambda: service.stats_snapshot()["misses"] == 3)
+        release.set()
+        responses = [future.result(timeout=60) for future in futures]
+        first.result(timeout=60)
+        stats = service.stats_snapshot()
+    assert stats["engine_passes"] == 2 and stats["executed_cases"] == 3
+    assert stats["errors"] == 0
+    for case, response in zip(cases, responses):
+        local = execute_case(case_from_dict(case))
+        assert _drop_elapsed(response["record"]) == \
+            _drop_elapsed(local.as_dict())
+
+
 def test_a_miss_on_an_idle_service_is_dispatched_without_a_timer(
         tmp_path, monkeypatch):
     # With the default window a miss goes to the idle executor as soon as
@@ -637,7 +644,6 @@ def test_a_miss_on_an_idle_service_is_dispatched_without_a_timer(
 
     monkeypatch.setattr(asyncio, "sleep", recording_sleep)
     with running_service(tmp_path / "cache") as (service, host, port):
-        assert service.coalesce_window == 0
         response = _submit_one(host, port, _prr_case())
         stats = service.stats_snapshot()
     assert response["served"]["outcome"] == "miss"
@@ -672,6 +678,29 @@ def test_misses_pool_into_one_wave_while_every_thread_is_busy(
         local = execute_case(case_from_dict(case))
         assert _drop_elapsed(response["record"]) == \
             _drop_elapsed(local.as_dict())
+
+
+def test_stop_closes_an_idle_keep_alive_connection(tmp_path):
+    # A client that keeps its connection open between requests must not
+    # hold stop() up: the service closes the connection and returns.
+    # (From Python 3.12 on, the server's wait_closed() waits for every
+    # connection to close.)
+    service = CampaignService(tmp_path / "cache", workers=1)
+    thread = ServiceThread(service)
+    host, port = thread.start()
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("GET", "/healthz")
+        assert json.loads(connection.getresponse().read()) == \
+            {"status": "ok"}
+        stopper = threading.Thread(target=thread.stop)
+        stopper.start()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        assert connection.sock.recv(1) == b""  # closed by the service
+    finally:
+        connection.close()
+        thread.stop()
 
 
 def test_stop_answers_misses_pooled_behind_a_busy_thread(tmp_path,

@@ -60,6 +60,11 @@ def _fast_cases(count: int = 3):
                       backends=("vectorized",))
 
 
+def _drop_elapsed(record):
+    """A record's fields but the wall clock, which differs per run."""
+    return {key: value for key, value in record.items() if key != "elapsed_s"}
+
+
 def _mixed_cases():
     """One case of each kind, all cheap."""
     return [
@@ -293,6 +298,25 @@ def test_resume_append_does_not_merge_into_a_torn_tail(tmp_path):
     assert len(again) == 2
 
 
+def test_resume_after_a_lost_final_newline_journals_every_case_once(
+        tmp_path):
+    # A kill between an entry's last byte and its newline leaves a line
+    # that parses but never counted.  Resume must re-run that case and
+    # journal it again, not restore it and then cut it from the journal.
+    path = tmp_path / "run.jsonl"
+    cases = _fast_cases(3)
+    first = SweepRunner(cases, processes=1, journal=path).run()
+    path.write_bytes(path.read_bytes()[:-1])
+    resumed = SweepRunner(cases, processes=1, journal=path).run(resume=True)
+    entries = load_journal(path)
+    assert sorted(entry.case_index for entry in entries) == [0, 1, 2]
+    assert path.read_bytes().endswith(b"\n")
+    drop = [_drop_elapsed(record.as_dict()) for record in first.records]
+    assert [_drop_elapsed(entry.record) for entry in entries] == drop
+    assert [_drop_elapsed(record.as_dict())
+            for record in resumed.records] == drop
+
+
 def test_journal_rejects_corrupt_complete_lines(tmp_path):
     path = tmp_path / "corrupt.jsonl"
     path.write_text("not json at all\n")
@@ -344,6 +368,17 @@ def test_torn_tail_is_only_dropped_from_a_valid_journal(tmp_path):
         handle.write('{"format": "something-else"}')  # no trailing newline
     with pytest.raises(JournalError):
         load_journal(tmp_path / "ok.jsonl")
+
+
+def test_append_open_leaves_foreign_content_whole(tmp_path):
+    # Only a torn tail is cut before appending; a file that ends in
+    # something no journal writes is refused and left as it was.
+    path = tmp_path / "foreign.jsonl"
+    content = '{"format": "something-else"}\n{"format": "other"}'
+    path.write_text(content)
+    with pytest.raises(JournalError, match="unrecognised content"):
+        RunJournal(path).open()
+    assert path.read_text() == content
 
 
 def test_torn_header_only_journal_reads_as_empty(tmp_path):
